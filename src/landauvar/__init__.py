@@ -1,7 +1,7 @@
 """Landau varieties, Picard-Lefschetz variation operators and hierarchy
 constraints for parameter integrals of Feynman and Aomoto type."""
 
-from .poly import Polynomial, PolyMatrix, determinant, divides, exact_div, parse, resultant
+from .poly import Polynomial, PolyMatrix, determinant, divides, parse, resultant
 from .graphs import (
     BUILTIN_GRAPHS,
     Edge,

@@ -112,6 +112,21 @@ def _parse_assignments(text: str) -> dict:
     return out
 
 
+def _parse_chart(text: str) -> dict:
+    """Chart bindings such as ``x1=1`` as integer constant polynomials."""
+    return {name: Polynomial.const(int(value))
+            for name, value in _parse_assignments(text).items()}
+
+
+def _verdict_json(rel, comps, word: tuple) -> dict:
+    verdict = hierarchy.word_vanishes(rel, comps, word)
+    return {
+        "word": list(word),
+        "verdict": "forced_zero" if verdict.forced_zero else "unconstrained",
+        "reason": verdict.reason,
+    }
+
+
 def _parse_index_set(text: str) -> frozenset:
     text = (text or "").strip()
     if not text:
@@ -149,10 +164,7 @@ def _cmd_landau(args) -> int:
     # eliminate
     g = _load_graph_arg(args.graph)
     f = graphs.symanzik_F(g)
-    chart = {
-        name: Polynomial.const(int(value))
-        for name, value in _parse_assignments(args.chart).items()
-    }
+    chart = _parse_chart(args.chart)
     fiber_vars = [e.var for e in g.edges]
     result = landau.eliminate_critical_values(f, fiber_vars, chart)
     _emit({"eliminant": str(result)}, args.format)
@@ -166,16 +178,8 @@ def _cmd_hierarchy(args) -> int:
         print(hierarchy.to_dot(rel, comps))
         return 0
     if args.check:
-        verdicts = []
-        for text in args.check:
-            word = _split_word(text)
-            verdict = hierarchy.word_vanishes(rel, comps, word)
-            verdicts.append({
-                "word": list(word),
-                "verdict": "forced_zero" if verdict.forced_zero else "unconstrained",
-                "reason": verdict.reason,
-            })
-        _emit(verdicts, args.format)
+        _emit([_verdict_json(rel, comps, _split_word(text)) for text in args.check],
+              args.format)
         return 0
     _emit({"nodes": list(rel.nodes), "edges": hierarchy.edges_json(rel)}, args.format)
     return 0
@@ -288,10 +292,7 @@ def _parse_loop(text: str) -> tracking.Loop:
 def _cmd_track(args) -> int:
     g = _load_graph_arg(args.graph)
     f = graphs.symanzik_F(g)
-    chart = {
-        name: Polynomial.const(int(value))
-        for name, value in _parse_assignments(args.chart).items()
-    }
+    chart = _parse_chart(args.chart)
     f = f.substitute(chart)
     loop = _parse_loop(args.loop)
     basepoint = {name: complex(value)
@@ -313,10 +314,7 @@ def _cmd_analyze(args) -> int:
         audit = variation.check_against_hierarchy(_load_model_arg(args.audit)).describe()
     track_result = None
     if args.track_loop:
-        f = graphs.symanzik_F(g).substitute({
-            name: Polynomial.const(int(value))
-            for name, value in _parse_assignments(args.track_chart).items()
-        })
+        f = graphs.symanzik_F(g).substitute(_parse_chart(args.track_chart))
         basepoint = {name: complex(value)
                      for name, value in _parse_assignments(args.track_fix).items()}
         system = tracking.ParametricRootSystem(
@@ -338,14 +336,7 @@ def analyze_graph(g: graphs.FeynmanGraph, checks=(), audit=None,
     if len(g.edges) == 2:
         comps = landau.bubble_split(comps, g)
     rel = hierarchy.hierarchy_graph(comps)
-    words = []
-    for _, word in checks:
-        verdict = hierarchy.word_vanishes(rel, comps, word)
-        words.append({
-            "word": list(word),
-            "verdict": "forced_zero" if verdict.forced_zero else "unconstrained",
-            "reason": verdict.reason,
-        })
+    words = [_verdict_json(rel, comps, word) for _, word in checks]
     return {
         "graph": _graph_summary(g),
         "symanzik": {

@@ -110,12 +110,6 @@ def local_rank(cfg: PinchConfig, degree: int, variant: str = "open") -> int:
     return sphere + points
 
 
-def local_rank_poincare(cfg: PinchConfig, variant: str = "open", max_degree=None) -> list:
-    """All ranks [rank_0, ..., rank_D] up to the top relevant degree."""
-    top = 2 * cfg.n if max_degree is None else max_degree
-    return [local_rank(cfg, d, variant) for d in range(top + 1)]
-
-
 @dataclass(frozen=True)
 class Operator:
     kind: str

@@ -309,12 +309,6 @@ class Polynomial:
             reverse=True,
         )
 
-    def leading_term(self) -> tuple:
-        """(monomial, coefficient) maximal in graded lex order."""
-        if not self.terms:
-            raise PolynomialError("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -448,14 +442,6 @@ def parse(text: str) -> Polynomial:
     return result
 
 
-def exact_div(a: Polynomial, d: Polynomial) -> Polynomial:
-    """Quotient a/d when it is exact; raises PolynomialError otherwise."""
-    q = divides(d, a)
-    if q is None:
-        raise PolynomialError("division is not exact")
-    return q
-
-
 def divides(d: Polynomial, a: Polynomial):
     """Return the quotient q with a == d*q, or None if no such q exists."""
     if d.is_zero():
@@ -559,34 +545,42 @@ class PolyMatrix:
 
 
 def determinant(m: PolyMatrix) -> Polynomial:
-    """Exact determinant by fraction-free Bareiss elimination.
+    """Exact determinant by Laplace expansion along the rows, memoised over
+    the set of columns used so far.
 
-    All interior divisions are exact by the Bareiss identity, so the result
-    carries no spurious denominators beyond those of the input entries.
+    Division-free: the result is built from sums of products of entries
+    only, and equals the Leibniz sum over permutations, grouped by the
+    columns that the leading rows take.  After row i, `minors` maps each set
+    of i+1 used columns (a bitmask) to the signed minor of rows 0..i on those
+    columns.  Choosing column j for the next row flips the sign once per used
+    column to the right of j.  Zero entries and zero minors are skipped, and
+    a partial minor is dropped once it leaves out a column that is zero in
+    every later row, so banded Sylvester matrices keep few live column sets.
     """
     if m.rows != m.cols:
         raise PolynomialError("determinant of non-square matrix")
     n = m.rows
-    a = [row[:] for row in m.entries]
-    sign = 1
-    prev = Polynomial.const(1)
-    for k in range(n - 1):
-        if a[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not a[r][k].is_zero():
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = exact_div(num, prev)
-            a[i][k] = Polynomial()
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+    # need[i]: columns zero in every row below i, which rows 0..i must use
+    need = [(1 << n) - 1] * n
+    for i in range(n - 2, -1, -1):
+        zeros = sum(1 << j for j, e in enumerate(m.entries[i + 1]) if e.is_zero())
+        need[i] = need[i + 1] & zeros
+    minors = {0: Polynomial.const(1)}
+    for i, row in enumerate(m.entries):
+        entries = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
+        grown: dict = {}
+        for used, minor in minors.items():
+            for j, entry in entries:
+                key = used | (1 << j)
+                if key == used or key & need[i] != need[i]:
+                    continue
+                term = entry * minor
+                if (used >> (j + 1)).bit_count() & 1:
+                    term = -term
+                acc = grown.get(key)
+                grown[key] = term if acc is None else acc + term
+        minors = {key: minor for key, minor in grown.items() if minor}
+    return minors.get((1 << n) - 1, Polynomial())
 
 
 def resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:

@@ -31,6 +31,10 @@ class Loop:
     steps: int = 256
     turns: int = 1           # number of revolutions
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise TrackingError(f"loop needs at least 1 step, got steps={self.steps}")
+
     def point(self, theta: float) -> complex:
         return self.center + self.radius * cmath.exp(
             2j * cmath.pi * self.orientation * self.turns * theta

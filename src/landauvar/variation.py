@@ -389,42 +389,45 @@ def model_to_json(model: VariationModel) -> dict:
 def model_from_json(data) -> VariationModel:
     if isinstance(data, str):
         data = json.loads(data)
-    comps = tuple(
-        LandauComponent(
-            id=c["id"],
-            defining=parse(c["defining"]),
-            type_J=frozenset(c["type_J"]),
-            type_K=frozenset(c["type_K"]),
-            simple_J=frozenset(c["simple_J"]),
-            simple_K=frozenset(c["simple_K"]),
-            pinch=c["pinch"],
-            parity=c["parity"],
-            variation_known_zero=c["variation_known_zero"],
+    try:
+        comps = tuple(
+            LandauComponent(
+                id=c["id"],
+                defining=parse(c["defining"]),
+                type_J=frozenset(c["type_J"]),
+                type_K=frozenset(c["type_K"]),
+                simple_J=frozenset(c["simple_J"]),
+                simple_K=frozenset(c["simple_K"]),
+                pinch=c["pinch"],
+                parity=c["parity"],
+                variation_known_zero=c["variation_known_zero"],
+            )
+            for c in data["components"]
         )
-        for c in data["components"]
-    )
-    ops = {
-        cid: tuple(tuple(_rat(x) for x in row) for row in m)
-        for cid, m in data["ops"].items()
-    }
-    return VariationModel(
-        name=data["name"],
-        n=data["n"],
-        basis=tuple(data["basis"]),
-        ops=ops,
-        components=comps,
-        vanishing={
-            cid: tuple(tuple(_rat(x) for x in v) for v in vs)
-            for cid, vs in data.get("vanishing", {}).items()
-        },
-        intersection_rows={
-            cid: tuple(_rat(x) for x in row)
-            for cid, row in data.get("intersection_rows", {}).items()
-        },
-        boundary_K={b: frozenset(s) for b, s in data.get("boundary_K", {}).items()},
-        coboundary_J={b: frozenset(s) for b, s in data.get("coboundary_J", {}).items()},
-        conventions=data.get("conventions", {}),
-    )
+        ops = {
+            cid: tuple(tuple(_rat(x) for x in row) for row in m)
+            for cid, m in data["ops"].items()
+        }
+        return VariationModel(
+            name=data["name"],
+            n=data["n"],
+            basis=tuple(data["basis"]),
+            ops=ops,
+            components=comps,
+            vanishing={
+                cid: tuple(tuple(_rat(x) for x in v) for v in vs)
+                for cid, vs in data.get("vanishing", {}).items()
+            },
+            intersection_rows={
+                cid: tuple(_rat(x) for x in row)
+                for cid, row in data.get("intersection_rows", {}).items()
+            },
+            boundary_K={b: frozenset(s) for b, s in data.get("boundary_K", {}).items()},
+            coboundary_J={b: frozenset(s) for b, s in data.get("coboundary_J", {}).items()},
+            conventions=data.get("conventions", {}),
+        )
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ModelError(f"malformed model document: {exc}") from exc
 
 
 # -- builtin fixture models -----------------------------------------------------------

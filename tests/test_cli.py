@@ -198,3 +198,36 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", str(path))
     assert code == 1
     assert "line" in err or "char" in err
+
+
+def assert_clean_error(code, err):
+    assert code == 1
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_malformed_model_file_is_a_clean_error(tmp_path, capsys):
+    from landauvar.variation import builtin_model, model_to_json
+
+    no_components = model_to_json(builtin_model("bubble"))
+    del no_components["components"]
+    ops_as_list = model_to_json(builtin_model("bubble"))
+    ops_as_list["ops"] = []
+    path = tmp_path / "bad.json"
+    for doc in (no_components, ops_as_list, [], {"components": [7]}):
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "variation", "table", str(path))
+        assert out == ""
+        assert_clean_error(code, err)
+        assert "malformed model document" in err
+
+
+def test_track_with_zero_steps_is_a_clean_error(capsys):
+    code, out, err = run_cli(
+        capsys, "track", "bubble", "--chart", "x1=1", "--var", "x2",
+        "--loop", "psq:center=9,r=0.1,steps=0", "--fix", "m1sq=1,m2sq=4",
+    )
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "steps=0" in err

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import aomoto as aomoto_mod
@@ -87,11 +88,11 @@ def _split_word(text: str) -> tuple:
 
 
 def _components_for(args) -> list:
-    if args.fixture:
+    if args.fixture is not None:
         return landau.fixture_landau(args.fixture)
-    if args.model:
+    if args.model is not None:
         return list(variation.builtin_model(args.model).components)
-    if args.aomoto:
+    if args.aomoto is not None:
         return aomoto_mod.aomoto_components(args.aomoto)
     g = _load_graph_arg(args.graph)
     comps = landau.oneloop_landau(g)
@@ -244,8 +245,26 @@ def _cmd_variation(args) -> int:
     return 0 if report.ok else 1
 
 
+# `aomoto symbol` builds ((n+1)!)^2 words; weight 5 (518400 words) is the
+# largest it accepts, weight 6 would already build 25401600
+SYMBOL_WORD_BUDGET = 518400
+
+
+def _check_symbol_budget(n: int) -> None:
+    if n < 1:
+        return  # aomoto_symbol rejects the weight itself
+    words = math.factorial(min(n, 20) + 1) ** 2  # the exact count stays printable
+    if words > SYMBOL_WORD_BUDGET:
+        count = f" = {words}" if n <= 20 else ""
+        raise aomoto_mod.AomotoError(
+            f"aomoto symbol --n {n} would build ({n + 1}!)^2{count} words,"
+            f" over the budget of {SYMBOL_WORD_BUDGET}"
+        )
+
+
 def _cmd_aomoto(args) -> int:
     if args.action == "symbol":
+        _check_symbol_budget(args.n)
         words = aomoto_mod.aomoto_symbol(args.n)
         if args.format == "json":
             data = [

@@ -11,7 +11,7 @@ critical sets ("general") get the containment test only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .landau import LINEAR, LandauComponent
 
@@ -90,6 +90,54 @@ def hierarchy_graph(components) -> HierarchyRelation:
     return HierarchyRelation(nodes=tuple(sorted(ids)), edges=edges)
 
 
+@dataclass(frozen=True)
+class ForcedZeroRule:
+    """The oracle's forced-zero rule over one relation.
+
+    A word is forced to zero when one of its letters has identically zero
+    variation or two consecutive letters are not an arrow.  The unforced words
+    are therefore exactly the walks along arrows between the other ("live")
+    components, which is how `forced_extensions` counts the forced ones.
+    """
+
+    letters: tuple        # sorted component ids
+    known_zero: frozenset
+    edges: frozenset
+
+    @classmethod
+    def of(cls, rel: HierarchyRelation, components) -> ForcedZeroRule:
+        comps = list(components)
+        return cls(
+            letters=tuple(sorted(c.id for c in comps)),
+            known_zero=frozenset(c.id for c in comps if c.variation_known_zero),
+            edges=rel.edges,
+        )
+
+    def step(self, last, cid) -> str | None:
+        """Why appending `cid` to an unforced word ending in `last` (None for
+        the empty word) forces it to zero, or None when it stays unforced."""
+        if cid in self.known_zero:
+            return f"variation around {cid} is identically zero"
+        if last is not None and (last, cid) not in self.edges:
+            return f"no arrow {last} -> {cid}"
+        return None
+
+    def forced_extensions(self, length: int) -> list:
+        """ext[r][a]: how many of the words that extend an unforced word ending
+        in `a` by 1 to r letters are forced.  At s letters that is |C|^s minus
+        the s-step walks from `a` into live letters, the extensions that stay
+        unforced.  ext[r][None] counts every extension, for a forced word."""
+        live = [b for b in self.letters if b not in self.known_zero]
+        walks = dict.fromkeys(self.letters, 1)
+        ext = [dict.fromkeys((*self.letters, None), 0)]
+        for s in range(1, length + 1):
+            walks = {a: sum(walks[b] for b in live if (a, b) in self.edges)
+                     for a in self.letters}
+            words = len(self.letters) ** s
+            ext.append({a: ext[-1][a] + words - walks.get(a, 0) for a in ext[-1]})
+        return ext
+
+
 def word_vanishes(rel: HierarchyRelation, components, word) -> Verdict:
     """Oracle for the iterated variation along `word` (application order).
 
@@ -97,16 +145,15 @@ def word_vanishes(rel: HierarchyRelation, components, word) -> Verdict:
     consecutive pair is not an arrow of the relation; otherwise unconstrained,
     which is *not* a claim of non-vanishing.
     """
-    by_id = {c.id: c for c in components}
+    rule = ForcedZeroRule.of(rel, components)
     for cid in word:
-        if cid not in by_id:
+        if cid not in rule.letters:
             raise HierarchyError(f"unknown component id {cid!r}")
-    for cid in word:
-        if by_id[cid].variation_known_zero:
-            return Verdict(True, f"variation around {cid} is identically zero")
-    for a, b in zip(word, word[1:]):
-        if (a, b) not in rel.edges:
-            return Verdict(True, f"no arrow {a} -> {b}")
+    # a zero letter anywhere outranks a missing arrow as the reason
+    for last, cid in chain(((None, cid) for cid in word), zip(word, word[1:])):
+        reason = rule.step(last, cid)
+        if reason is not None:
+            return Verdict(True, reason)
     return Verdict(False)
 
 

@@ -11,12 +11,11 @@ against the hierarchy oracle.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .hierarchy import HierarchyRelation, hierarchy_graph, word_vanishes
+from .hierarchy import ForcedZeroRule, HierarchyRelation, hierarchy_graph, word_vanishes
 from .landau import GENERAL, LINEAR, QUADRATIC, LandauComponent
 from .localhom import pl_sign
 from .poly import Polynomial, parse
@@ -186,32 +185,37 @@ class VariationModel:
 
 
 def _known_zero(m) -> bool:
-    return all(x == 0 for row in m for x in row if x is not None) and not has_unknown(m)
+    """Every entry is 0 (an unknown entry, None, is not)."""
+    return all(x == 0 for row in m for x in row)
 
 
-def _in_span(vector, span) -> bool:
-    """Exact membership of `vector` in the rational span of `span` vectors."""
-    rows = [list(v) for v in span]
-    target = list(vector)
-    # Gaussian elimination over the rationals
+def _reduce(vector, pivots) -> list:
+    """`vector` minus its components along the echelon rows `pivots`."""
+    work = list(vector)
+    for col, prow in pivots:
+        factor = work[col]
+        if factor:
+            work = [w - factor * p for w, p in zip(work, prow)]
+    return work
+
+
+def _echelon(vectors) -> list:
+    """Exact row reduction over Q: (pivot column, row) pairs spanning the same
+    space as `vectors`, each row 1 at its pivot and 0 at earlier pivots."""
     pivots = []
-    for row in rows:
-        work = row[:]
-        for col, prow in pivots:
-            factor = work[col]
-            if factor:
-                work = [w - factor * p for w, p in zip(work, prow)]
+    for v in vectors:
+        work = _reduce(v, pivots)
         lead = next((i for i, w in enumerate(work) if w != 0), None)
         if lead is None:
             continue
         inv = Fraction(1) / work[lead]
-        work = [w * inv for w in work]
-        pivots.append((lead, work))
-    for col, prow in pivots:
-        factor = target[col]
-        if factor:
-            target = [t - factor * p for t, p in zip(target, prow)]
-    return all(t == 0 for t in target)
+        pivots.append((lead, [w * inv for w in work]))
+    return pivots
+
+
+def _in_span(vector, span) -> bool:
+    """Exact membership of `vector` in the rational span of `span` vectors."""
+    return not any(_reduce(vector, _echelon(span)))
 
 
 # -- operator assembly and composition --------------------------------------------
@@ -229,15 +233,20 @@ def pl_operator(n: int, vanishing_cycle, dual_row) -> tuple:
     )
 
 
-def compose(model: VariationModel, word) -> tuple:
-    """Matrix of the iterated variation along `word` (application order:
-    word[0] acts first, so the product stacks right-to-left)."""
-    size = len(model.basis)
-    result = identity_matrix(size)
+def _word_product(model: VariationModel, word) -> tuple:
+    """Product along `word`, unknown entries left in place."""
+    result = identity_matrix(len(model.basis))
     for cid in word:
         if cid not in model.ops:
             raise ModelError(f"unknown component id {cid!r}")
         result = mat_mul(model.ops[cid], result)
+    return result
+
+
+def compose(model: VariationModel, word) -> tuple:
+    """Matrix of the iterated variation along `word` (application order:
+    word[0] acts first, so the product stacks right-to-left)."""
+    result = _word_product(model, word)
     if has_unknown(result):
         raise UnknownEntryError(
             f"word {list(word)} touches entries the model leaves unknown"
@@ -251,15 +260,22 @@ def apply_word(model: VariationModel, word, basis_label: str) -> tuple:
 
 def nilpotency_index(model: VariationModel, subset, cutoff: int = 10):
     """Smallest k with every length-k word over `subset` composing to zero,
-    or None when the cutoff is reached first."""
+    or None when the cutoff is reached first.
+
+    Subspace iteration over Q: V_1 is the sum of the column spaces and
+    V_{j+1} = sum_i A_i V_j is spanned by the images of all length-(j+1)
+    words, so the index is the first j with V_j = 0.
+    """
     ids = sorted(subset)
     for cid in ids:
         model.component(cid)
+        if has_unknown(model.ops[cid]):
+            raise UnknownEntryError(f"operator for {cid} has unknown entries")
+    space = identity_matrix(len(model.basis))
     for k in range(1, cutoff + 1):
-        if all(
-            is_zero_matrix(compose(model, w))
-            for w in itertools.product(ids, repeat=k)
-        ):
+        space = [row for _, row in _echelon(
+            mat_vec(model.ops[cid], v) for cid in ids for v in space)]
+        if not space:
             return k
     return None
 
@@ -296,37 +312,57 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
     Words whose composition runs into unknown entries are retried through the
     image-span certificate; if still undecidable they are reported as
     unverified rather than as violations.
+
+    The words are walked depth-first in lexicographic order, each product
+    built from its prefix's with one multiplication.  A prefix whose product
+    is the zero matrix certifies all of its extensions, so its forced
+    extensions are counted from the oracle's walk counts instead of listed,
+    and a subtree without forced words is not entered.  `words_checked` still
+    counts every forced word.
     """
     if rel is None:
         rel = model.relation()
-    ids = sorted(c.id for c in model.components)
+    rule = ForcedZeroRule.of(rel, model.components)
+    forced_ext = rule.forced_extensions(max_len)
     violations, unverified = [], []
     checked = 0
-    for length in range(1, max_len + 1):
-        for word in itertools.product(ids, repeat=length):
-            verdict = word_vanishes(rel, model.components, word)
-            if not verdict.forced_zero:
+    stack = [((), identity_matrix(len(model.basis)), False)]  # word, product, forced
+    while stack:
+        word, product, forced = stack.pop()
+        rem = max_len - len(word)
+        if word:
+            if forced:
+                checked += 1
+                certified, _ = _certify_by_model(model, word, product)
+                if certified is False:
+                    violations.append(word)
+                elif certified is None:
+                    unverified.append(word)
+            if _known_zero(product):
+                checked += forced_ext[rem][None if forced else word[-1]]
                 continue
-            checked += 1
-            certified, _ = _certify_by_model(model, word)
-            if certified is False:
-                violations.append(word)
-            elif certified is None:
-                unverified.append(word)
+        if rem <= 0:
+            continue
+        last = word[-1] if word else None
+        for cid in reversed(rule.letters):
+            child_forced = forced or rule.step(last, cid) is not None
+            if child_forced or forced_ext[rem - 1][cid]:
+                stack.append((word + (cid,), mat_mul(model.ops[cid], product),
+                              child_forced))
     return AuditReport(model.name, max_len, checked, sorted(violations),
                        sorted(unverified))
 
 
-def _certify_by_model(model: VariationModel, word):
+def _certify_by_model(model: VariationModel, word, product=None):
     """Model-side evidence only (no oracle): True when the word provably
     composes to zero, False when it provably does not, None when the unknown
-    entries leave it open."""
+    entries leave it open.  `product`, when given, is the word's matrix."""
     word = tuple(word)
-    try:
-        zero = is_zero_matrix(compose(model, word))
+    if product is None:
+        product = _word_product(model, word)
+    if not has_unknown(product):
+        zero = is_zero_matrix(product)
         return zero, "matrix product is zero" if zero else "matrix product is nonzero"
-    except UnknownEntryError:
-        pass
     size = len(model.basis)
     for i, cid in enumerate(word[:-1]):
         comp = model.component(cid)

@@ -231,3 +231,25 @@ def test_track_with_zero_steps_is_a_clean_error(capsys):
     assert out == ""
     assert_clean_error(code, err)
     assert "steps=0" in err
+
+
+def test_hierarchy_with_zero_or_empty_source_is_a_clean_error(capsys):
+    for argv in (["--aomoto", "0"], ["--fixture", ""], ["--model", ""]):
+        code, out, err = run_cli(capsys, "hierarchy", *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+    code, _, err = run_cli(capsys, "hierarchy", "--aomoto", "0")
+    assert "weight must be at least 1" in err
+
+
+def test_aomoto_symbol_over_budget_is_refused_before_building(capsys, monkeypatch):
+    from landauvar import aomoto
+
+    def no_build(n):
+        raise AssertionError(f"aomoto_symbol({n}) started")
+
+    monkeypatch.setattr(aomoto, "aomoto_symbol", no_build)
+    code, out, err = run_cli(capsys, "aomoto", "symbol", "--n", "7")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "1625702400 words" in err and "518400" in err

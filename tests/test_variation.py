@@ -1,18 +1,28 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from landauvar.hierarchy import hierarchy_graph
+from landauvar import variation
+from landauvar.hierarchy import HierarchyRelation, hierarchy_graph, word_vanishes
+from landauvar.landau import LINEAR, LandauComponent
+from landauvar.poly import Polynomial
 from landauvar.variation import (
+    AuditReport,
     ModelError,
     UnknownEntryError,
     VariationModel,
+    _certify_by_model,
     apply_word,
     builtin_model,
     check_against_hierarchy,
     compose,
     identity_matrix,
     is_zero_matrix,
+    mat_mul,
     matrix_from_images,
     model_from_json,
     model_to_json,
@@ -21,6 +31,8 @@ from landauvar.variation import (
     word_zero_certificate,
     zero_matrix,
 )
+
+BUILTIN = ("logarithm", "bubble", "dilog", "massless-triangle")
 
 
 def vec(model, label):
@@ -239,3 +251,199 @@ def test_matrix_helpers():
         matrix_from_images([(1, 0)])
     m = matrix_from_images([(0, 1), (0, 0)])
     assert m == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
+
+
+# -- the audit against per-word enumeration ------------------------------------------
+
+
+def enumerated_audit(model, rel, max_len):
+    """Reference audit: list every word up to `max_len`, ask the oracle about
+    each one and rebuild each forced word's product from scratch."""
+    ids = sorted(c.id for c in model.components)
+    violations, unverified = [], []
+    checked = 0
+    for length in range(1, max_len + 1):
+        for word in itertools.product(ids, repeat=length):
+            if not word_vanishes(rel, model.components, word).forced_zero:
+                continue
+            checked += 1
+            certified, _ = _certify_by_model(model, word)
+            if certified is False:
+                violations.append(word)
+            elif certified is None:
+                unverified.append(word)
+    return AuditReport(model.name, max_len, checked, sorted(violations),
+                       sorted(unverified)).describe()
+
+
+def transformed(model, rng):
+    """The same model over the basis b'_i = d_i * b_p(i) for a random
+    permutation p and random rational scales d: operators become T^-1 A T
+    with T = P D, spans T^-1 v and intersection rows r T."""
+    size = len(model.basis)
+    p = rng.sample(range(size), size)
+    d = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 5])) for _ in range(size)]
+    data = model_to_json(model)
+    data["basis"] = [model.basis[p[i]] for i in range(size)]
+    data["ops"] = {
+        cid: [[None if m[p[i]][p[j]] is None else str(m[p[i]][p[j]] * d[j] / d[i])
+               for j in range(size)] for i in range(size)]
+        for cid, m in model.ops.items()
+    }
+    data["vanishing"] = {
+        cid: [[str(Fraction(v[p[i]]) / d[i]) for i in range(size)] for v in vs]
+        for cid, vs in model.vanishing.items()
+    }
+    data["intersection_rows"] = {
+        cid: [str(row[p[j]] * d[j]) for j in range(size)]
+        for cid, row in model.intersection_rows.items()
+    }
+    return model_from_json(data)
+
+
+def relations(model):
+    """The model's own relation, no arrows, only self-loops and every arrow
+    (where unforced words such as l1,l1 in the bubble compose to zero)."""
+    ids = tuple(sorted(c.id for c in model.components))
+    return {
+        "hierarchy": model.relation(),
+        "empty": HierarchyRelation(ids, frozenset()),
+        "self-loops": HierarchyRelation(ids, frozenset((a, a) for a in ids)),
+        "complete": HierarchyRelation(ids, frozenset(itertools.product(ids, ids))),
+    }
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_audit_matches_enumeration_on_builtin_models(name):
+    m = builtin_model(name)
+    rel = m.relation()
+    for max_len in range(1, 6 if name == "bubble" else 7):
+        assert check_against_hierarchy(m, max_len=max_len).describe() == \
+            enumerated_audit(m, rel, max_len), max_len
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_audit_matches_enumeration_on_transformed_models(name):
+    rng = random.Random(name)
+    for _ in range(2):
+        m = transformed(builtin_model(name), rng)
+        rel = m.relation()
+        for max_len in range(1, 5):
+            assert check_against_hierarchy(m, max_len=max_len).describe() == \
+                enumerated_audit(m, rel, max_len), max_len
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_audit_matches_enumeration_under_other_relations(name):
+    m = builtin_model(name)
+    for label, rel in relations(m).items():
+        for max_len in range(1, 5):
+            assert check_against_hierarchy(m, rel, max_len).describe() == \
+                enumerated_audit(m, rel, max_len), (label, max_len)
+
+
+def test_audit_violations_and_unverified_under_empty_relation():
+    m = builtin_model("massless-triangle")
+    report = check_against_hierarchy(m, relations(m)["empty"], max_len=4)
+    assert report.words_checked == 336
+    assert len(report.unverified) == 24
+    assert len(report.violations) == 6
+
+
+def test_audit_of_no_length_checks_nothing():
+    for name in BUILTIN:
+        for max_len in (0, -1):
+            report = check_against_hierarchy(builtin_model(name), max_len=max_len)
+            assert report.words_checked == 0, (name, max_len)
+            assert report.ok and not report.unverified
+
+
+def test_audit_enters_no_subtree_without_forced_words(monkeypatch):
+    # the massless triangle's own relation forces no word, so no product is
+    # needed at any length
+    products = []
+    real = variation.mat_mul
+    monkeypatch.setattr(variation, "mat_mul",
+                        lambda a, b: products.append(1) or real(a, b))
+    report = check_against_hierarchy(builtin_model("massless-triangle"), max_len=6)
+    assert report.words_checked == 0
+    assert products == []
+
+
+def test_audit_counts_every_forced_word_of_length_eight():
+    report = check_against_hierarchy(builtin_model("bubble"), max_len=8)
+    assert report.words_checked == 487260
+    assert report.ok and not report.unverified
+
+
+# -- nilpotency against per-word enumeration -----------------------------------------
+
+
+def enumerated_nilpotency(ops, cutoff):
+    ids = sorted(ops)
+    size = len(next(iter(ops.values())))
+    for k in range(1, cutoff + 1):
+        products = []
+        for word in itertools.product(ids, repeat=k):
+            product = identity_matrix(size)
+            for cid in word:
+                product = mat_mul(ops[cid], product)
+            products.append(product)
+        if all(is_zero_matrix(p) for p in products):
+            return k
+    return None
+
+
+def letter(cid):
+    return LandauComponent(cid, Polynomial.var("t"), frozenset(), frozenset(),
+                           frozenset(), frozenset(), LINEAR, -1)
+
+
+@st.composite
+def conjugated_nilpotent_ops(draw):
+    """Strictly upper triangular integer matrices, which are jointly nilpotent,
+    conjugated by one random product of rational shears and scalings."""
+    size = draw(st.integers(2, 4))
+    count = draw(st.integers(1, 3))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    ops = {
+        f"a{k}": tuple(
+            tuple(Fraction(draw(entry)) if j > i else Fraction(0) for j in range(size))
+            for i in range(size)
+        )
+        for k in range(count)
+    }
+    ratio = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 4))):
+        i, j = draw(st.permutations(range(size)))[:2]
+        c, s = draw(ratio), draw(ratio)
+        # E = (I + c e_i e_j^T) scaled by s at i; E^-1 undoes the scale first
+        e = [list(row) for row in identity_matrix(size)]
+        e_inv = [list(row) for row in identity_matrix(size)]
+        e[i][j] = c * s
+        e[i][i] = s
+        e_inv[i][i] = 1 / s
+        e_inv[i][j] = -c
+        e, e_inv = tuple(map(tuple, e)), tuple(map(tuple, e_inv))
+        assert mat_mul(e, e_inv) == identity_matrix(size)
+        ops = {cid: mat_mul(e_inv, mat_mul(a, e)) for cid, a in ops.items()}
+    return ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(conjugated_nilpotent_ops(), st.integers(1, 5))
+def test_nilpotency_matches_enumeration(ops, cutoff):
+    size = len(next(iter(ops.values())))
+    model = VariationModel(
+        name="random", n=1, basis=tuple(f"b{i}" for i in range(size)), ops=ops,
+        components=tuple(letter(cid) for cid in sorted(ops)),
+    )
+    assert nilpotency_index(model, sorted(ops), cutoff) == \
+        enumerated_nilpotency(ops, cutoff)
+
+
+def test_nilpotency_refuses_unknown_entries():
+    m = builtin_model("massless-triangle")
+    assert nilpotency_index(m, ["l1", "l2", "l3"]) == 3
+    with pytest.raises(UnknownEntryError, match="ldelta"):
+        nilpotency_index(m, ["l1", "ldelta"])

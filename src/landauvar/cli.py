@@ -9,6 +9,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -240,9 +241,46 @@ def _cmd_variation(args) -> int:
         _emit(data, args.format)
         return 0
     # audit
+    _check_audit_budget(model, args.max_len)
     report = variation.check_against_hierarchy(model, max_len=args.max_len)
     _emit(report.describe(), args.format)
     return 0 if report.ok else 1
+
+
+# `variation audit` builds a matrix product for each letter after each
+# unforced word shorter than --max-len (the walk stops at the forced words,
+# which compose to zero in a passing audit), and keeps one row of exact word
+# counts per length, |C| + 1 counts of up to --max-len * log2|C| bits each.
+# Both are counted before the walk and refused above these budgets; every
+# builtin model passes at --max-len 9, the bubble up to 16.
+AUDIT_PRODUCT_BUDGET = 1_000_000
+AUDIT_COUNT_BITS_BUDGET = 1 << 24
+
+
+def _check_audit_budget(model: variation.VariationModel, max_len: int) -> None:
+    rule = hierarchy.ForcedZeroRule.of(model.relation(), model.components)
+    letters = len(rule.letters)
+    products = 0
+    for length, words in zip(range(max_len), rule.unforced_words()):
+        products += letters * words
+        if products > AUDIT_PRODUCT_BUDGET:
+            raise variation.ModelError(
+                f"variation audit --max-len {max_len} may build at least {products}"
+                f" matrix products, on words of up to {length + 1} letters, over"
+                f" the budget of {AUDIT_PRODUCT_BUDGET}"
+            )
+        if not words:
+            break
+    # a count of s letters takes at most s * ceil(log2 |C|) bits, plus a word
+    # of 64 bits for the integer itself
+    rows = max(max_len, 0)
+    bits = (letters + 1) * ((letters - 1).bit_length() * rows * (rows + 1) // 2
+                            + 64 * rows)
+    if bits > AUDIT_COUNT_BITS_BUDGET:
+        raise variation.ModelError(
+            f"variation audit --max-len {max_len} would keep {bits} bits of exact"
+            f" word counts, over the budget of {AUDIT_COUNT_BITS_BUDGET}"
+        )
 
 
 # `aomoto symbol` builds ((n+1)!)^2 words; weight 5 (518400 words) is the
@@ -308,20 +346,26 @@ def _parse_loop(text: str) -> tracking.Loop:
     )
 
 
-def _cmd_track(args) -> int:
-    g = _load_graph_arg(args.graph)
-    f = graphs.symanzik_F(g)
-    chart = _parse_chart(args.chart)
-    f = f.substitute(chart)
-    loop = _parse_loop(args.loop)
+def _root_system(g: graphs.FeynmanGraph, chart_text: str, var: str, loop_text: str,
+                 fix_text: str, chart_flag: str) -> tracking.ParametricRootSystem:
+    """The root family of F(g) in `var` under a chart, a loop and frozen
+    values: the one set-up of `track` and `analyze --track-loop`."""
+    chart = _parse_chart(chart_text)
+    f = graphs.symanzik_F(g).substitute(chart)
+    loop = _parse_loop(loop_text)
     basepoint = {name: complex(value)
-                 for name, value in _parse_assignments(args.fix).items()}
-    fixed_fiber = [e.var for e in g.edges if e.var != args.var and e.var not in chart]
+                 for name, value in _parse_assignments(fix_text).items()}
+    fixed_fiber = [e.var for e in g.edges if e.var != var and e.var not in chart]
     if fixed_fiber:
-        raise ValueError(f"fiber variables {fixed_fiber} not bound by --chart")
-    sys_ = tracking.ParametricRootSystem(f, args.var, basepoint, loop)
+        raise ValueError(f"fiber variables {fixed_fiber} not bound by {chart_flag}")
+    return tracking.ParametricRootSystem(f, var, basepoint, loop)
+
+
+def _cmd_track(args) -> int:
+    system = _root_system(_load_graph_arg(args.graph), args.chart, args.var,
+                          args.loop, args.fix, "--chart")
     marks = [complex(z) for z in args.mark]
-    result = tracking.track(sys_, marks, tol=args.tol)
+    result = tracking.track(system, marks, tol=args.tol)
     _emit(result.describe(), args.format)
     return 0
 
@@ -333,12 +377,8 @@ def _cmd_analyze(args) -> int:
         audit = variation.check_against_hierarchy(_load_model_arg(args.audit)).describe()
     track_result = None
     if args.track_loop:
-        f = graphs.symanzik_F(g).substitute(_parse_chart(args.track_chart))
-        basepoint = {name: complex(value)
-                     for name, value in _parse_assignments(args.track_fix).items()}
-        system = tracking.ParametricRootSystem(
-            f, args.track_var, basepoint, _parse_loop(args.track_loop)
-        )
+        system = _root_system(g, args.track_chart, args.track_var, args.track_loop,
+                              args.track_fix, "--track-chart")
         marks = [complex(z) for z in args.track_mark]
         track_result = tracking.track(system, marks).describe()
     report = analyze_graph(g, [(w, _split_word(w)) for w in args.check],
@@ -482,9 +522,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser unchanged, and no
+    # handler mutates a parsed value in place (the `append` defaults are
+    # copied by argparse before it appends)
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

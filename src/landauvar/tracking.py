@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import Polynomial
+from .poly import Polynomial, PolynomialError
 
 
 class TrackingError(ValueError):
@@ -79,31 +79,78 @@ class TrackResult:
 
 
 def _poly_eval(coeffs, x):
-    # ascending coefficient order
+    # descending coefficient order (Horner)
     acc = 0j
-    for c in reversed(coeffs):
+    for c in coeffs:
         acc = acc * x + c
     return acc
 
 
-def _coeffs_at(coeff_polys, assignment):
-    return [c.evaluate(assignment) for c in coeff_polys]
+def compile_coefficients(coeff_polys, frozen, loop_var):
+    """The coefficient polynomials as a function of the loop parameter alone.
+
+    Every term c·Π v^e becomes (head, e_t, tail): head is complex(c) times the
+    frozen powers of the variables that sort before `loop_var` (all of them
+    when `loop_var` does not occur), e_t the exponent of `loop_var` and tail
+    the remaining frozen powers.  The returned function multiplies in the same
+    order as `Polynomial.evaluate`, so its values equal
+    ``[p.evaluate({**frozen, loop_var: t}) for p in coeff_polys]`` exactly.
+    """
+    compiled = []
+    for poly in coeff_polys:
+        terms = []
+        for mono, c in poly.terms.items():
+            head, e_t, tail = complex(c), 0, []
+            for v, e in mono:
+                if v == loop_var:
+                    e_t = e
+                elif v not in frozen:
+                    raise PolynomialError(f"unassigned variable {v!r}")
+                elif e_t:
+                    tail.append(frozen[v] ** e)
+                else:
+                    head *= frozen[v] ** e
+            terms.append((head, e_t, tail))
+        compiled.append(terms)
+    exponents = {e_t for terms in compiled for _, e_t, _ in terms if e_t}
+
+    def at(t):
+        powers = {e: t ** e for e in exponents}
+        cs = []
+        for terms in compiled:
+            total = 0j
+            for head, e_t, tail in terms:
+                val = head
+                if e_t:
+                    val *= powers[e_t]
+                    for factor in tail:
+                        val *= factor
+                total += val
+            cs.append(total)
+        return cs
+
+    return at
 
 
-def _newton(coeffs, dcoeffs, x0, tol, scale, max_iter=20):
+def _newton(coeffs, dcoeffs, x0, bound, max_iter=20):
+    """Newton corrector on descending coefficient lists; succeeds once
+    |f(x)| <= bound, giving (x, |f(x)|), else None."""
     x = x0
-    for _ in range(max_iter):
-        fx = _poly_eval(coeffs, x)
-        if abs(fx) <= tol * scale:
-            return x, abs(fx)
-        dfx = _poly_eval(dcoeffs, x)
+    for i in range(max_iter + 1):
+        fx = 0j
+        for c in coeffs:
+            fx = fx * x + c
+        residual = abs(fx)
+        if residual <= bound:
+            return x, residual
+        if i == max_iter:
+            return None
+        dfx = 0j
+        for c in dcoeffs:
+            dfx = dfx * x + c
         if dfx == 0:
             return None
         x = x - fx / dfx
-    fx = _poly_eval(coeffs, x)
-    if abs(fx) <= tol * scale:
-        return x, abs(fx)
-    return None
 
 
 def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10,
@@ -120,30 +167,31 @@ def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10,
         if abs(params[loop.parameter] - expected_base) > 1e-9 * max(1.0, abs(expected_base)):
             raise TrackingError("basepoint value disagrees with the loop at theta=0")
     params[loop.parameter] = expected_base
+    coeffs_at = compile_coefficients(coeff_polys, params, loop.parameter)
 
     def coeffs_at_theta(theta):
-        assignment = dict(params)
-        assignment[loop.parameter] = loop.point(theta)
-        cs = _coeffs_at(coeff_polys, assignment)
+        cs = coeffs_at(loop.point(theta))
         scale = max(abs(c) for c in cs)
         if abs(cs[-1]) <= 1e-12 * max(1.0, scale):
             raise TrackingError(f"leading coefficient vanishes at theta={theta}")
-        return cs
+        return cs, scale
 
-    cs0 = coeffs_at_theta(0.0)
-    start = [complex(r) for r in np.roots(list(reversed(cs0)))]
+    cs0, scale0 = coeffs_at_theta(0.0)
+    desc0 = cs0[::-1]
+    start = [complex(r) for r in np.roots(desc0)]
     degree = len(start)
-    scale0 = max(abs(c) for c in cs0)
     for r in start:
-        if abs(_poly_eval(cs0, r)) > 1e-6 * scale0:
+        if abs(_poly_eval(desc0, r)) > 1e-6 * scale0:
             raise TrackingError("basepoint roots failed the residual check")
-    # basepoint must sit off the Landau variety: |discriminant| above threshold
+    # basepoint must sit off the Landau variety: the discriminant, divided by
+    # scale0^(2·degree − 2) so that rescaling f leaves it unchanged, must
+    # exceed the threshold
     lc = cs0[-1]
     disc = lc ** (2 * degree - 2)
     for i in range(degree):
         for j in range(i + 1, degree):
             disc *= (start[i] - start[j]) ** 2
-    if abs(disc) <= disc_threshold:
+    if abs(disc) / scale0 ** (2 * degree - 2) <= disc_threshold:
         raise TrackingError("basepoint lies too close to the Landau variety")
 
     marked = [complex(z) for z in marked]
@@ -161,13 +209,14 @@ def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10,
     while theta < 1.0 - 1e-15:
         h = min(step, 1.0 - theta)
         target = theta + h
-        cs = coeffs_at_theta(target)
-        dcs = [(k + 1) * c for k, c in enumerate(cs[1:])]
-        scale = max(abs(c) for c in cs)
+        cs, scale = coeffs_at_theta(target)
+        desc = cs[::-1]
+        ddesc = [(k + 1) * c for k, c in enumerate(cs[1:])][::-1]
+        bound = tol * scale
         new_roots = []
         ok = True
         for r in roots:
-            corrected = _newton(cs, dcs, r, tol, scale)
+            corrected = _newton(desc, ddesc, r, bound)
             if corrected is None:
                 ok = False
                 break

@@ -253,3 +253,89 @@ def test_aomoto_symbol_over_budget_is_refused_before_building(capsys, monkeypatc
     assert out == ""
     assert_clean_error(code, err)
     assert "1625702400 words" in err and "518400" in err
+
+
+def fresh_process_stdout(*argv):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import landauvar
+
+    env = dict(os.environ, PYTHONPATH=str(Path(landauvar.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "landauvar.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
+
+
+def test_reused_parser_gives_fresh_process_output(capsys):
+    # the parser is built once per process; an `append` option given in one
+    # command must not leak into the next
+    track = ["track", "bubble", "--chart", "x1=1", "--var", "x2",
+             "--loop", "psq:center=9,r=0.1,steps=64", "--fix", "m1sq=1,m2sq=4",
+             "--format", "json"]
+    check = ["hierarchy", "--graph", "bubble", "--check", "word=lF/1,lF+"]
+    commands = [track + ["--mark", "0"], track, check, check, check[:3]]
+    outputs = []
+    for argv in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        outputs.append(out)
+    assert json.loads(outputs[0])["windings"] == [[0], [0]]
+    assert json.loads(outputs[1])["windings"] == [[], []]
+    assert outputs[2] == outputs[3]
+    assert "verdict" in outputs[2] and "verdict" not in outputs[4]
+    for argv, out in zip(commands, outputs):
+        assert out == fresh_process_stdout(*argv)
+
+
+def test_analyze_track_names_unbound_fiber_variables(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "bubble", "--track-loop", "psq:center=9,r=0.1",
+        "--track-var", "x2", "--track-fix", "m1sq=1,m2sq=4",
+    )
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "fiber variables ['x1'] not bound by --track-chart" in err
+
+
+def refuse_to_walk(monkeypatch):
+    from landauvar import hierarchy, variation
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the audit started")
+
+    monkeypatch.setattr(hierarchy.ForcedZeroRule, "forced_extensions", no_walk)
+    monkeypatch.setattr(variation, "check_against_hierarchy", no_walk)
+
+
+def test_audit_over_product_budget_is_refused_before_walking(capsys, monkeypatch):
+    # the massless triangle's relation is complete: its unforced words grow
+    # as 4^k, so a huge --max-len passes the product budget within 10 letters
+    refuse_to_walk(monkeypatch)
+    code, out, err = run_cli(capsys, "variation", "audit", "massless-triangle",
+                             "--max-len", "100000")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "at least 1398100 matrix products" in err and "1000000" in err
+
+
+def test_audit_over_count_table_budget_is_refused_before_walking(capsys, monkeypatch):
+    # the logarithm's unforced words stop at two letters, so only the table
+    # of exact word counts grows with --max-len
+    refuse_to_walk(monkeypatch)
+    code, out, err = run_cli(capsys, "variation", "audit", "logarithm",
+                             "--max-len", "100000")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "40026000000 bits of exact word counts" in err
+
+
+def test_audit_budget_admits_the_usual_lengths():
+    from landauvar import cli, variation
+
+    for name in ("bubble", "dilog", "logarithm", "massless-triangle"):
+        for max_len in range(-1, 10):
+            cli._check_audit_budget(variation.builtin_model(name), max_len)
+    cli._check_audit_budget(variation.builtin_model("bubble"), 16)

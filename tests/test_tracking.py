@@ -1,8 +1,18 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landauvar.graphs import bubble_graph, symanzik_F
-from landauvar.poly import parse
-from landauvar.tracking import Loop, ParametricRootSystem, TrackingError, track
+from landauvar.poly import Polynomial, PolynomialError, parse
+from landauvar.tracking import (
+    Loop,
+    ParametricRootSystem,
+    TrackingError,
+    compile_coefficients,
+    track,
+)
 
 
 def bubble_family():
@@ -112,3 +122,94 @@ def test_loop_through_degeneration_rejected():
 def test_degree_zero_family_rejected():
     with pytest.raises(TrackingError):
         track(ParametricRootSystem(parse("t"), "x", {}, Loop("t", 2, 0.1)))
+
+
+def test_track_results_are_pinned():
+    # the compiled coefficients replay Polynomial.evaluate's floating-point
+    # operations, so even the residual diagnostic keeps its exact value
+    f = bubble_family()
+    swap = track(ParametricRootSystem(f, "x2", {"m1sq": 1, "m2sq": 4}, Loop("psq", 9, 0.1)),
+                 marked=[0], tol=1e-10)
+    assert swap.describe() == {"permutation": [1, 0], "windings": [[0], [0]],
+                               "steps": 256, "max_residual": 3.991619579492859e-10}
+    assert track(mass_loop(), marked=[0]).describe() == {
+        "permutation": [0, 1], "windings": [[0], [1]],
+        "steps": 256, "max_residual": 2.646610061606533e-11}
+
+
+FROZEN_NAMES = ["a", "b", "k", "y", "z"]   # the loop variable "m" sorts among them
+
+
+@st.composite
+def families(draw):
+    """A polynomial in the fiber variable x, the loop variable m and one to
+    three frozen variables, with terms that lack m, and values for the frozen
+    variables (integers or complex numbers)."""
+    frozen = draw(st.lists(st.sampled_from(FROZEN_NAMES), min_size=1, max_size=3,
+                           unique=True))
+    names = ["x", "m", *frozen]
+    exps = st.integers(0, 3)
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[exps for _ in names]),
+                  st.fractions(min_value=-5, max_value=5, max_denominator=7)),
+        min_size=1, max_size=8))
+    f = Polynomial({tuple(zip(names, mono)): c for mono, c in terms})
+    small = st.floats(-3, 3, allow_nan=False)
+    value = st.one_of(st.integers(-3, 3), st.builds(complex, small, small))
+    values = {v: draw(value) for v in frozen}
+    return f, values
+
+
+@given(families(), st.lists(st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+                            min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_compiled_coefficients_equal_evaluate(family, points):
+    f, frozen = family
+    polys = f.coefficients_in("x")
+    at = compile_coefficients(polys, frozen, "m")
+    for t in points:
+        assert at(t) == [p.evaluate({**frozen, "m": t}) for p in polys]
+
+
+@given(families(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_compiled_coefficients_name_the_unassigned_variable(family, data):
+    f, frozen = family
+    polys = f.coefficients_in("x")
+    occurring = sorted({v for p in polys for v in p.variables} - {"m"})
+    if not occurring:
+        return
+    dropped = data.draw(st.lists(st.sampled_from(occurring), min_size=1, unique=True))
+    partial = {v: z for v, z in frozen.items() if v not in dropped}
+    with pytest.raises(PolynomialError) as reference:
+        for p in polys:
+            p.evaluate({**partial, "m": 1j})
+    with pytest.raises(PolynomialError) as compiled:
+        compile_coefficients(polys, partial, "m")
+    assert str(compiled.value) == str(reference.value)
+    assert str(compiled.value).startswith("unassigned variable")
+
+
+def test_unassigned_variable_is_reported_after_the_basepoint_check():
+    f = parse("x^2 - t*s")
+    with pytest.raises(TrackingError, match="disagrees with the loop"):
+        track(ParametricRootSystem(f, "x", {"t": 5}, Loop("t", 0, 1)))
+    with pytest.raises(PolynomialError, match="unassigned variable 's'"):
+        track(ParametricRootSystem(f, "x", {}, Loop("t", 0, 1)))
+
+
+def test_discriminant_threshold_is_scale_invariant():
+    # x^2 - t at t = 1e-9 has discriminant 4e-9: refused as too close to its
+    # branch point, and 1e6 times the family must be refused too (a raw
+    # |disc| would read 4e3 there and let it through)
+    near = Loop("t", -1, 1 + 1e-9)
+    for factor in (1, 10**6):
+        f = parse(f"{factor}*(x^2 - t)")
+        with pytest.raises(TrackingError, match="too close to the Landau variety"):
+            track(ParametricRootSystem(f, "x", {}, near))
+    # a basepoint off the threshold gives the same verdict and result
+    results = [track(ParametricRootSystem(parse(f"{factor}*(x^2 - t)"), "x", {},
+                                          Loop("t", 0, 1)), marked=[0])
+               for factor in (Fraction(1, 10**6), 1, 10**6)]
+    assert all(r.permutation == (1, 0) for r in results)
+    assert all(r.windings == results[0].windings for r in results)

@@ -95,9 +95,27 @@ def _components_for(args) -> list:
         return list(variation.builtin_model(args.model).components)
     if args.aomoto is not None:
         return aomoto_mod.aomoto_components(args.aomoto)
-    g = _load_graph_arg(args.graph)
+    return _oneloop_components(_load_graph_arg(args.graph), split=True)
+
+
+# `oneloop_landau` takes two determinants for each of the 2^n - 1 proper edge
+# subsets of an n-gon, and each further edge costs about 12x more: a 7-gon
+# takes about 1.6 s and an 8-gon about 19 s.  `landau oneloop`, `hierarchy
+# --graph` and `analyze` refuse one-loop graphs above this many edges.
+ONELOOP_EDGE_BUDGET = 8
+
+
+def _oneloop_components(g: graphs.FeynmanGraph, split: bool) -> list:
+    """Landau components of a one-loop graph, the two-edge threshold split
+    into its branches when `split` is set."""
+    if g.loop_number == 1 and len(g.edges) > ONELOOP_EDGE_BUDGET:
+        raise landau.LandauError(
+            f"one-loop graph with {len(g.edges)} edges is over the budget of"
+            f" {ONELOOP_EDGE_BUDGET} edges: its Landau components take"
+            f" 2 * (2^{len(g.edges)} - 1) determinants"
+        )
     comps = landau.oneloop_landau(g)
-    if len(g.edges) == 2:
+    if split and len(g.edges) == 2:
         comps = landau.bubble_split(comps, g)
     return comps
 
@@ -114,10 +132,20 @@ def _parse_assignments(text: str) -> dict:
     return out
 
 
-def _parse_chart(text: str) -> dict:
-    """Chart bindings such as ``x1=1`` as integer constant polynomials."""
-    return {name: Polynomial.const(int(value))
-            for name, value in _parse_assignments(text).items()}
+def _parse_chart(text: str, f: Polynomial, flag: str) -> dict:
+    """Chart bindings such as ``x1=1`` as integer constant polynomials; each
+    bound variable must occur in `f`."""
+    chart = {}
+    variables = f.variables
+    for name, value in _parse_assignments(text).items():
+        if name not in variables:
+            raise ValueError(f"{flag} binds {name!r}, which does not occur in F")
+        try:
+            chart[name] = Polynomial.const(int(value))
+        except ValueError:
+            raise ValueError(
+                f"{flag} {name}={value}: the value must be an integer") from None
+    return chart
 
 
 def _verdict_json(rel, comps, word: tuple) -> dict:
@@ -153,10 +181,7 @@ def _cmd_symanzik(args) -> int:
 
 def _cmd_landau(args) -> int:
     if args.action == "oneloop":
-        g = _load_graph_arg(args.graph)
-        comps = landau.oneloop_landau(g)
-        if args.split and len(g.edges) == 2:
-            comps = landau.bubble_split(comps, g)
+        comps = _oneloop_components(_load_graph_arg(args.graph), args.split)
         _emit([c.describe() for c in comps], args.format)
         return 0
     if args.action == "fixture":
@@ -166,7 +191,7 @@ def _cmd_landau(args) -> int:
     # eliminate
     g = _load_graph_arg(args.graph)
     f = graphs.symanzik_F(g)
-    chart = _parse_chart(args.chart)
+    chart = _parse_chart(args.chart, f, "--chart")
     fiber_vars = [e.var for e in g.edges]
     result = landau.eliminate_critical_values(f, fiber_vars, chart)
     _emit({"eliminant": str(result)}, args.format)
@@ -350,8 +375,9 @@ def _root_system(g: graphs.FeynmanGraph, chart_text: str, var: str, loop_text: s
                  fix_text: str, chart_flag: str) -> tracking.ParametricRootSystem:
     """The root family of F(g) in `var` under a chart, a loop and frozen
     values: the one set-up of `track` and `analyze --track-loop`."""
-    chart = _parse_chart(chart_text)
-    f = graphs.symanzik_F(g).substitute(chart)
+    f = graphs.symanzik_F(g)
+    chart = _parse_chart(chart_text, f, chart_flag)
+    f = f.substitute(chart)
     loop = _parse_loop(loop_text)
     basepoint = {name: complex(value)
                  for name, value in _parse_assignments(fix_text).items()}
@@ -372,6 +398,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_analyze(args) -> int:
     g = _load_graph_arg(args.graph)
+    comps = _oneloop_components(g, split=True)
     audit = None
     if args.audit:
         audit = variation.check_against_hierarchy(_load_model_arg(args.audit)).describe()
@@ -381,19 +408,16 @@ def _cmd_analyze(args) -> int:
                               args.track_fix, "--track-chart")
         marks = [complex(z) for z in args.track_mark]
         track_result = tracking.track(system, marks).describe()
-    report = analyze_graph(g, [(w, _split_word(w)) for w in args.check],
+    report = analyze_graph(g, comps, [(w, _split_word(w)) for w in args.check],
                            audit=audit, track_result=track_result)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def analyze_graph(g: graphs.FeynmanGraph, checks=(), audit=None,
+def analyze_graph(g: graphs.FeynmanGraph, comps: list, checks=(), audit=None,
                   track_result=None) -> dict:
-    """Chained analysis: Symanzik polynomials, Landau components, hierarchy,
-    and oracle verdicts for any requested words."""
-    comps = landau.oneloop_landau(g)
-    if len(g.edges) == 2:
-        comps = landau.bubble_split(comps, g)
+    """Chained analysis: Symanzik polynomials, the Landau components `comps`
+    of `g`, hierarchy, and oracle verdicts for any requested words."""
     rel = hierarchy.hierarchy_graph(comps)
     words = [_verdict_json(rel, comps, word) for _, word in checks]
     return {

@@ -9,6 +9,7 @@ that equal polynomials always render identically.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
@@ -556,31 +557,70 @@ def determinant(m: PolyMatrix) -> Polynomial:
     column to the right of j.  Zero entries and zero minors are skipped, and
     a partial minor is dropped once it leaves out a column that is zero in
     every later row, so banded Sylvester matrices keep few live column sets.
+
+    The expansion runs on a packed integer form.  Row i is multiplied by the
+    lcm L_i of its coefficient denominators, so every coefficient is an int
+    and det(M) = det(diag(L) M) / prod(L).  A monomial over the matrix's
+    sorted variables is one int with a field of w bits per variable, where w
+    is the bit length of D, the sum over rows of the row's largest total
+    degree: no exponent in any partial minor exceeds D, so a product of
+    monomials is one integer addition with no carry between fields.
     """
     if m.rows != m.cols:
         raise PolynomialError("determinant of non-square matrix")
     n = m.rows
+    names = sorted({v for row in m.entries for e in row for v in e.variables})
+    shift = {v: k for k, v in enumerate(names)}
+    w = sum(max(e.total_degree() for e in row) for row in m.entries).bit_length()
+    scale = 1
+    rows = []
+    for row in m.entries:
+        lcm = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+        scale *= lcm
+        packed = []
+        for j, e in enumerate(row):
+            if e.terms:
+                terms = [(sum(power << w * shift[v] for v, power in mono),
+                          c.numerator * (lcm // c.denominator))
+                         for mono, c in e.terms.items()]
+                packed.append((j, terms, [(p, -c) for p, c in terms]))
+        rows.append(packed)
     # need[i]: columns zero in every row below i, which rows 0..i must use
     need = [(1 << n) - 1] * n
     for i in range(n - 2, -1, -1):
         zeros = sum(1 << j for j, e in enumerate(m.entries[i + 1]) if e.is_zero())
         need[i] = need[i + 1] & zeros
-    minors = {0: Polynomial.const(1)}
-    for i, row in enumerate(m.entries):
-        entries = [(j, e) for j, e in enumerate(row) if not e.is_zero()]
+    minors = {0: {0: 1}}
+    for i, entries in enumerate(rows):
         grown: dict = {}
         for used, minor in minors.items():
-            for j, entry in entries:
+            for j, entry, negated in entries:
                 key = used | (1 << j)
                 if key == used or key & need[i] != need[i]:
                     continue
-                term = entry * minor
-                if (used >> (j + 1)).bit_count() & 1:
-                    term = -term
                 acc = grown.get(key)
-                grown[key] = term if acc is None else acc + term
-        minors = {key: minor for key, minor in grown.items() if minor}
-    return minors.get((1 << n) - 1, Polynomial())
+                if acc is None:
+                    acc = grown[key] = {}
+                get = acc.get
+                for pe, ce in negated if (used >> (j + 1)).bit_count() & 1 else entry:
+                    for pm, cm in minor.items():
+                        p = pe + pm
+                        acc[p] = get(p, 0) + ce * cm
+        minors = {}
+        for key, acc in grown.items():
+            acc = {p: c for p, c in acc.items() if c}
+            if acc:
+                minors[key] = acc
+    mask = (1 << w) - 1
+    out = {}
+    for p, c in minors.get((1 << n) - 1, {}).items():
+        mono = []
+        for v in names:
+            if p & mask:
+                mono.append((v, p & mask))
+            p >>= w
+        out[tuple(mono)] = Fraction(c, scale)
+    return _raw(out)
 
 
 def resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:

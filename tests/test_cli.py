@@ -339,3 +339,61 @@ def test_audit_budget_admits_the_usual_lengths():
         for max_len in range(-1, 10):
             cli._check_audit_budget(variation.builtin_model(name), max_len)
     cli._check_audit_budget(variation.builtin_model("bubble"), 16)
+
+
+def write_cycle(tmp_path, n):
+    path = tmp_path / f"cycle{n}.json"
+    path.write_text(json.dumps({
+        "vertices": [f"v{k}" for k in range(n)],
+        "edges": [{"id": str(k + 1), "ends": [f"v{k}", f"v{(k + 1) % n}"],
+                   "mass": f"m{k + 1}", "var": f"x{k + 1}"} for k in range(n)],
+    }))
+    return str(path)
+
+
+def test_oneloop_over_edge_budget_is_refused_before_any_determinant(
+        tmp_path, capsys, monkeypatch):
+    from landauvar import landau
+
+    def no_components(*args, **kwargs):
+        raise AssertionError("oneloop_landau started")
+
+    monkeypatch.setattr(landau, "oneloop_landau", no_components)
+    nonagon = write_cycle(tmp_path, 9)
+    for argv in (["landau", "oneloop", nonagon], ["hierarchy", "--graph", nonagon],
+                 ["analyze", nonagon]):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert "9 edges" in err and "budget of 8 edges" in err
+
+
+def test_oneloop_edge_budget_admits_eight_edges(tmp_path, capsys, monkeypatch):
+    from landauvar import landau
+
+    reached = []
+    monkeypatch.setattr(landau, "oneloop_landau", lambda g: reached.append(g) or [])
+    code, out, _ = run_cli(capsys, "landau", "oneloop", write_cycle(tmp_path, 8),
+                           "--format", "json")
+    assert code == 0 and json.loads(out) == []
+    assert len(reached) == 1 and len(reached[0].edges) == 8
+
+
+def test_chart_errors_name_the_option_variable_and_value(capsys):
+    track = ["--var", "x2", "--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4"]
+    cases = [
+        (["landau", "eliminate", "bubble", "--chart", "x9=1"],
+         "--chart binds 'x9', which does not occur in F"),
+        (["landau", "eliminate", "bubble", "--chart", "x1=1/2"],
+         "--chart x1=1/2: the value must be an integer"),
+        (["track", "bubble", "--chart", "x9=1"] + track,
+         "--chart binds 'x9', which does not occur in F"),
+        (["analyze", "bubble", "--track-loop", "psq:center=9,r=0.1", "--track-var",
+          "x2", "--track-chart", "x1=one", "--track-fix", "m1sq=1,m2sq=4"],
+         "--track-chart x1=one: the value must be an integer"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert message in err

@@ -265,3 +265,142 @@ def test_determinant_4x4_with_zero_pivots():
 def test_substitute_roundtrip_fresh_variables(p):
     fresh = Polynomial.var("u_fresh")
     assert p.substitute({"x": fresh}).substitute({"u_fresh": x}) == p
+
+
+@st.composite
+def rational_row_matrices(draw):
+    # each entry divided by 1, 2, 3, 4 or 6, so rows mix denominators such as
+    # 1/2, 1/3 and integers and the row scales differ
+    n = draw(st.sampled_from([2, 3]))
+    entry = st.builds(lambda p, d: p * Fraction(1, d),
+                      polynomials(max_terms=2, max_exp=2),
+                      st.sampled_from([1, 2, 3, 4, 6]))
+    return PolyMatrix([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@given(rational_row_matrices())
+@settings(max_examples=50, deadline=None)
+def test_determinant_with_rational_rows_agrees_with_leibniz(m):
+    assert determinant(m) == _leibniz_det(m)
+
+
+@st.composite
+def full_width_matrices(draw):
+    # row i has largest total degree d_i, and the d_i sum to D = 2^k - 1 or
+    # 2^k, so the exponent x^D of the diagonal product fills its packed field
+    # exactly or needs one more bit; y and z sort after x, so a carry out of
+    # x's field would change them
+    k = draw(st.integers(min_value=2, max_value=7))
+    top = 2 ** k - 1 + draw(st.integers(min_value=0, max_value=1))
+    n = draw(st.sampled_from([2, 3]))
+    cuts = sorted(draw(st.lists(st.integers(min_value=1, max_value=top - 1),
+                                min_size=n - 1, max_size=n - 1, unique=True)))
+    degrees = [b - a for a, b in zip([0] + cuts, cuts + [top])]
+    rows = []
+    for i, d in enumerate(degrees):
+        row = []
+        for j in range(n):
+            low = Polynomial.monomial(draw(coeffs), {"y": min(d, draw(st.integers(0, 2)))})
+            row.append(x ** d + low if i == j else low * Polynomial.monomial(
+                1, {"z": draw(st.integers(0, max(0, d - 2)))}))
+        rows.append(row)
+    return PolyMatrix(rows)
+
+
+@given(full_width_matrices())
+@settings(max_examples=40, deadline=None)
+def test_determinant_at_full_exponent_field_agrees_with_leibniz(m):
+    det = determinant(m)
+    assert det == _leibniz_det(m)
+    degree = sum(max(e.total_degree() for e in row) for row in m.entries)
+    assert det.terms[(("x", degree),)] == 1
+
+
+def test_determinant_with_a_variable_in_one_row_only():
+    u, w = Polynomial.var("u"), Polynomial.var("w")
+    z = Polynomial.zero()
+    m = PolyMatrix([
+        [x + 1, y, z, Fraction(1, 2) * x],
+        [y, x * y, 1, z],
+        [w ** 3, 2 * w, w * u, w - 1],  # w only here
+        [1, z, x - y, y ** 2],
+    ])
+    assert determinant(m) == _leibniz_det(m)
+
+
+def _gauss_det(rows):
+    """Determinant of a matrix of rationals by Gaussian elimination."""
+    a = [list(row) for row in rows]
+    n, det = len(a), Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, n):
+            f = a[r][c] / a[c][c]
+            if f:
+                for k in range(c, n):
+                    a[r][k] -= f * a[c][k]
+    return det
+
+
+def assert_specialises(m, points=2, seed=0):
+    import random
+
+    rng = random.Random(seed)
+    names = sorted({v for row in m.entries for e in row for v in e.variables})
+    det = determinant(m)
+    for _ in range(points):
+        point = {v: Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for v in names}
+        special = [[e.substitute(point).constant_value() for e in row]
+                   for row in m.entries]
+        assert det.substitute(point) == Polynomial.const(_gauss_det(special))
+
+
+def test_gauss_det_oracle():
+    assert _gauss_det([[0, 1], [1, 0]]) == -1
+    assert _gauss_det([[Fraction(1, 2), 3], [1, 6]]) == 0
+    assert _gauss_det([[2, 0, 0], [5, 3, 0], [7, 1, Fraction(1, 3)]]) == 2
+
+
+def test_hexagon_gram_and_cayley_determinants_specialise():
+    from landauvar.graphs import load_graph
+    from landauvar.landau import gram_matrix
+
+    n = 6
+    hexagon = load_graph({
+        "vertices": [f"v{k}" for k in range(n)],
+        "edges": [{"id": str(k + 1), "ends": [f"v{k}", f"v{(k + 1) % n}"],
+                   "mass": f"m{k + 1}", "var": f"x{k + 1}"} for k in range(n)],
+    })
+    mats = gram_matrix(hexagon)
+    assert mats.M.rows == 6 and mats.Sprime.rows == 7
+    assert_specialises(mats.M, seed=6)
+    assert_specialises(mats.Sprime, seed=7)
+
+
+def test_sunrise_sylvester_determinants_specialise(monkeypatch):
+    from landauvar import poly
+    from landauvar.graphs import sunrise_graph, symanzik_F
+    from landauvar.landau import eliminate_critical_values
+
+    seen = []
+    original = poly.determinant
+
+    def capture(m):
+        seen.append(m)
+        return original(m)
+
+    monkeypatch.setattr(poly, "determinant", capture)
+    m = {i: Polynomial.var(f"m{i}") for i in (1, 2, 3)}
+    f = symanzik_F(sunrise_graph()).substitute(
+        {f"m{i}sq": m[i] * m[i] for i in (1, 2, 3)}
+    )
+    eliminate_critical_values(f, ["x1", "x2", "x3"], {"x3": 1})
+    assert max(s.rows for s in seen) == 9
+    for k, sylvester in enumerate(seen):
+        assert_specialises(sylvester, seed=k)

@@ -6,7 +6,6 @@ from .graphs import (
     BUILTIN_GRAPHS,
     Edge,
     FeynmanGraph,
-    Kinematics,
     contract,
     load_graph,
     symanzik_F,

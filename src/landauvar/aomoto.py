@@ -99,9 +99,6 @@ class SignedWord:
     sign: int
     letters: tuple  # of (frozenset I, frozenset J)
 
-    def letter_ids(self) -> tuple:
-        return tuple(letter_id(I, J) for I, J in self.letters)
-
     def component_sequence(self) -> tuple:
         """Component ids in application order (right to left)."""
         return tuple(component_id(I, J) for I, J in reversed(self.letters))

@@ -9,6 +9,7 @@ usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -379,8 +380,12 @@ def _root_system(g: graphs.FeynmanGraph, chart_text: str, var: str, loop_text: s
     chart = _parse_chart(chart_text, f, chart_flag)
     f = f.substitute(chart)
     loop = _parse_loop(loop_text)
-    basepoint = {name: complex(value)
-                 for name, value in _parse_assignments(fix_text).items()}
+    basepoint = {}
+    for name, value in _parse_assignments(fix_text).items():
+        basepoint[name] = complex(value)
+        if not cmath.isfinite(basepoint[name]):
+            raise tracking.TrackingError(
+                f"frozen value {name}={value} must be finite")
     fixed_fiber = [e.var for e in g.edges if e.var != var and e.var not in chart]
     if fixed_fiber:
         raise ValueError(f"fiber variables {fixed_fiber} not bound by {chart_flag}")

@@ -10,9 +10,8 @@ sign on each channel invariant.
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .poly import Polynomial
 
@@ -36,29 +35,24 @@ class Edge:
         return self.ends[0] == self.ends[1]
 
 
-@dataclass(frozen=True)
-class Kinematics:
-    """Symbol tables for masses and momentum-channel invariants.
+def components(vertices, edges, classes=None) -> dict:
+    """Map each vertex to the first vertex of its connected class, with
+    `edges` given as endpoint pairs; `classes`, a map of this same kind,
+    gives classes to start from, which the edges then merge further."""
+    parent = dict(classes) if classes else {v: v for v in vertices}
 
-    `channels` maps a frozenset of external momentum labels to the name of the
-    squared-momentum invariant of that channel; complementary subsets denote
-    the same invariant by momentum conservation, and the empty or full set has
-    invariant zero.
-    """
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
 
-    mass_sq: dict = field(default_factory=dict)      # edge id -> variable name
-    channels: dict = field(default_factory=dict)     # frozenset[str] -> variable name
-
-    def channel_symbol(self, subset: frozenset, all_momenta: frozenset):
-        """Invariant name for a momentum subset, or None when it vanishes."""
-        if not subset or subset == all_momenta:
-            return None
-        if subset in self.channels:
-            return self.channels[subset]
-        comp = all_momenta - subset
-        if comp in self.channels:
-            return self.channels[comp]
-        raise GraphError(f"no invariant symbol for channel {sorted(subset)}")
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    first = {}
+    return {v: first.setdefault(find(v), v) for v in vertices}
 
 
 class FeynmanGraph:
@@ -68,6 +62,7 @@ class FeynmanGraph:
         self.vertices = tuple(dict.fromkeys(vertices))
         self.edges = tuple(edges)
         self.legs = tuple(legs or ())  # (vertex, momentum symbol) pairs
+        # frozenset of momentum labels -> name of the channel's invariant
         self.channels = {frozenset(k): v for k, v in (channels or {}).items()}
         self._validate()
 
@@ -87,33 +82,13 @@ class FeynmanGraph:
         for v, _ in self.legs:
             if v not in vset:
                 raise GraphError(f"leg attached to unknown vertex {v}")
-        if not self._connected(self.edges, self.vertices):
+        classes = components(self.vertices, (e.ends for e in self.edges))
+        if len(set(classes.values())) != 1:
             raise GraphError("graph must be connected")
-
-    @staticmethod
-    def _connected(edges, vertices) -> bool:
-        if not vertices:
-            return False
-        adj = {v: set() for v in vertices}
-        for e in edges:
-            adj[e.ends[0]].add(e.ends[1])
-            adj[e.ends[1]].add(e.ends[0])
-        seen = {vertices[0]}
-        stack = [vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(vertices)
 
     @property
     def loop_number(self) -> int:
         return len(self.edges) - len(self.vertices) + 1
-
-    @property
-    def momenta(self) -> frozenset:
-        return frozenset(p for _, p in self.legs)
 
     def legs_at(self, vertex) -> tuple:
         return tuple(p for v, p in self.legs if v == vertex)
@@ -124,73 +99,46 @@ class FeynmanGraph:
                 return e
         raise GraphError(f"unknown edge {edge_id!r}")
 
-    def kinematics(self) -> Kinematics:
-        return Kinematics(
-            mass_sq={e.id: e.mass_sq for e in self.edges},
-            channels=dict(self.channels),
-        )
+    def channel_symbol(self, subset: frozenset):
+        """Invariant name for a momentum subset, or None when it vanishes (the
+        empty or full set); a subset and its complement name the same one."""
+        all_momenta = frozenset(p for _, p in self.legs)
+        if not subset or subset == all_momenta:
+            return None
+        if subset in self.channels:
+            return self.channels[subset]
+        comp = all_momenta - subset
+        if comp in self.channels:
+            return self.channels[comp]
+        raise GraphError(f"no invariant symbol for channel {sorted(subset)}")
 
     # -- combinatorics -------------------------------------------------------
 
-    def spanning_trees(self) -> list:
-        """All spanning trees as frozensets of edge ids (deletion-contraction)."""
-        comp = {v: v for v in self.vertices}
-
-        def find(c, v):
-            while c[v] != v:
-                v = c[v]
-            return v
-
-        def rec(edges, comp, n_comp):
-            if n_comp == 1:
-                return [frozenset()]
-            if not edges:
-                return []
-            e, rest = edges[0], edges[1:]
-            a, b = find(comp, e.ends[0]), find(comp, e.ends[1])
-            trees = rec(rest, comp, n_comp)  # delete e
-            if a != b:  # contract e
-                comp2 = dict(comp)
-                comp2[a] = b
-                trees += [t | {e.id} for t in rec(rest, comp2, n_comp - 1)]
-            return trees
-
-        return sorted(rec(list(self.edges), comp, len(self.vertices)),
-                      key=lambda t: sorted(t))
-
-    def two_forests(self) -> list:
-        """Spanning forests with exactly two trees, as (edge ids, vertex side).
-
-        The returned vertex side is the component containing the first vertex,
-        fixing a deterministic orientation of the cut.
-        """
-        want = len(self.vertices) - 2
-        if want < 0:
+    def spanning_forests(self, k: int) -> list:
+        """Spanning forests of k trees as (edge ids, vertices of the tree
+        holding the first vertex), sorted by edge ids: deletion-contraction
+        over the edges in order, where a branch stops at k classes and is
+        pruned once too few edges remain."""
+        need = len(self.vertices) - k
+        if need < 0:
             return []
+        edges, first = self.edges, self.vertices[0]
         out = []
-        for combo in itertools.combinations(self.edges, want):
-            comp = {v: v for v in self.vertices}
 
-            def find(v):
-                while comp[v] != v:
-                    v = comp[v]
-                return v
+        def rec(i, classes, chosen):
+            if len(chosen) == need:
+                side = frozenset(v for v, c in classes.items() if c == first)
+                out.append((frozenset(chosen), side))
+                return
+            if len(edges) - i < need - len(chosen):
+                return
+            e = edges[i]
+            if classes[e.ends[0]] != classes[e.ends[1]]:
+                rec(i + 1, components(self.vertices, (e.ends,), classes),
+                    chosen + [e.id])
+            rec(i + 1, classes, chosen)
 
-            acyclic = True
-            for e in combo:
-                a, b = find(e.ends[0]), find(e.ends[1])
-                if a == b:
-                    acyclic = False
-                    break
-                comp[a] = b
-            if not acyclic:
-                continue
-            roots = {find(v) for v in self.vertices}
-            if len(roots) != 2:
-                continue
-            side = frozenset(v for v in self.vertices
-                             if find(v) == find(self.vertices[0]))
-            out.append((frozenset(e.id for e in combo), side))
+        rec(0, components(self.vertices, ()), [])
         return sorted(out, key=lambda fs: sorted(fs[0]))
 
     def __repr__(self):
@@ -198,39 +146,33 @@ class FeynmanGraph:
                 f"h1={self.loop_number})")
 
 
+def _product_outside(g: FeynmanGraph, forest) -> Polynomial:
+    """The product of the Schwinger variables of the edges outside `forest`."""
+    return Polynomial.monomial(1, {e.var: 1 for e in g.edges if e.id not in forest})
+
+
 def symanzik_U(g: FeynmanGraph) -> Polynomial:
     """First Symanzik polynomial: sum over spanning trees of prod_{e not in T} x_e."""
-    all_ids = {e.id: e for e in g.edges}
-    total = Polynomial()
-    for tree in g.spanning_trees():
-        powers = {all_ids[i].var: 1 for i in all_ids if i not in tree}
-        total = total + Polynomial.monomial(1, powers)
-    return total
+    trees = g.spanning_forests(1)
+    return sum((_product_outside(g, tree) for tree, _ in trees), Polynomial())
 
 
-def symanzik_F(g: FeynmanGraph, k: Kinematics | None = None) -> Polynomial:
+def symanzik_F(g: FeynmanGraph) -> Polynomial:
     """Second Symanzik polynomial F = F0 + U * sum_e m_e^2 x_e."""
-    if k is None:
-        k = g.kinematics()
-    all_ids = {e.id: e for e in g.edges}
-    all_momenta = g.momenta
     f0 = Polynomial()
-    for forest, side in g.two_forests():
-        subset = frozenset(p for v, p in g.legs if v in side)
-        sym = k.channel_symbol(subset, all_momenta)
-        if sym is None:
-            continue
-        powers = {all_ids[i].var: 1 for i in all_ids if i not in forest}
-        f0 = f0 - Polynomial.var(sym) * Polynomial.monomial(1, powers)
-    mass_part = Polynomial()
-    for e in g.edges:
-        mass_part = mass_part + Polynomial.var(k.mass_sq[e.id]) * Polynomial.var(e.var)
+    for forest, side in g.spanning_forests(2):
+        sym = g.channel_symbol(frozenset(p for v, p in g.legs if v in side))
+        if sym is not None:
+            f0 = f0 - Polynomial.var(sym) * _product_outside(g, forest)
+    mass_part = sum((Polynomial.var(e.mass_sq) * Polynomial.var(e.var) for e in g.edges),
+                    Polynomial())
     return f0 + symanzik_U(g) * mass_part
 
 
 def contract(g: FeynmanGraph, edge_ids) -> FeynmanGraph:
     """Quotient graph G/I: delete the edges of I and identify their endpoints
-    componentwise.  Self-loops in I are rejected."""
+    componentwise, each class named by its first vertex.  Self-loops in I are
+    rejected."""
     ids = set(edge_ids)
     unknown = ids - {e.id for e in g.edges}
     if unknown:
@@ -240,26 +182,7 @@ def contract(g: FeynmanGraph, edge_ids) -> FeynmanGraph:
     for e in g.edges:
         if e.id in ids and e.is_self_loop():
             raise GraphError(f"cannot contract self-loop {e.id}")
-    # union-find over the contracted subgraph
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in g.edges:
-        if e.id in ids:
-            a, b = find(e.ends[0]), find(e.ends[1])
-            if a != b:
-                parent[a] = b
-    # representative = first original vertex of each merged class
-    rep_name = {}
-    for v in g.vertices:
-        r = find(v)
-        rep_name.setdefault(r, v)
-    remap = {v: rep_name[find(v)] for v in g.vertices}
+    remap = components(g.vertices, (e.ends for e in g.edges if e.id in ids))
     vertices = tuple(dict.fromkeys(remap[v] for v in g.vertices))
     edges = tuple(
         Edge(e.id, (remap[e.ends[0]], remap[e.ends[1]]), e.mass, e.var)
@@ -269,24 +192,42 @@ def contract(g: FeynmanGraph, edge_ids) -> FeynmanGraph:
     return FeynmanGraph(vertices, edges, legs, dict(g.channels))
 
 
+def _text(value, field: str, edge=None) -> str:
+    if isinstance(value, str):
+        return value
+    where = field if edge is None else f"edge {edge} {field}"
+    raise GraphError(f"malformed graph document: {where} must be a string, got {value!r}")
+
+
 def load_graph(data) -> FeynmanGraph:
     """Build a FeynmanGraph from the JSON document schema.
 
     Schema: {"vertices": [...], "edges": [{"id","ends","mass","var"}, ...],
     "legs": [{"vertex","momentum"}, ...], "channels": {"p1": "p1sq", ...}};
-    channel keys join momentum labels with '+'.
+    channel keys join momentum labels with '+'.  Every name is a string.
     """
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        edges = [Edge(e["id"], (e["ends"][0], e["ends"][1]), e["mass"], e["var"])
-                 for e in data["edges"]]
-        legs = [(l["vertex"], l["momentum"]) for l in data.get("legs", [])]
+        vertices = [_text(v, "vertex") for v in data["vertices"]]
+        edges = []
+        for e in data["edges"]:
+            eid = _text(e["id"], "edge id")
+            ends = (_text(e["ends"][0], "endpoint", eid),
+                    _text(e["ends"][1], "endpoint", eid))
+            edges.append(Edge(eid, ends, _text(e["mass"], "mass", eid),
+                              _text(e["var"], "var", eid)))
+        legs = [(_text(l["vertex"], "leg vertex"), _text(l["momentum"], "leg momentum"))
+                for l in data.get("legs", [])]
+        channels = data.get("channels", {})
+        if not isinstance(channels, dict):
+            raise GraphError(
+                f"malformed graph document: channels must be an object, got {channels!r}")
         channels = {
-            frozenset(key.split("+")): sym
-            for key, sym in data.get("channels", {}).items()
+            frozenset(key.split("+")): _text(sym, f"channel {key} symbol")
+            for key, sym in channels.items()
         }
-        return FeynmanGraph(data["vertices"], edges, legs, channels)
+        return FeynmanGraph(vertices, edges, legs, channels)
     except (KeyError, IndexError, TypeError) as exc:
         raise GraphError(f"malformed graph document: {exc}") from exc
 

@@ -11,10 +11,11 @@ lists that encode the blowup geometry as data.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import FeynmanGraph, Kinematics, contract, icecream_graph, symanzik_F
+from .graphs import FeynmanGraph, contract, icecream_graph, symanzik_F
 from .poly import Polynomial, PolyMatrix, determinant, divides, resultant
 
 LINEAR = "linear"
@@ -132,20 +133,17 @@ def _cycle_order(g: FeynmanGraph):
     return tuple(order), tuple(between)
 
 
-def gram_matrix(g: FeynmanGraph, k: Kinematics | None = None) -> OneLoopMatrices:
+def gram_matrix(g: FeynmanGraph) -> OneLoopMatrices:
     """M_ii = m_i^2, M_ij = (m_i^2 + m_j^2 + s_ij)/2 along the loop order.
 
     The s_ij are fresh invariant variables; `channel_substitution` re-expresses
     them through the graph's momentum channels as s_ij = -(p_i+...+p_{j-1})^2.
     """
-    if k is None:
-        k = g.kinematics()
     edges, between = _cycle_order(g)
     n1 = len(edges)
     half = Fraction(1, 2)
     s_names = {}
     subst = {}
-    all_momenta = g.momenta
     for i in range(1, n1 + 1):
         for j in range(i + 1, n1 + 1):
             name = f"s{i}{j}"
@@ -153,19 +151,19 @@ def gram_matrix(g: FeynmanGraph, k: Kinematics | None = None) -> OneLoopMatrices
             momenta = frozenset(
                 p for v in between[i - 1:j - 1] for p in g.legs_at(v)
             )
-            sym = k.channel_symbol(momenta, all_momenta)
+            sym = g.channel_symbol(momenta)
             subst[name] = Polynomial.zero() if sym is None else -Polynomial.var(sym)
     m_rows, s_rows = [], []
     for i in range(1, n1 + 1):
         m_row, s_row = [], []
         for j in range(1, n1 + 1):
             if i == j:
-                m_row.append(Polynomial.var(k.mass_sq[edges[i - 1].id]))
+                m_row.append(Polynomial.var(edges[i - 1].mass_sq))
                 s_row.append(Polynomial.zero())
             else:
                 s_ij = Polynomial.var(s_names[(min(i, j), max(i, j))])
-                mi = Polynomial.var(k.mass_sq[edges[i - 1].id])
-                mj = Polynomial.var(k.mass_sq[edges[j - 1].id])
+                mi = Polynomial.var(edges[i - 1].mass_sq)
+                mj = Polynomial.var(edges[j - 1].mass_sq)
                 m_row.append((mi + mj + s_ij) * half)
                 s_row.append(s_ij * half)
         m_rows.append(m_row)
@@ -184,15 +182,7 @@ def gram_matrix(g: FeynmanGraph, k: Kinematics | None = None) -> OneLoopMatrices
     )
 
 
-def _subsets(items):
-    items = list(items)
-    out = [[]]
-    for x in items:
-        out += [s + [x] for s in out]
-    return out
-
-
-def oneloop_landau(g: FeynmanGraph, k: Kinematics | None = None) -> list:
+def oneloop_landau(g: FeynmanGraph) -> list:
     """All Landau components of a generic one-loop graph.
 
     For every proper edge subset I the quotient graph G/I contributes a first
@@ -201,12 +191,13 @@ def oneloop_landau(g: FeynmanGraph, k: Kinematics | None = None) -> list:
     also meeting A_1.  Every critical point is a simple pinch, so type and
     simple type coincide.  Output is sorted by (|I|, I).
     """
-    mats = gram_matrix(g, k)
+    mats = gram_matrix(g)
     n1 = len(mats.edge_order)
     n = n1 - 1
     pos = {eid: i for i, eid in enumerate(mats.edge_order)}
     components = []
-    subsets = [s for s in _subsets(mats.edge_order) if len(s) < n1]
+    subsets = [list(s) for size in range(n1)
+               for s in itertools.combinations(mats.edge_order, size)]
     subsets.sort(key=lambda s: (len(s), sorted(s)))
     for I in subsets:
         drop = [pos[e] for e in I]
@@ -352,12 +343,12 @@ def eliminate_critical_values(F: Polynomial, fiber_vars, chart=None) -> Polynomi
     return result
 
 
-def icecream_ellA12(k: Kinematics | None = None) -> Polynomial:
+def icecream_ellA12() -> Polynomial:
     """Defining polynomial of the exceptional-divisor singularity of the ice
     cream cone: the quotient-bubble F evaluated at the unique critical chart
     point x3 = -(m4^2-p2^2)/(m3^2-p3^2), with denominators cleared."""
     quotient = contract(icecream_graph(), {"1", "2"})
-    f_quot = symanzik_F(quotient, k).substitute({"x4": 1})
+    f_quot = symanzik_F(quotient).substitute({"x4": 1})
     m3sq, m4sq = Polynomial.var("m3sq"), Polynomial.var("m4sq")
     p2sq, p3sq = Polynomial.var("p2sq"), Polynomial.var("p3sq")
     num = p2sq - m4sq          # x3 = num / den

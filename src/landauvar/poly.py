@@ -296,19 +296,10 @@ class Polynomial:
 
     # -- monomial order and rendering ----------------------------------------
 
-    def _order_key(self, mono: Monomial, varorder: tuple):
-        # graded lexicographic: total degree first, then exponents along the
-        # sorted variable list; used for canonical printing only
-        d = dict(mono)
-        return (sum(e for _, e in mono), tuple(d.get(v, 0) for v in varorder))
-
     def sorted_terms(self) -> list:
-        varorder = self.variables
-        return sorted(
-            self.terms.items(),
-            key=lambda item: self._order_key(item[0], varorder),
-            reverse=True,
-        )
+        terms = self.terms
+        key = _grlex_key(self.variables)
+        return [(mono, terms[mono]) for mono in sorted(terms, key=key, reverse=True)]
 
     def __str__(self):
         if not self.terms:
@@ -332,6 +323,22 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _grlex_key(varorder: tuple):
+    """Graded lexicographic sort key on monomials in the variables
+    `varorder`: total degree first, then the exponents along `varorder`.  It
+    orders printed terms and picks the leading term in `divides`."""
+    index = {v: i for i, v in enumerate(varorder)}
+    zeros = [0] * len(varorder)
+
+    def key(mono: Monomial):
+        exps = zeros[:]
+        for v, e in mono:
+            exps[index[v]] = e
+        return sum(exps), exps
+
+    return key
 
 
 def _raw(terms: dict) -> Polynomial:
@@ -449,31 +456,20 @@ def divides(d: Polynomial, a: Polynomial):
         raise PolynomialError("zero divisor polynomial")
     if a.is_zero():
         return Polynomial()
-    varorder = tuple(sorted(set(a.variables) | set(d.variables)))
-    lt_d_mono, lt_d_coeff = _leading(d, varorder)
+    key = _grlex_key(tuple(sorted(set(a.variables) | set(d.variables))))
+    lt_d_mono = max(d.terms, key=key)
+    lt_d_coeff = d.terms[lt_d_mono]
     quotient: dict = {}
     rem = a
     while rem.terms:
-        lt_mono, lt_coeff = _leading(rem, varorder)
+        lt_mono = max(rem.terms, key=key)
         qm = _mono_div(lt_mono, lt_d_mono)
         if qm is None:
             return None
-        qc = lt_coeff / lt_d_coeff
+        qc = rem.terms[lt_mono] / lt_d_coeff
         quotient[qm] = quotient.get(qm, Fraction(0)) + qc
         rem = rem - _raw({qm: qc}) * d
     return _raw({m: c for m, c in quotient.items() if c != 0})
-
-
-def _leading(p: Polynomial, varorder: tuple):
-    best = None
-    best_key = None
-    for mono, coeff in p.terms.items():
-        d = dict(mono)
-        key = (sum(e for _, e in mono), tuple(d.get(v, 0) for v in varorder))
-        if best_key is None or key > best_key:
-            best_key = key
-            best = (mono, coeff)
-    return best
 
 
 def _mono_div(m1: Monomial, m2: Monomial):

@@ -11,6 +11,7 @@ discrete outputs are the contract; residuals are diagnostics.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,9 @@ class Loop:
     def __post_init__(self):
         if self.steps < 1:
             raise TrackingError(f"loop needs at least 1 step, got steps={self.steps}")
+        if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
+            raise TrackingError("loop center and radius must be finite, got"
+                                f" center={self.center}, r={self.radius}")
 
     def point(self, theta: float) -> complex:
         return self.center + self.radius * cmath.exp(
@@ -76,14 +80,6 @@ class TrackResult:
             "steps": self.steps,
             "max_residual": self.max_residual,
         }
-
-
-def _poly_eval(coeffs, x):
-    # descending coefficient order (Horner)
-    acc = 0j
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
 
 
 def compile_coefficients(coeff_polys, frozen, loop_var):
@@ -181,7 +177,7 @@ def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10,
     start = [complex(r) for r in np.roots(desc0)]
     degree = len(start)
     for r in start:
-        if abs(_poly_eval(desc0, r)) > 1e-6 * scale0:
+        if _newton(desc0, (), r, 1e-6 * scale0, max_iter=0) is None:
             raise TrackingError("basepoint roots failed the residual check")
     # basepoint must sit off the Landau variety: the discriminant, divided by
     # scale0^(2·degree − 2) so that rescaling f leaves it unchanged, must

@@ -397,3 +397,89 @@ def test_chart_errors_name_the_option_variable_and_value(capsys):
         assert out == ""
         assert_clean_error(code, err)
         assert message in err
+
+
+def bubble_document():
+    return {
+        "vertices": ["v1", "v2"],
+        "edges": [{"id": "1", "ends": ["v1", "v2"], "mass": "m1", "var": "x1"},
+                  {"id": "2", "ends": ["v2", "v1"], "mass": "m2", "var": "x2"}],
+        "legs": [{"vertex": "v1", "momentum": "p1"},
+                 {"vertex": "v2", "momentum": "p2"}],
+        "channels": {"p1": "psq"},
+    }
+
+
+def graph_commands(path):
+    return [
+        ["symanzik", path],
+        ["landau", "oneloop", path],
+        ["landau", "eliminate", path, "--chart", "x1=1"],
+        ["hierarchy", "--graph", path],
+        ["analyze", path],
+        ["track", path, "--chart", "x1=1", "--var", "x2",
+         "--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4"],
+    ]
+
+
+def test_bubble_document_passes_every_graph_command(tmp_path, capsys):
+    path = tmp_path / "bubble.json"
+    path.write_text(json.dumps(bubble_document()))
+    for argv in graph_commands(str(path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out and err == "", argv
+
+
+def set_field(doc, where, value):
+    *keys, last = where
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (["channels"], {"p1": 5}, "channel p1 symbol must be a string, got 5"),
+    (["channels"], [1], "channels must be an object, got [1]"),
+    (["edges", 0, "id"], 1, "edge id must be a string, got 1"),
+    (["edges", 1, "ends", 0], 2, "edge 2 endpoint must be a string, got 2"),
+    (["edges", 0, "mass"], None, "edge 1 mass must be a string, got None"),
+    (["edges", 1, "var"], ["x2"], "edge 2 var must be a string, got ['x2']"),
+    (["legs", 0, "vertex"], 1, "leg vertex must be a string, got 1"),
+    (["legs", 1, "momentum"], 2.0, "leg momentum must be a string, got 2.0"),
+    (["vertices", 0], 1, "vertex must be a string, got 1"),
+], ids=["channel-symbol", "channels-list", "edge-id", "endpoint", "mass", "var",
+        "leg-vertex", "momentum", "vertex"])
+def test_graph_document_with_a_mistyped_field_is_a_clean_error(
+        tmp_path, capsys, where, value, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(set_field(bubble_document(), where, value)))
+    for argv in graph_commands(str(path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert f"malformed graph document: {message}" in err, argv
+
+
+def test_non_finite_tracking_input_is_a_clean_error(capsys):
+    track = ["track", "bubble", "--chart", "x1=1", "--var", "x2"]
+    analyze = ["analyze", "bubble", "--track-chart", "x1=1", "--track-var", "x2"]
+    cases = [
+        (track + ["--loop", "psq:center=inf,r=1", "--fix", "m1sq=1,m2sq=4"],
+         "loop center and radius must be finite, got center=(inf+0j), r=1.0"),
+        (track + ["--loop", "psq:center=9,r=nan", "--fix", "m1sq=1,m2sq=4"],
+         "must be finite, got center=(9+0j), r=nan"),
+        (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=1e400"],
+         "frozen value m2sq=1e400 must be finite"),
+        (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=nan,m2sq=4"],
+         "frozen value m1sq=nan must be finite"),
+        (analyze + ["--track-loop", "psq:center=9,r=0.1",
+                    "--track-fix", "m1sq=1,m2sq=-inf"],
+         "frozen value m2sq=-inf must be finite"),
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert message in err, argv

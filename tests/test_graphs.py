@@ -1,8 +1,16 @@
+import itertools
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from landauvar.graphs import (
+    Edge,
+    FeynmanGraph,
     GraphError,
     bubble_graph,
+    components,
     contract,
     icecream_graph,
     load_graph,
@@ -21,12 +29,189 @@ ALL_FIXTURES = {
 }
 
 
+def trees(g):
+    return [tree for tree, _ in g.spanning_forests(1)]
+
+
 def test_spanning_trees():
-    assert bubble_graph().spanning_trees() == [frozenset({"1"}), frozenset({"2"})]
-    assert len(triangle_graph().spanning_trees()) == 3
-    assert sunrise_graph().spanning_trees() == [
+    assert trees(bubble_graph()) == [frozenset({"1"}), frozenset({"2"})]
+    assert len(trees(triangle_graph())) == 3
+    assert trees(sunrise_graph()) == [
         frozenset({"1"}), frozenset({"2"}), frozenset({"3"})
     ]
+
+
+def test_components_names_each_class_by_its_first_vertex():
+    vertices = ["a", "b", "c", "d"]
+    assert components(vertices, []) == {v: v for v in vertices}
+    classes = components(vertices, [("c", "b")])
+    assert classes == {"a": "a", "b": "b", "c": "b", "d": "d"}
+    assert components(vertices, [("d", "a"), ("d", "d")], classes) == {
+        "a": "a", "b": "b", "c": "b", "d": "a"}
+
+
+# -- reference oracles: the enumerators and the contraction that
+# `spanning_forests` and `components` replaced, kept to cross-check them -------
+
+
+def spanning_trees_oracle(g):
+    """All spanning trees as frozensets of edge ids (deletion-contraction)."""
+    comp = {v: v for v in g.vertices}
+
+    def find(c, v):
+        while c[v] != v:
+            v = c[v]
+        return v
+
+    def rec(edges, comp, n_comp):
+        if n_comp == 1:
+            return [frozenset()]
+        if not edges:
+            return []
+        e, rest = edges[0], edges[1:]
+        a, b = find(comp, e.ends[0]), find(comp, e.ends[1])
+        trees = rec(rest, comp, n_comp)  # delete e
+        if a != b:  # contract e
+            comp2 = dict(comp)
+            comp2[a] = b
+            trees += [t | {e.id} for t in rec(rest, comp2, n_comp - 1)]
+        return trees
+
+    return sorted(rec(list(g.edges), comp, len(g.vertices)),
+                  key=lambda t: sorted(t))
+
+
+def forests_oracle(g, k=2):
+    """Spanning forests with exactly k trees, as (edge ids, vertex side), by
+    brute force over all edge subsets of the right size; at k = 2 this is
+    the former `two_forests`."""
+    want = len(g.vertices) - k
+    if want < 0:
+        return []
+    out = []
+    for combo in itertools.combinations(g.edges, want):
+        comp = {v: v for v in g.vertices}
+
+        def find(v):
+            while comp[v] != v:
+                v = comp[v]
+            return v
+
+        acyclic = True
+        for e in combo:
+            a, b = find(e.ends[0]), find(e.ends[1])
+            if a == b:
+                acyclic = False
+                break
+            comp[a] = b
+        if not acyclic:
+            continue
+        roots = {find(v) for v in g.vertices}
+        if len(roots) != k:
+            continue
+        side = frozenset(v for v in g.vertices
+                         if find(v) == find(g.vertices[0]))
+        out.append((frozenset(e.id for e in combo), side))
+    return sorted(out, key=lambda fs: sorted(fs[0]))
+
+
+def contract_oracle(g, ids):
+    """Vertices, edges and legs of G/I by the former private union-find."""
+    parent = {v: v for v in g.vertices}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for e in g.edges:
+        if e.id in ids:
+            a, b = find(e.ends[0]), find(e.ends[1])
+            if a != b:
+                parent[a] = b
+    rep_name = {}
+    for v in g.vertices:
+        rep_name.setdefault(find(v), v)
+    remap = {v: rep_name[find(v)] for v in g.vertices}
+    vertices = tuple(dict.fromkeys(remap[v] for v in g.vertices))
+    edges = tuple(
+        Edge(e.id, (remap[e.ends[0]], remap[e.ends[1]]), e.mass, e.var)
+        for e in g.edges if e.id not in ids
+    )
+    return vertices, edges, tuple((remap[v], p) for v, p in g.legs)
+
+
+def tree_count(g):
+    """Matrix-tree theorem: the determinant of the Laplacian with the first
+    row and column removed, by Fraction elimination (self-loops ignored)."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    n = len(g.vertices) - 1
+    lap = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
+    for e in g.edges:
+        a, b = index[e.ends[0]], index[e.ends[1]]
+        if a != b:
+            lap[a][a] += 1
+            lap[b][b] += 1
+            lap[a][b] -= 1
+            lap[b][a] -= 1
+    m = [row[1:] for row in lap[1:]]
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            factor = m[r][c] / m[c][c]
+            for j in range(c, n):
+                m[r][j] -= factor * m[c][j]
+    return det
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Connected multigraphs on 1-6 shuffled vertices: a random spanning tree
+    plus up to five extra edges, parallel edges and self-loops allowed, in a
+    shuffled order with ids that sort differently as strings and as numbers."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    vertices = draw(st.permutations([f"v{i}" for i in range(n)]))
+    pairs = [(vertices[i], vertices[draw(st.integers(0, i - 1))])
+             for i in range(1, n)]
+    pairs += draw(st.lists(st.tuples(st.sampled_from(vertices),
+                                     st.sampled_from(vertices)), max_size=5))
+    pairs = draw(st.permutations(pairs))
+    edges = [Edge(str(j + 1), ends, f"m{j + 1}", f"x{j + 1}")
+             for j, ends in enumerate(pairs)]
+    legs = [(v, f"p{i}") for i, v in enumerate(
+        draw(st.lists(st.sampled_from(vertices), max_size=3)))]
+    return FeynmanGraph(vertices, edges, legs)
+
+
+@given(connected_multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_spanning_forests_agree_with_the_oracles(g, data):
+    assert trees(g) == spanning_trees_oracle(g)
+    assert g.spanning_forests(1) == forests_oracle(g, 1)
+    assert g.spanning_forests(2) == forests_oracle(g, 2)
+    assert g.spanning_forests(3) == forests_oracle(g, 3)
+    assert len(trees(g)) == tree_count(g)
+    first = g.vertices[0]
+    for forest, side in g.spanning_forests(1):
+        assert side == frozenset(g.vertices) and len(forest) == len(g.vertices) - 1
+    for forest, side in g.spanning_forests(2):
+        assert first in side and side != frozenset(g.vertices)
+    contractible = [e.id for e in g.edges if not e.is_self_loop()]
+    ids = set(data.draw(st.lists(st.sampled_from(contractible), unique=True)
+                        if contractible else st.just([])))
+    if g.edges:
+        if ids == {e.id for e in g.edges}:
+            ids.discard(min(ids))  # contracting every edge is refused
+        q = contract(g, ids)
+        assert (q.vertices, q.edges, q.legs) == contract_oracle(g, ids)
 
 
 def test_symanzik_U_fixtures():

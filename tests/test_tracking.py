@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from landauvar.tracking import (
     Loop,
     ParametricRootSystem,
     TrackingError,
+    _newton,
     compile_coefficients,
     track,
 )
@@ -122,6 +124,24 @@ def test_loop_through_degeneration_rejected():
 def test_degree_zero_family_rejected():
     with pytest.raises(TrackingError):
         track(ParametricRootSystem(parse("t"), "x", {}, Loop("t", 2, 0.1)))
+
+
+def test_loop_rejects_a_non_finite_center_or_radius():
+    inf, nan = float("inf"), float("nan")
+    for center, radius, message in [
+        (inf, 1.0, "center=(inf+0j), r=1.0"), (complex(0, nan), 1.0, "center=nanj"),
+        (9, inf, "center=(9+0j), r=inf"), (9, nan, "r=nan"),
+    ]:
+        with pytest.raises(TrackingError, match="must be finite, got .*" + re.escape(message)):
+            Loop("psq", complex(center), radius)
+
+
+def test_newton_without_iterations_is_the_residual_check():
+    # the basepoint check: _newton with max_iter=0 fails exactly when
+    # |f(r)| exceeds the bound
+    desc = [1, -3, 2]  # (x - 1)(x - 2), f(1.5) = -0.25
+    assert _newton(desc, (), 1.5, 0.25, max_iter=0) == (1.5, 0.25)
+    assert _newton(desc, (), 1.5, 0.2499, max_iter=0) is None
 
 
 def test_track_results_are_pinned():

@@ -17,21 +17,10 @@ import sys
 
 from . import aomoto as aomoto_mod
 from . import graphs, hierarchy, landau, localhom, tracking, variation
-from .poly import Polynomial, PolynomialError
+from .poly import Polynomial
 
-_DOMAIN_ERRORS = (
-    PolynomialError,
-    graphs.GraphError,
-    landau.LandauError,
-    hierarchy.HierarchyError,
-    localhom.LocalHomologyError,
-    variation.ModelError,
-    tracking.TrackingError,
-    aomoto_mod.AomotoError,
-    json.JSONDecodeError,
-    OSError,
-    ValueError,
-)
+# every error class of the package, like json.JSONDecodeError, is a ValueError
+_DOMAIN_ERRORS = (ValueError, OSError)
 
 
 def _emit(data, fmt: str):
@@ -95,6 +84,7 @@ def _components_for(args) -> list:
     if args.model is not None:
         return list(variation.builtin_model(args.model).components)
     if args.aomoto is not None:
+        _check_aomoto_budget(args.aomoto, "hierarchy")
         return aomoto_mod.aomoto_components(args.aomoto)
     return _oneloop_components(_load_graph_arg(args.graph), split=True)
 
@@ -267,68 +257,45 @@ def _cmd_variation(args) -> int:
         _emit(data, args.format)
         return 0
     # audit
-    _check_audit_budget(model, args.max_len)
     report = variation.check_against_hierarchy(model, max_len=args.max_len)
     _emit(report.describe(), args.format)
     return 0 if report.ok else 1
 
 
-# `variation audit` builds a matrix product for each letter after each
-# unforced word shorter than --max-len (the walk stops at the forced words,
-# which compose to zero in a passing audit), and keeps one row of exact word
-# counts per length, |C| + 1 counts of up to --max-len * log2|C| bits each.
-# Both are counted before the walk and refused above these budgets; every
-# builtin model passes at --max-len 9, the bubble up to 16.
-AUDIT_PRODUCT_BUDGET = 1_000_000
-AUDIT_COUNT_BITS_BUDGET = 1 << 24
-
-
-def _check_audit_budget(model: variation.VariationModel, max_len: int) -> None:
-    rule = hierarchy.ForcedZeroRule.of(model.relation(), model.components)
-    letters = len(rule.letters)
-    products = 0
-    for length, words in zip(range(max_len), rule.unforced_words()):
-        products += letters * words
-        if products > AUDIT_PRODUCT_BUDGET:
-            raise variation.ModelError(
-                f"variation audit --max-len {max_len} may build at least {products}"
-                f" matrix products, on words of up to {length + 1} letters, over"
-                f" the budget of {AUDIT_PRODUCT_BUDGET}"
-            )
-        if not words:
-            break
-    # a count of s letters takes at most s * ceil(log2 |C|) bits, plus a word
-    # of 64 bits for the integer itself
-    rows = max(max_len, 0)
-    bits = (letters + 1) * ((letters - 1).bit_length() * rows * (rows + 1) // 2
-                            + 64 * rows)
-    if bits > AUDIT_COUNT_BITS_BUDGET:
-        raise variation.ModelError(
-            f"variation audit --max-len {max_len} would keep {bits} bits of exact"
-            f" word counts, over the budget of {AUDIT_COUNT_BITS_BUDGET}"
-        )
-
-
-# `aomoto symbol` builds ((n+1)!)^2 words; weight 5 (518400 words) is the
-# largest it accepts, weight 6 would already build 25401600
+# The Aomoto commands grow factorially with the weight n and refuse a weight
+# over budget before building anything: `symbol` builds ((n+1)!)^2 words
+# (weight 5 is the largest accepted), `components` lists C(2n+2, n+1)
+# components (weight 7, 1.6 s) and `hierarchy`, also `hierarchy --aomoto`,
+# compares C(2n+2, n+1)^2 pairs (weight 6, 3-5 s; weight 7 takes 14x longer).
 SYMBOL_WORD_BUDGET = 518400
+AOMOTO_COMPONENT_BUDGET = 12870
+AOMOTO_PAIR_BUDGET = 11778624
 
 
-def _check_symbol_budget(n: int) -> None:
+def _check_aomoto_budget(n: int, action: str) -> None:
     if n < 1:
-        return  # aomoto_symbol rejects the weight itself
-    words = math.factorial(min(n, 20) + 1) ** 2  # the exact count stays printable
-    if words > SYMBOL_WORD_BUDGET:
-        count = f" = {words}" if n <= 20 else ""
+        return  # the aomoto functions reject the weight themselves
+    m = min(n, 20)  # the exact count stays printable
+    comps = math.comb(2 * m + 2, m + 1)
+    count, formula, verb, unit, budget = {
+        "symbol": (math.factorial(m + 1) ** 2, f"({n + 1}!)^2", "build", "words",
+                   SYMBOL_WORD_BUDGET),
+        "components": (comps, f"C({2 * n + 2}, {n + 1})", "list", "components",
+                       AOMOTO_COMPONENT_BUDGET),
+        "hierarchy": (comps ** 2, f"C({2 * n + 2}, {n + 1})^2", "compare", "pairs",
+                      AOMOTO_PAIR_BUDGET),
+    }[action]
+    if count > budget:
+        exact = f" = {count}" if n <= 20 else ""
         raise aomoto_mod.AomotoError(
-            f"aomoto symbol --n {n} would build ({n + 1}!)^2{count} words,"
-            f" over the budget of {SYMBOL_WORD_BUDGET}"
+            f"aomoto {action} at weight {n} would {verb} {formula}{exact} {unit},"
+            f" over the budget of {budget}"
         )
 
 
 def _cmd_aomoto(args) -> int:
+    _check_aomoto_budget(args.n, args.action)
     if args.action == "symbol":
-        _check_symbol_budget(args.n)
         words = aomoto_mod.aomoto_symbol(args.n)
         if args.format == "json":
             data = [

@@ -199,6 +199,13 @@ def _text(value, field: str, edge=None) -> str:
     raise GraphError(f"malformed graph document: {where} must be a string, got {value!r}")
 
 
+def _list(value, field: str, length=None) -> list:
+    if isinstance(value, list) and length in (None, len(value)):
+        return value
+    shape = "a list" if length is None else f"a list of {length} vertices"
+    raise GraphError(f"malformed graph document: {field} must be {shape}, got {value!r}")
+
+
 def load_graph(data) -> FeynmanGraph:
     """Build a FeynmanGraph from the JSON document schema.
 
@@ -209,16 +216,16 @@ def load_graph(data) -> FeynmanGraph:
     if isinstance(data, str):
         data = json.loads(data)
     try:
-        vertices = [_text(v, "vertex") for v in data["vertices"]]
+        vertices = [_text(v, "vertex") for v in _list(data["vertices"], "vertices")]
         edges = []
-        for e in data["edges"]:
+        for e in _list(data["edges"], "edges"):
             eid = _text(e["id"], "edge id")
-            ends = (_text(e["ends"][0], "endpoint", eid),
-                    _text(e["ends"][1], "endpoint", eid))
+            ends = tuple(_text(v, "endpoint", eid)
+                         for v in _list(e["ends"], f"edge {eid} ends", 2))
             edges.append(Edge(eid, ends, _text(e["mass"], "mass", eid),
                               _text(e["var"], "var", eid)))
         legs = [(_text(l["vertex"], "leg vertex"), _text(l["momentum"], "leg momentum"))
-                for l in data.get("legs", [])]
+                for l in _list(data.get("legs", []), "legs")]
         channels = data.get("channels", {})
         if not isinstance(channels, dict):
             raise GraphError(

@@ -122,16 +122,6 @@ class ForcedZeroRule:
             return f"no arrow {last} -> {cid}"
         return None
 
-    def unforced_words(self):
-        """Yields how many words of 0, 1, 2, ... letters are unforced, without
-        end; once a length has none, no longer length has any."""
-        live = [b for b in self.letters if b not in self.known_zero]
-        ends = dict.fromkeys(live, 1)  # unforced one-letter words by last letter
-        yield 1
-        while True:
-            yield sum(ends.values())
-            ends = {b: sum(ends[a] for a in live if (a, b) in self.edges) for b in live}
-
     def forced_extensions(self, length: int) -> list:
         """ext[r][a]: how many of the words that extend an unforced word ending
         in `a` by 1 to r letters are forced.  At s letters that is |C|^s minus

@@ -12,7 +12,7 @@ lists that encode the blowup geometry as data.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graphs import FeynmanGraph, contract, icecream_graph, symanzik_F
@@ -182,6 +182,17 @@ def gram_matrix(g: FeynmanGraph) -> OneLoopMatrices:
     )
 
 
+def _simple_pinch(cid, matrix, drop, j_ids, k_ids, linear, parity) -> LandauComponent:
+    """The one-loop component {det = 0} of `matrix` without the rows and
+    columns `drop`: a simple pinch, so type and simple type coincide."""
+    defining = determinant(matrix.submatrix(drop, drop))
+    if defining.is_zero():
+        raise LandauError(f"degenerate determinant for {cid}")
+    return LandauComponent(cid, defining, j_ids, k_ids, j_ids, k_ids,
+                           LINEAR if linear else QUADRATIC, -1 if linear else parity,
+                           linear and not k_ids)
+
+
 def oneloop_landau(g: FeynmanGraph) -> list:
     """All Landau components of a generic one-loop graph.
 
@@ -204,40 +215,14 @@ def oneloop_landau(g: FeynmanGraph) -> list:
         suffix = "" if not I else "/" + "".join(sorted(I))
         k_ids = frozenset(f"B{e}" for e in I)
         # first type: critical points of the quadric A_2 restricted to B^I
-        det_m = determinant(mats.M.submatrix(drop, drop))
-        if det_m.is_zero():
-            raise LandauError(f"degenerate first-type determinant at I={I}")
-        linear = len(I) == n
-        components.append(LandauComponent(
-            id=f"lF{suffix}",
-            defining=det_m,
-            type_J=frozenset({"A2"}),
-            type_K=k_ids,
-            simple_J=frozenset({"A2"}),
-            simple_K=k_ids,
-            pinch=LINEAR if linear else QUADRATIC,
-            parity=-1 if linear else n - 1 - len(I),
-            variation_known_zero=linear and not k_ids,
-        ))
+        components.append(_simple_pinch(f"lF{suffix}", mats.M, drop, frozenset({"A2"}),
+                                        k_ids, len(I) == n, n - 1 - len(I)))
         # second type: critical points of A_1 cap A_2 over B^I; empty for a
-        # single remaining edge
+        # single remaining edge; S' keeps its bordering row 0
         if len(I) < n:
-            drop_sp = [d + 1 for d in drop]  # never drop the bordering row
-            det_sp = determinant(mats.Sprime.submatrix(drop_sp, drop_sp))
-            if det_sp.is_zero():
-                raise LandauError(f"degenerate second-type determinant at I={I}")
-            linear2 = len(I) == n - 1
-            components.append(LandauComponent(
-                id=f"lFU{suffix}",
-                defining=det_sp,
-                type_J=frozenset({"A1", "A2"}),
-                type_K=k_ids,
-                simple_J=frozenset({"A1", "A2"}),
-                simple_K=k_ids,
-                pinch=LINEAR if linear2 else QUADRATIC,
-                parity=-1 if linear2 else n - len(I),
-                variation_known_zero=linear2 and not k_ids,
-            ))
+            components.append(_simple_pinch(
+                f"lFU{suffix}", mats.Sprime, [d + 1 for d in drop],
+                frozenset({"A1", "A2"}), k_ids, len(I) == n - 1, n - len(I)))
     return components
 
 
@@ -257,20 +242,8 @@ def split_component(comp: LandauComponent, factors, substitution=None,
         raise LandauError(f"{comp.id}: supplied factors do not divide the defining polynomial")
     if suffixes is None:
         suffixes = [f".{i+1}" for i in range(len(factors))]
-    return [
-        LandauComponent(
-            id=comp.id + suffix,
-            defining=factor,
-            type_J=comp.type_J,
-            type_K=comp.type_K,
-            simple_J=comp.simple_J,
-            simple_K=comp.simple_K,
-            pinch=comp.pinch,
-            parity=comp.parity,
-            variation_known_zero=comp.variation_known_zero,
-        )
-        for factor, suffix in zip(factors, suffixes)
-    ]
+    return [replace(comp, id=comp.id + suffix, defining=factor)
+            for factor, suffix in zip(factors, suffixes)]
 
 
 def bubble_split(components: list, g: FeynmanGraph) -> list:

@@ -432,8 +432,8 @@ def parse(text: str) -> Polynomial:
             if k == "op" and v == "/":
                 take()
                 k2, v2 = take()
-                if k2 != "int":
-                    raise PolynomialError("bad rational constant")
+                if k2 != "int" or int(v2) == 0:
+                    raise PolynomialError(f"bad rational constant {val}/{v2}")
                 return Polynomial.const(Fraction(num, int(v2)))
             return Polynomial.const(num)
         if kind == "name":

@@ -23,6 +23,11 @@ class TrackingError(ValueError):
     pass
 
 
+# `track` takes at least `steps` corrector steps (steps=100000 takes about 2 s,
+# and past about 1e16 steps theta stops advancing), so more steps are refused
+LOOP_STEP_BUDGET = 100_000
+
+
 @dataclass(frozen=True)
 class Loop:
     parameter: str
@@ -35,6 +40,9 @@ class Loop:
     def __post_init__(self):
         if self.steps < 1:
             raise TrackingError(f"loop needs at least 1 step, got steps={self.steps}")
+        if self.steps > LOOP_STEP_BUDGET:
+            raise TrackingError(f"loop steps={self.steps} is over the budget of"
+                                f" {LOOP_STEP_BUDGET} steps")
         if not (cmath.isfinite(self.center) and math.isfinite(self.radius)):
             raise TrackingError("loop center and radius must be finite, got"
                                 f" center={self.center}, r={self.radius}")
@@ -153,6 +161,13 @@ def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10,
           disc_threshold: float = 1e-8) -> TrackResult:
     """Continue all roots of f around the loop and report the induced
     permutation and windings around the marked points."""
+    try:
+        return _track(sys, marked, tol, disc_threshold)
+    except OverflowError as exc:
+        raise TrackingError(f"values out of floating-point range: {exc}") from None
+
+
+def _track(sys, marked, tol, disc_threshold) -> TrackResult:
     coeff_polys = sys.coefficient_polys()
     if len(coeff_polys) < 2:
         raise TrackingError("family must have positive degree in the fiber variable")

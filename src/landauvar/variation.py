@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 
 from .hierarchy import ForcedZeroRule, HierarchyRelation, hierarchy_graph, word_vanishes
 from .landau import GENERAL, LINEAR, QUADRATIC, LandauComponent
@@ -38,7 +39,10 @@ def _rat(x):
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ModelError(f"not an exact rational entry: {x!r}")
 
 
@@ -61,10 +65,6 @@ def identity_matrix(size: int) -> tuple:
     return tuple(
         tuple(Fraction(1 if i == j else 0) for j in range(size)) for i in range(size)
     )
-
-
-def unknown_matrix(size: int) -> tuple:
-    return tuple((None,) * size for _ in range(size))
 
 
 def mat_mul(a: tuple, b: tuple) -> tuple:
@@ -153,6 +153,13 @@ class VariationModel:
         for comp in self.components:
             if comp.variation_known_zero and not _known_zero(self.ops[comp.id]):
                 raise ModelError(f"{comp.id} is flagged zero but its matrix is not")
+        # only the operators may leave entries unknown
+        for cid, vectors in self.vanishing.items():
+            if any(x is None for v in vectors for x in v):
+                raise ModelError(f"vanishing vector of {cid} has an unknown (null) entry")
+        for cid, row in self.intersection_rows.items():
+            if any(x is None for x in row):
+                raise ModelError(f"intersection row of {cid} has an unknown (null) entry")
         self._check_image_spans()
 
     def _check_image_spans(self):
@@ -305,6 +312,13 @@ class AuditReport:
         }
 
 
+# The audit counts the matrix products it builds and refuses past the first
+# budget (the bubble builds 524273 at max_len 16, over a million from 17); its
+# table of exact word counts is refused above the second before the walk.
+AUDIT_PRODUCT_BUDGET = 1_000_000
+AUDIT_COUNT_BITS_BUDGET = 1 << 24
+
+
 def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None = None,
                             max_len: int = 4) -> AuditReport:
     """Assert (one-directionally) that oracle-forced words compose to zero.
@@ -318,12 +332,27 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
     is the zero matrix certifies all of its extensions, so its forced
     extensions are counted from the oracle's walk counts instead of listed,
     and a subtree without forced words is not entered.  `words_checked` still
-    counts every forced word.
+    counts every forced word.  A ModelError refuses a walk over the budgets.
     """
     if rel is None:
         rel = model.relation()
     rule = ForcedZeroRule.of(rel, model.components)
+    # a count of s letters takes at most s * ceil(log2 |C|) bits plus a 64-bit word
+    letters, rows = len(rule.letters), max(max_len, 0)
+    bits = (letters + 1) * ((letters - 1).bit_length() * rows * (rows + 1) // 2
+                            + 64 * rows)
+    if bits > AUDIT_COUNT_BITS_BUDGET:
+        raise ModelError(f"an audit to {max_len} letters would keep {bits} bits of exact"
+                         f" word counts, over the budget of {AUDIT_COUNT_BITS_BUDGET}")
     forced_ext = rule.forced_extensions(max_len)
+    built = count(1)
+
+    def mul(a, b):
+        if next(built) > AUDIT_PRODUCT_BUDGET:
+            raise ModelError(f"an audit to {max_len} letters builds more than the"
+                             f" budget of {AUDIT_PRODUCT_BUDGET} matrix products")
+        return mat_mul(a, b)
+
     violations, unverified = [], []
     checked = 0
     stack = [((), identity_matrix(len(model.basis)), False)]  # word, product, forced
@@ -333,10 +362,10 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
         if word:
             if forced:
                 checked += 1
-                certified, _ = _certify_by_model(model, word, product)
-                if certified is False:
-                    violations.append(word)
-                elif certified is None:
+                if not has_unknown(product):
+                    if not is_zero_matrix(product):
+                        violations.append(word)
+                elif _span_certificate(model, word, mul) is None:
                     unverified.append(word)
             if _known_zero(product):
                 checked += forced_ext[rem][None if forced else word[-1]]
@@ -347,36 +376,40 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
         for cid in reversed(rule.letters):
             child_forced = forced or rule.step(last, cid) is not None
             if child_forced or forced_ext[rem - 1][cid]:
-                stack.append((word + (cid,), mat_mul(model.ops[cid], product),
+                stack.append((word + (cid,), mul(model.ops[cid], product),
                               child_forced))
     return AuditReport(model.name, max_len, checked, sorted(violations),
                        sorted(unverified))
 
 
-def _certify_by_model(model: VariationModel, word, product=None):
+def _span_certificate(model: VariationModel, word, mul):
+    """The first letter of `word`, its last excepted, that is a simple pinch
+    whose declared image span the rest of the word annihilates, or None.  The
+    tails are built once, from the right, by at most len(word) - 2 `mul`s."""
+    pinches = [i for i, cid in enumerate(word[:-1])
+               if model.component(cid).is_simple_pinch and model.vanishing.get(cid)]
+    if not pinches:
+        return None
+    tails = {len(word) - 2: model.ops[word[-1]]}  # tails[i]: product of word[i+1:]
+    for i in range(len(word) - 3, pinches[0] - 1, -1):
+        tails[i] = mul(tails[i + 1], model.ops[word[i + 1]])
+    for i in pinches:
+        if all(x == 0 for v in model.vanishing[word[i]] for x in mat_vec(tails[i], v)):
+            return word[i]
+    return None
+
+
+def _certify_by_model(model: VariationModel, word):
     """Model-side evidence only (no oracle): True when the word provably
     composes to zero, False when it provably does not, None when the unknown
-    entries leave it open.  `product`, when given, is the word's matrix."""
-    word = tuple(word)
-    if product is None:
-        product = _word_product(model, word)
+    entries leave it open."""
+    product = _word_product(model, word)
     if not has_unknown(product):
         zero = is_zero_matrix(product)
         return zero, "matrix product is zero" if zero else "matrix product is nonzero"
-    size = len(model.basis)
-    for i, cid in enumerate(word[:-1]):
-        comp = model.component(cid)
-        span = model.vanishing.get(cid)
-        if not comp.is_simple_pinch or not span:
-            continue
-        tail = identity_matrix(size)
-        try:
-            for later in word[i + 1:]:
-                tail = mat_mul(model.ops[later], tail)
-            if all(all(x == 0 for x in mat_vec(tail, v)) for v in span):
-                return True, f"tail of word annihilates the image span of {cid}"
-        except (UnknownEntryError, TypeError):
-            continue
+    cid = _span_certificate(model, word, mat_mul)
+    if cid is not None:
+        return True, f"tail of word annihilates the image span of {cid}"
     return None, "undecidable from the model data"
 
 
@@ -422,6 +455,13 @@ def model_to_json(model: VariationModel) -> dict:
     }
 
 
+def _names(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelError(f"malformed model document: {what} must be a list of"
+                         f" strings, got {value!r}")
+    return value
+
+
 def model_from_json(data) -> VariationModel:
     if isinstance(data, str):
         data = json.loads(data)
@@ -430,16 +470,18 @@ def model_from_json(data) -> VariationModel:
             LandauComponent(
                 id=c["id"],
                 defining=parse(c["defining"]),
-                type_J=frozenset(c["type_J"]),
-                type_K=frozenset(c["type_K"]),
-                simple_J=frozenset(c["simple_J"]),
-                simple_K=frozenset(c["simple_K"]),
+                **{key: frozenset(_names(c[key], f"{c['id']} {key}"))
+                   for key in ("type_J", "type_K", "simple_J", "simple_K")},
                 pinch=c["pinch"],
                 parity=c["parity"],
                 variation_known_zero=c["variation_known_zero"],
             )
             for c in data["components"]
         )
+        conventions = data.get("conventions", {})
+        if not isinstance(conventions, dict):
+            raise ModelError("malformed model document: conventions must be an"
+                             f" object, got {conventions!r}")
         ops = {
             cid: tuple(tuple(_rat(x) for x in row) for row in m)
             for cid, m in data["ops"].items()
@@ -447,7 +489,7 @@ def model_from_json(data) -> VariationModel:
         return VariationModel(
             name=data["name"],
             n=data["n"],
-            basis=tuple(data["basis"]),
+            basis=tuple(_names(data["basis"], "basis")),
             ops=ops,
             components=comps,
             vanishing={
@@ -458,9 +500,10 @@ def model_from_json(data) -> VariationModel:
                 cid: tuple(_rat(x) for x in row)
                 for cid, row in data.get("intersection_rows", {}).items()
             },
-            boundary_K={b: frozenset(s) for b, s in data.get("boundary_K", {}).items()},
-            coboundary_J={b: frozenset(s) for b, s in data.get("coboundary_J", {}).items()},
-            conventions=data.get("conventions", {}),
+            **{key: {b: frozenset(_names(s, f"{key} of {b}"))
+                     for b, s in data.get(key, {}).items()}
+               for key in ("boundary_K", "coboundary_J")},
+            conventions=conventions,
         )
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ModelError(f"malformed model document: {exc}") from exc
@@ -609,7 +652,7 @@ def _triangle_model() -> VariationModel:
                 images.append((0, 0, 0, 0, _EPS_CYCLIC[(i, j)]))
         images.append((0,) * size)  # mu -> 0
         ops[f"l{i}"] = matrix_from_images(images)
-    ops["ldelta"] = unknown_matrix(size)
+    ops["ldelta"] = ((None,) * size,) * size  # every entry unknown
     return VariationModel(
         name="massless-triangle", n=2, basis=basis, ops=ops, components=comps,
         vanishing={

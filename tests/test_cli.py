@@ -1,8 +1,13 @@
+import contextlib
+import copy
+import io
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from landauvar.cli import main
 from landauvar.poly import parse
@@ -307,18 +312,7 @@ def refuse_to_walk(monkeypatch):
         raise AssertionError("the audit started")
 
     monkeypatch.setattr(hierarchy.ForcedZeroRule, "forced_extensions", no_walk)
-    monkeypatch.setattr(variation, "check_against_hierarchy", no_walk)
-
-
-def test_audit_over_product_budget_is_refused_before_walking(capsys, monkeypatch):
-    # the massless triangle's relation is complete: its unforced words grow
-    # as 4^k, so a huge --max-len passes the product budget within 10 letters
-    refuse_to_walk(monkeypatch)
-    code, out, err = run_cli(capsys, "variation", "audit", "massless-triangle",
-                             "--max-len", "100000")
-    assert out == ""
-    assert_clean_error(code, err)
-    assert "at least 1398100 matrix products" in err and "1000000" in err
+    monkeypatch.setattr(variation, "mat_mul", no_walk)
 
 
 def test_audit_over_count_table_budget_is_refused_before_walking(capsys, monkeypatch):
@@ -332,13 +326,51 @@ def test_audit_over_count_table_budget_is_refused_before_walking(capsys, monkeyp
     assert "40026000000 bits of exact word counts" in err
 
 
-def test_audit_budget_admits_the_usual_lengths():
-    from landauvar import cli, variation
+def test_audit_counts_the_products_it_builds(capsys, monkeypatch):
+    # the bubble's walk builds 2033 products at --max-len 8 and 4081 at 9
+    from landauvar import variation
 
-    for name in ("bubble", "dilog", "logarithm", "massless-triangle"):
-        for max_len in range(-1, 10):
-            cli._check_audit_budget(variation.builtin_model(name), max_len)
-    cli._check_audit_budget(variation.builtin_model("bubble"), 16)
+    monkeypatch.setattr(variation, "AUDIT_PRODUCT_BUDGET", 2033)
+    code, out, _ = run_cli(capsys, "variation", "audit", "bubble", "--max-len", "8",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["words_checked"] == 487260
+    code, out, err = run_cli(capsys, "variation", "audit", "bubble", "--max-len", "9")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "more than the budget of 2033 matrix products" in err
+
+
+def test_audit_budget_counts_unknown_entry_words(tmp_path, capsys, monkeypatch):
+    # with every entry of l1 unknown no prefix through l1 composes to zero,
+    # so the walk and the image-span tails multiply letter by letter
+    from landauvar import variation
+
+    doc = variation.model_to_json(variation.builtin_model("bubble"))
+    doc["ops"]["l1"] = [[None] * 3 for _ in range(3)]
+    path = tmp_path / "bubble-l1-unknown.json"
+    path.write_text(json.dumps(doc))
+    products = []
+    real = variation.mat_mul
+    monkeypatch.setattr(variation, "mat_mul",
+                        lambda a, b: products.append(1) or real(a, b))
+    code, out, _ = run_cli(capsys, "variation", "audit", str(path), "--max-len", "4",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["unverified"]
+    budget = len(products) - 1
+    monkeypatch.setattr(variation, "AUDIT_PRODUCT_BUDGET", budget)
+    code, out, err = run_cli(capsys, "variation", "audit", str(path), "--max-len", "4")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert f"more than the budget of {budget} matrix products" in err
+
+
+def test_audit_of_a_walk_without_products_is_admitted_at_any_length(capsys):
+    # the massless triangle's relation is complete: it forces no word, so its
+    # walk builds no product however long the words
+    code, out, _ = run_cli(capsys, "variation", "audit", "massless-triangle",
+                           "--max-len", "12", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["words_checked"] == 0
 
 
 def write_cycle(tmp_path, n):
@@ -449,8 +481,12 @@ def set_field(doc, where, value):
     (["legs", 0, "vertex"], 1, "leg vertex must be a string, got 1"),
     (["legs", 1, "momentum"], 2.0, "leg momentum must be a string, got 2.0"),
     (["vertices", 0], 1, "vertex must be a string, got 1"),
+    (["vertices"], "v1v2", "vertices must be a list, got 'v1v2'"),
+    (["edges", 0, "ends"], ["v1", "v2", "v1"],
+     "edge 1 ends must be a list of 2 vertices, got ['v1', 'v2', 'v1']"),
+    (["edges", 1, "ends"], ["v1"], "edge 2 ends must be a list of 2 vertices, got ['v1']"),
 ], ids=["channel-symbol", "channels-list", "edge-id", "endpoint", "mass", "var",
-        "leg-vertex", "momentum", "vertex"])
+        "leg-vertex", "momentum", "vertex", "vertices-string", "three-ends", "one-end"])
 def test_graph_document_with_a_mistyped_field_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"
@@ -483,3 +519,227 @@ def test_non_finite_tracking_input_is_a_clean_error(capsys):
         assert out == ""
         assert_clean_error(code, err)
         assert message in err, argv
+
+
+def triangle_model_document():
+    from landauvar.variation import builtin_model, model_to_json
+
+    return model_to_json(builtin_model("massless-triangle"))
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (["vanishing", "ldelta", 0], [None, 0, 0, 0, 2],
+     "vanishing vector of ldelta has an unknown (null) entry"),
+    (["intersection_rows", "l2"], ["1", "0", None, "0", "0"],
+     "intersection row of l2 has an unknown (null) entry"),
+    (["ops", "l1", 0, 0], "1/0", "not an exact rational entry: '1/0'"),
+    (["vanishing", "l3", 1, 4], "1/0", "not an exact rational entry: '1/0'"),
+    (["intersection_rows", "l1"], ["0", "1/0", "0", "0", "0"],
+     "not an exact rational entry: '1/0'"),
+    (["components", 1, "defining"], "1/0*p2sq", "bad rational constant 1/0"),
+    (["conventions"], [1], "conventions must be an object, got [1]"),
+    (["basis", 0], [], "basis must be a list of strings, got [[], 'nu1'"),
+    (["components", 0, "type_J"], [None], "l1 type_J must be a list of strings"),
+    (["boundary_K", "sigma"], [1, "B1"], "boundary_K of sigma must be a list of strings"),
+], ids=["null-span", "null-row", "zero-denominator-op", "zero-denominator-span",
+        "zero-denominator-row", "zero-denominator-defining", "conventions-list",
+        "basis-label", "type-set", "boundary-set"])
+def test_model_document_with_a_bad_entry_is_a_clean_error(
+        tmp_path, capsys, where, value, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(set_field(triangle_model_document(), where, value)))
+    for argv in (["table", str(path)], ["compose", str(path), "w=l1"],
+                 ["audit", str(path), "--max-len", "2"]):
+        code, out, err = run_cli(capsys, "variation", *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert message in err, argv
+
+
+def test_overflowing_tracking_input_is_a_clean_error(capsys):
+    track = ["track", "bubble", "--chart", "x1=1", "--var", "x2"]
+    for argv in (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1e-200,m2sq=1e300"],
+                 track + ["--loop", "psq:center=1e300,r=1e299",
+                          "--fix", "m1sq=1e300,m2sq=1e300"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert "out of floating-point range" in err, argv
+
+
+def test_loop_over_step_budget_is_refused_before_tracking(capsys, monkeypatch):
+    from landauvar import tracking
+
+    def no_track(*args, **kwargs):
+        raise AssertionError("track started")
+
+    monkeypatch.setattr(tracking, "track", no_track)
+    code, out, err = run_cli(
+        capsys, "track", "bubble", "--chart", "x1=1", "--var", "x2", "--fix",
+        "m1sq=1,m2sq=4", "--loop", "psq:center=9,r=0.1,steps=99999999999999999999")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "steps=99999999999999999999 is over the budget of 100000 steps" in err
+
+
+def test_aomoto_hierarchy_over_pair_budget_is_refused_before_building(
+        capsys, monkeypatch):
+    from landauvar import aomoto, hierarchy
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("the hierarchy started")
+
+    for module, name in ((aomoto, "aomoto_components"), (aomoto, "aomoto_edges"),
+                         (hierarchy, "hierarchy_graph")):
+        monkeypatch.setattr(module, name, no_build)
+    for argv in (["aomoto", "hierarchy", "--n", "7"], ["hierarchy", "--aomoto", "7"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert "C(16, 8)^2 = 165636900 pairs, over the budget of 11778624" in err
+    code, out, err = run_cli(capsys, "aomoto", "components", "--n", "30")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "C(62, 31) components, over the budget of 12870" in err
+
+
+def test_aomoto_budgets_admit_the_largest_weights(capsys, monkeypatch):
+    from landauvar import aomoto
+    from landauvar.hierarchy import HierarchyRelation
+
+    reached = []
+    monkeypatch.setattr(aomoto, "aomoto_edges", lambda n: reached.append(n)
+                        or HierarchyRelation((), frozenset()))
+    monkeypatch.setattr(aomoto, "aomoto_components", lambda n: reached.append(n) or [])
+    for argv in (["aomoto", "hierarchy", "--n", "6"], ["aomoto", "components", "--n", "7"]):
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+    assert reached == [6, 7]
+
+
+# -- the CLI contract under malformed input -------------------------------------------
+
+BAD_VALUES = [None, 0, -1, 2.5, 1e308, float("inf"), float("-inf"), float("nan"), True,
+              "", "x", "1/0", "1e400", [], {}, [None], {"a": 1}]
+MODEL_COMMANDS = [["variation", "table", "{path}"],
+                  ["variation", "compose", "{path}", "w=l1,l2"],
+                  ["variation", "audit", "{path}", "--max-len", "3"]]
+TRACK = ["track", "bubble", "--chart", "x1=1", "--var", "x2"]
+OPTION_COMMANDS = [
+    ["track", "bubble", "--chart", "{chart}", "--var", "{var}", "--loop", "{loop}",
+     "--fix", "{fix}", "--mark", "{mark}"],
+    ["analyze", "bubble", "--track-chart", "{chart}", "--track-var", "{var}",
+     "--track-loop", "{loop}", "--track-fix", "{fix}", "--check", "{word}"],
+    ["landau", "eliminate", "bubble", "--chart", "{chart}"],
+    ["variation", "audit", "{model}", "--max-len", "{max_len}"],
+    ["variation", "compose", "{model}", "{word}"],
+    ["hierarchy", "--model", "{model}", "--check", "{word}"],
+    ["hierarchy", "--aomoto", "{n}"],
+    ["aomoto", "{aomoto}", "--n", "{n}"],
+]
+OPTION_VALUES = {
+    "chart": ["x1=1", "x1=", "=1", "x1=1/0", "x9=1", "x1", ""],
+    "var": ["x2", "x1", "x9", ""],
+    "loop": ["psq:center=9,r=0.1", "psq:", "psq:center=nan,r=1", "psq:center=x",
+             "psq:center=9,r=0.1,steps=0", "psq:center=9,r=0.1,steps=99999999999999999999",
+             "psq:center=1e300,r=1e299", "m1sq:center=0,r=1,orient=2", "q:center=9"],
+    "fix": ["m1sq=1,m2sq=4", "m1sq=1e-200,m2sq=1e300", "m1sq=1e300,m2sq=1e300",
+            "m1sq=nan,m2sq=4", "m1sq=1", "m1sq", "m1sq=1j,m2sq=4"],
+    "mark": ["0", "x", "inf", "1e400"],
+    "word": ["l1,l2", "w=", "lF/1,lF+", "nope", ",,"],
+    "model": ["bubble", "logarithm", "massless-triangle", "nope", ""],
+    "max_len": ["-1", "0", "3", "x", "99999999"],
+    "n": ["0", "-1", "1", "7", "x", "99999999"],
+    "aomoto": ["symbol", "components", "hierarchy"],
+}
+
+
+@st.composite
+def mutated(draw, doc):
+    """`doc` with one or two entries, at any depth, dropped or replaced by a
+    value of another type, a non-finite number or an unparsable string."""
+    for _ in range(draw(st.integers(1, 2))):
+        target = doc
+        while isinstance(target, (dict, list)) and target:
+            key = draw(st.sampled_from(sorted(target) if isinstance(target, dict)
+                                       else range(len(target))))
+            child = target[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                target = child
+            elif draw(st.booleans()):
+                del target[key]
+                break
+            else:
+                target[key] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+                break
+    return doc
+
+
+@st.composite
+def cli_cases(draw):
+    """(document or None, argv) where "{path}" in argv names the document."""
+    kind = draw(st.sampled_from(["graph", "model", "options"]))
+    if kind == "graph":
+        return (draw(mutated(bubble_document())),
+                draw(st.sampled_from(graph_commands("{path}"))))
+    if kind == "model":
+        from landauvar.variation import builtin_model, model_to_json
+
+        name = draw(st.sampled_from(["bubble", "logarithm", "massless-triangle"]))
+        return (draw(mutated(model_to_json(builtin_model(name)))),
+                draw(st.sampled_from(MODEL_COMMANDS)))
+    template = draw(st.sampled_from(OPTION_COMMANDS))
+    values = {key: draw(st.sampled_from(choices)) for key, choices in OPTION_VALUES.items()}
+    return None, [arg.format(**values) for arg in template]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=cli_cases())
+@example(case=(set_field(triangle_model_document(), ["vanishing", "ldelta", 0],
+                          [None, 0, 0, 0, 2]), MODEL_COMMANDS[2]))
+@example(case=(set_field(triangle_model_document(), ["ops", "l1", 0, 0], "1/0"),
+               MODEL_COMMANDS[1]))
+@example(case=(set_field(triangle_model_document(), ["vanishing", "l3", 1, 4], "1/0"),
+               MODEL_COMMANDS[2]))
+@example(case=(set_field(triangle_model_document(), ["intersection_rows", "l1"],
+                          ["1/0", "0", "0", "0", "0"]), MODEL_COMMANDS[0]))
+@example(case=(set_field(triangle_model_document(), ["components", 1, "defining"],
+                          "1/0"), MODEL_COMMANDS[0]))
+@example(case=(set_field(triangle_model_document(), ["conventions"], [1]),
+               MODEL_COMMANDS[0]))
+@example(case=(set_field(triangle_model_document(), ["basis", 0], []), MODEL_COMMANDS[1]))
+@example(case=(set_field(triangle_model_document(), ["components", 0, "type_J"], [None]),
+               MODEL_COMMANDS[0]))
+@example(case=(set_field(bubble_document(), ["vertices"], "v1v2"),
+               graph_commands("{path}")[0]))
+@example(case=(set_field(bubble_document(), ["edges", 0, "ends"], ["v1", "v2", "v1"]),
+               graph_commands("{path}")[0]))
+@example(case=(set_field(bubble_document(), ["channels"], {"p1": 5}),
+               graph_commands("{path}")[5]))
+@example(case=(None, TRACK + ["--loop", "psq:center=9,r=0.1",
+                              "--fix", "m1sq=1e-200,m2sq=1e300"]))
+@example(case=(None, TRACK + ["--loop", "psq:center=1e300,r=1e299",
+                              "--fix", "m1sq=1e300,m2sq=1e300"]))
+@example(case=(None, TRACK + ["--loop", "psq:center=inf,r=1", "--fix", "m1sq=1,m2sq=4"]))
+@example(case=(None, TRACK + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=1e400"]))
+@example(case=(None, TRACK + ["--loop", "psq:center=9,r=0.1,steps=99999999999999999999",
+                              "--fix", "m1sq=1,m2sq=4"]))
+@example(case=(None, ["hierarchy", "--aomoto", "7"]))
+@example(case=(None, ["aomoto", "hierarchy", "--n", "7"]))
+@example(case=(None, ["variation", "audit", "massless-triangle", "--max-len", "100000"]))
+def test_cli_contract_holds_on_malformed_input(tmp_path_factory, case):
+    doc, argv = case
+    path = tmp_path_factory.mktemp("case") / "doc.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc))
+    argv = [arg.replace("{path}", str(path)) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)

@@ -16,6 +16,7 @@ from landauvar.variation import (
     UnknownEntryError,
     VariationModel,
     _certify_by_model,
+    _span_certificate,
     apply_word,
     builtin_model,
     check_against_hierarchy,
@@ -23,6 +24,7 @@ from landauvar.variation import (
     identity_matrix,
     is_zero_matrix,
     mat_mul,
+    mat_vec,
     matrix_from_images,
     model_from_json,
     model_to_json,
@@ -368,6 +370,34 @@ def test_audit_enters_no_subtree_without_forced_words(monkeypatch):
     report = check_against_hierarchy(builtin_model("massless-triangle"), max_len=6)
     assert report.words_checked == 0
     assert products == []
+
+
+def rebuilt_span_certificate(model, word):
+    """Reference image-span certificate: the tail after each simple pinch is
+    rebuilt from scratch, letter by letter."""
+    for i, cid in enumerate(word[:-1]):
+        span = model.vanishing.get(cid)
+        if model.component(cid).is_simple_pinch and span:
+            tail = identity_matrix(len(model.basis))
+            for later in word[i + 1:]:
+                tail = mat_mul(model.ops[later], tail)
+            if all(x == 0 for v in span for x in mat_vec(tail, v)):
+                return cid
+    return None
+
+
+def test_span_certificate_shares_its_tails():
+    bubble = model_to_json(builtin_model("bubble"))
+    bubble["ops"]["l1"] = [[None] * 3 for _ in range(3)]
+    for m in (builtin_model("massless-triangle"), model_from_json(bubble)):
+        ids = sorted(m.ops)
+        for length in range(1, 5):
+            for word in itertools.product(ids, repeat=length):
+                built = []
+                cid = _span_certificate(m, word,
+                                        lambda a, b: built.append(1) or mat_mul(a, b))
+                assert cid == rebuilt_span_certificate(m, word), word
+                assert len(built) <= max(length - 2, 0)
 
 
 def test_audit_counts_every_forced_word_of_length_eight():

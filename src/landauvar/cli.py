@@ -2,8 +2,9 @@
 
 One binary with subcommands; flags only, no environment configuration, and
 stable sorting everywhere so identical inputs give byte-identical outputs.
-Exit status: 0 success, 1 domain error (bad input data, unknown fixture), 2
-usage error.
+Exit status: 0 success, 1 domain error (bad input data, unknown fixture) or
+failed audit, 2 usage error.  Each subcommand handler returns what it prints,
+and `main` alone writes it to stdout.
 """
 
 from __future__ import annotations
@@ -139,15 +140,6 @@ def _parse_chart(text: str, f: Polynomial, flag: str) -> dict:
     return chart
 
 
-def _verdict_json(rel, comps, word: tuple) -> dict:
-    verdict = hierarchy.word_vanishes(rel, comps, word)
-    return {
-        "word": list(word),
-        "verdict": "forced_zero" if verdict.forced_zero else "unconstrained",
-        "reason": verdict.reason,
-    }
-
-
 def _parse_index_set(text: str) -> frozenset:
     text = (text or "").strip()
     if not text:
@@ -157,70 +149,18 @@ def _parse_index_set(text: str) -> frozenset:
     return frozenset(int(ch) for ch in text)
 
 
-# -- subcommand handlers -----------------------------------------------------------
-
-
-def _cmd_symanzik(args) -> int:
-    g = _load_graph_arg(args.graph)
-    data = {
-        "U": str(graphs.symanzik_U(g)),
-        "F": str(graphs.symanzik_F(g)),
-    }
-    _emit(data, args.format)
-    return 0
-
-
-def _cmd_landau(args) -> int:
-    if args.action == "oneloop":
-        comps = _oneloop_components(_load_graph_arg(args.graph), args.split)
-        _emit([c.describe() for c in comps], args.format)
-        return 0
-    if args.action == "fixture":
-        comps = landau.fixture_landau(args.name)
-        _emit([c.describe() for c in comps], args.format)
-        return 0
-    # eliminate
-    g = _load_graph_arg(args.graph)
-    f = graphs.symanzik_F(g)
-    chart = _parse_chart(args.chart, f, "--chart")
-    fiber_vars = [e.var for e in g.edges]
-    result = landau.eliminate_critical_values(f, fiber_vars, chart)
-    _emit({"eliminant": str(result)}, args.format)
-    return 0
-
-
-def _cmd_hierarchy(args) -> int:
-    comps = _components_for(args)
-    rel = hierarchy.hierarchy_graph(comps)
-    if args.dot:
-        print(hierarchy.to_dot(rel, comps))
-        return 0
-    if args.check:
-        _emit([_verdict_json(rel, comps, _split_word(text)) for text in args.check],
-              args.format)
-        return 0
-    _emit({"nodes": list(rel.nodes), "edges": hierarchy.edges_json(rel)}, args.format)
-    return 0
-
-
-def _cmd_homrank(args) -> int:
-    cfg = localhom.pinch_config(
-        args.n, args.m,
-        _parse_index_set(args.I),
-        _parse_index_set(args.J),
-        _parse_index_set(args.K),
+def _parse_loop(text: str) -> tracking.Loop:
+    name, _, rest = text.partition(":")
+    if not rest:
+        raise ValueError("loop spec must look like psq:center=9,r=0.1")
+    opts = _parse_assignments(rest)
+    return tracking.Loop(
+        parameter=name,
+        center=complex(opts.get("center", "0")),
+        radius=float(opts.get("r", opts.get("radius", "0.1"))),
+        orientation=int(opts.get("orient", "1")),
+        steps=int(opts.get("steps", "256")),
     )
-    rank = localhom.local_rank(cfg, args.degree, args.variant)
-    print(rank)
-    return 0
-
-
-def _cmd_signword(args) -> int:
-    word = localhom.parse_word(args.word)
-    sign, canonical = localhom.normalize_word(word)
-    rendered = " ".join(str(op) for op in canonical)
-    _emit({"sign": sign, "canonical": rendered}, args.format)
-    return 0
 
 
 def _load_model_arg(source: str) -> variation.VariationModel:
@@ -232,34 +172,109 @@ def _load_model_arg(source: str) -> variation.VariationModel:
         return variation.model_from_json(json.load(fh))
 
 
-def _cmd_variation(args) -> int:
+# -- stages of graph -> F -> components -> hierarchy -> verdicts / audit / track ----
+# (a stage that is one library call is called directly)
+
+
+def _symanzik(g: graphs.FeynmanGraph, f: Polynomial) -> dict:
+    return {"U": str(graphs.symanzik_U(g)), "F": str(f)}
+
+
+def _verdicts(rel, comps, texts) -> list:
+    """The oracle's verdict on each word written as ``word=id1,id2,...``."""
+    out = []
+    for text in texts:
+        word = _split_word(text)
+        verdict = hierarchy.word_vanishes(rel, comps, word)
+        out.append({
+            "word": list(word),
+            "verdict": "forced_zero" if verdict.forced_zero else "unconstrained",
+            "reason": verdict.reason,
+        })
+    return out
+
+
+def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
+           loop_text: str, fix_text: str, marks: list, chart_flag: str,
+           tol: float = 1e-10) -> dict:
+    """Roots of F = `f` of `g` in `var` tracked around a loop under a chart and
+    frozen values: the one stage of `track` and `analyze --track-loop`."""
+    chart = _parse_chart(chart_text, f, chart_flag)
+    loop = _parse_loop(loop_text)
+    basepoint = {}
+    for name, value in _parse_assignments(fix_text).items():
+        basepoint[name] = complex(value)
+        if not cmath.isfinite(basepoint[name]):
+            raise tracking.TrackingError(
+                f"frozen value {name}={value} must be finite")
+    fixed_fiber = [e.var for e in g.edges if e.var != var and e.var not in chart]
+    if fixed_fiber:
+        raise ValueError(f"fiber variables {fixed_fiber} not bound by {chart_flag}")
+    system = tracking.ParametricRootSystem(f.substitute(chart), var, basepoint, loop)
+    return tracking.track(system, [complex(z) for z in marks], tol=tol).describe()
+
+
+# -- subcommand handlers: each returns what `main` prints ---------------------------
+
+
+def _cmd_symanzik(args) -> dict:
+    g = _load_graph_arg(args.graph)
+    return _symanzik(g, graphs.symanzik_F(g))
+
+
+def _cmd_landau(args) -> list | dict:
+    if args.action == "oneloop":
+        comps = _oneloop_components(_load_graph_arg(args.graph), args.split)
+    elif args.action == "fixture":
+        comps = landau.fixture_landau(args.name)
+    else:  # eliminate
+        g = _load_graph_arg(args.graph)
+        f = graphs.symanzik_F(g)
+        chart = _parse_chart(args.chart, f, "--chart")
+        eliminant = landau.eliminate_critical_values(f, [e.var for e in g.edges], chart)
+        return {"eliminant": str(eliminant)}
+    return [c.describe() for c in comps]
+
+
+def _cmd_hierarchy(args) -> str | list | dict:
+    comps = _components_for(args)
+    rel = hierarchy.hierarchy_graph(comps)
+    if args.dot:
+        return hierarchy.to_dot(rel, comps)
+    if args.check:
+        return _verdicts(rel, comps, args.check)
+    return rel.describe()
+
+
+def _cmd_homrank(args) -> str:
+    sets = (_parse_index_set(text) for text in (args.I, args.J, args.K))
+    cfg = localhom.pinch_config(args.n, args.m, *sets)
+    return str(localhom.local_rank(cfg, args.degree, args.variant))
+
+
+def _cmd_signword(args) -> dict:
+    word = localhom.parse_word(args.word)
+    sign, canonical = localhom.normalize_word(word)
+    return {"sign": sign, "canonical": " ".join(str(op) for op in canonical)}
+
+
+def _cmd_variation(args) -> dict:
     model = _load_model_arg(args.model)
     if args.action == "table":
-        data = variation.model_to_json(model)
-        _emit(data, args.format)
-        return 0
+        return variation.model_to_json(model)
     if args.action == "compose":
         word = _split_word(args.word)
         matrix = variation.compose(model, word)
-        data = {
+        return {
             "word": list(word),
             "basis": list(model.basis),
             "matrix": [[str(x) for x in row] for row in matrix],
-            "images": {
-                label: {
-                    model.basis[i]: str(matrix[i][j])
-                    for i in range(len(model.basis))
-                    if matrix[i][j] != 0
-                }
-                for j, label in enumerate(model.basis)
-            },
+            "images": {label: {b: str(matrix[i][j]) for i, b in enumerate(model.basis)
+                               if matrix[i][j] != 0}
+                       for j, label in enumerate(model.basis)},
         }
-        _emit(data, args.format)
-        return 0
     # audit
-    report = variation.check_against_hierarchy(model, max_len=args.max_len)
-    _emit(report.describe(), args.format)
-    return 0 if report.ok else 1
+    return variation.check_against_hierarchy(model, max_len=args.max_len).describe()
 
 
 # The Aomoto commands grow factorially with the weight n and refuse a weight
@@ -293,119 +308,52 @@ def _check_aomoto_budget(n: int, action: str) -> None:
         )
 
 
-def _cmd_aomoto(args) -> int:
+def _cmd_aomoto(args) -> str | list | dict:
     _check_aomoto_budget(args.n, args.action)
     if args.action == "symbol":
         words = aomoto_mod.aomoto_symbol(args.n)
-        if args.format == "json":
-            data = [
-                {
-                    "sign": w.sign,
-                    "letters": [
-                        {"I": sorted(I), "J": sorted(J)} for I, J in w.letters
-                    ],
-                }
-                for w in words
-            ]
-            print(json.dumps(data, indent=2, sort_keys=True))
-        else:
-            for w in words:
-                print(str(w))
-        return 0
+        if args.format == "text":
+            return [str(w) for w in words]
+        return [
+            {"sign": w.sign,
+             "letters": [{"I": sorted(I), "J": sorted(J)} for I, J in w.letters]}
+            for w in words
+        ]
     if args.action == "components":
-        comps = aomoto_mod.aomoto_components(args.n)
-        _emit([c.describe() for c in comps], args.format)
-        return 0
+        return [c.describe() for c in aomoto_mod.aomoto_components(args.n)]
     # hierarchy
     rel = aomoto_mod.aomoto_edges(args.n)
     if args.dot:
-        print(hierarchy.to_dot(rel, aomoto_mod.aomoto_components(args.n)))
-        return 0
-    _emit({"nodes": list(rel.nodes), "edges": hierarchy.edges_json(rel)}, args.format)
-    return 0
+        return hierarchy.to_dot(rel, aomoto_mod.aomoto_components(args.n))
+    return rel.describe()
 
 
-def _parse_loop(text: str) -> tracking.Loop:
-    name, _, rest = text.partition(":")
-    if not rest:
-        raise ValueError("loop spec must look like psq:center=9,r=0.1")
-    opts = _parse_assignments(rest)
-    return tracking.Loop(
-        parameter=name,
-        center=complex(opts.get("center", "0")),
-        radius=float(opts.get("r", opts.get("radius", "0.1"))),
-        orientation=int(opts.get("orient", "1")),
-        steps=int(opts.get("steps", "256")),
-    )
+def _cmd_track(args) -> dict:
+    g = _load_graph_arg(args.graph)
+    return _track(g, graphs.symanzik_F(g), args.chart, args.var, args.loop, args.fix,
+                  args.mark, "--chart", tol=args.tol)
 
 
-def _root_system(g: graphs.FeynmanGraph, chart_text: str, var: str, loop_text: str,
-                 fix_text: str, chart_flag: str) -> tracking.ParametricRootSystem:
-    """The root family of F(g) in `var` under a chart, a loop and frozen
-    values: the one set-up of `track` and `analyze --track-loop`."""
-    f = graphs.symanzik_F(g)
-    chart = _parse_chart(chart_text, f, chart_flag)
-    f = f.substitute(chart)
-    loop = _parse_loop(loop_text)
-    basepoint = {}
-    for name, value in _parse_assignments(fix_text).items():
-        basepoint[name] = complex(value)
-        if not cmath.isfinite(basepoint[name]):
-            raise tracking.TrackingError(
-                f"frozen value {name}={value} must be finite")
-    fixed_fiber = [e.var for e in g.edges if e.var != var and e.var not in chart]
-    if fixed_fiber:
-        raise ValueError(f"fiber variables {fixed_fiber} not bound by {chart_flag}")
-    return tracking.ParametricRootSystem(f, var, basepoint, loop)
-
-
-def _cmd_track(args) -> int:
-    system = _root_system(_load_graph_arg(args.graph), args.chart, args.var,
-                          args.loop, args.fix, "--chart")
-    marks = [complex(z) for z in args.mark]
-    result = tracking.track(system, marks, tol=args.tol)
-    _emit(result.describe(), args.format)
-    return 0
-
-
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
+    """Every stage of the chain, side by side, in the order that decides which
+    of several bad inputs is reported: components, audit, track, verdicts."""
     g = _load_graph_arg(args.graph)
     comps = _oneloop_components(g, split=True)
-    audit = None
-    if args.audit:
-        audit = variation.check_against_hierarchy(_load_model_arg(args.audit)).describe()
-    track_result = None
-    if args.track_loop:
-        system = _root_system(g, args.track_chart, args.track_var, args.track_loop,
-                              args.track_fix, "--track-chart")
-        marks = [complex(z) for z in args.track_mark]
-        track_result = tracking.track(system, marks).describe()
-    report = analyze_graph(g, comps, [(w, _split_word(w)) for w in args.check],
-                           audit=audit, track_result=track_result)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
-def analyze_graph(g: graphs.FeynmanGraph, comps: list, checks=(), audit=None,
-                  track_result=None) -> dict:
-    """Chained analysis: Symanzik polynomials, the Landau components `comps`
-    of `g`, hierarchy, and oracle verdicts for any requested words."""
+    audit = (variation.check_against_hierarchy(_load_model_arg(args.audit)).describe()
+             if args.audit else None)
+    f = graphs.symanzik_F(g)
+    track = (_track(g, f, args.track_chart, args.track_var, args.track_loop,
+                    args.track_fix, args.track_mark, "--track-chart")
+             if args.track_loop else None)
     rel = hierarchy.hierarchy_graph(comps)
-    words = [_verdict_json(rel, comps, word) for _, word in checks]
     return {
         "graph": _graph_summary(g),
-        "symanzik": {
-            "U": str(graphs.symanzik_U(g)),
-            "F": str(graphs.symanzik_F(g)),
-        },
+        "symanzik": _symanzik(g, f),
         "landau": [c.describe() for c in comps],
-        "hierarchy": {
-            "nodes": list(rel.nodes),
-            "edges": hierarchy.edges_json(rel),
-        },
-        "words": words,
+        "hierarchy": rel.describe(),
+        "words": _verdicts(rel, comps, args.check),
         "audit": audit,
-        "track": track_result,
+        "track": track,
     }
 
 
@@ -513,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track-var", default="", help="fiber variable for --track-loop")
     p.add_argument("--track-fix", default="", help="frozen parameters for --track-loop")
     p.add_argument("--track-mark", action="append", default=[])
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, format="json")
 
     return parser
 
@@ -529,10 +477,17 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        return args.func(args)
+        data = args.func(args)
+        if isinstance(data, str):  # DOT output or a rank, printed as it is
+            print(data)
+        else:
+            _emit(data, args.format)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # an audit that finds a violation prints its report and fails
+    audit = args.command == "variation" and args.action == "audit"
+    return 1 if audit and data["violations"] else 0
 
 
 if __name__ == "__main__":

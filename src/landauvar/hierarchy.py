@@ -46,6 +46,10 @@ class HierarchyRelation:
     def reachability(self) -> dict:
         return {v: self.reachable_from(v) for v in self.nodes}
 
+    def describe(self) -> dict:
+        return {"nodes": list(self.nodes),
+                "edges": [[s, t] for s, t in self.sorted_edges()]}
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -175,7 +179,3 @@ def to_dot(rel: HierarchyRelation, components=None) -> str:
         lines.append(f'    "{s}" -> "{t}";')
     lines.append("}")
     return "\n".join(lines)
-
-
-def edges_json(rel: HierarchyRelation) -> list:
-    return [[s, t] for s, t in rel.sorted_edges()]

@@ -89,11 +89,10 @@ class LandauComponent:
 
 @dataclass(frozen=True)
 class OneLoopMatrices:
-    """Gram matrix M, its massless part S and the bordered Cayley matrix S'."""
+    """Gram matrix M and the bordered Cayley matrix S' of its massless part."""
 
     edge_order: tuple          # edge ids along the cycle
     M: PolyMatrix
-    S: PolyMatrix
     Sprime: PolyMatrix
     s_names: dict              # (i, j) 1-based positions -> invariant variable
     channel_substitution: dict  # s variable -> Polynomial in channel symbols
@@ -175,7 +174,6 @@ def gram_matrix(g: FeynmanGraph) -> OneLoopMatrices:
     return OneLoopMatrices(
         edge_order=tuple(e.id for e in edges),
         M=PolyMatrix(m_rows),
-        S=PolyMatrix(s_rows),
         Sprime=PolyMatrix(sp_rows),
         s_names=s_names,
         channel_substitution=subst,

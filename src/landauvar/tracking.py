@@ -52,10 +52,6 @@ class Loop:
             2j * cmath.pi * self.orientation * self.turns * theta
         )
 
-    def reversed(self) -> "Loop":
-        return Loop(self.parameter, self.center, self.radius,
-                    -self.orientation, self.steps, self.turns)
-
 
 @dataclass(frozen=True)
 class ParametricRootSystem:

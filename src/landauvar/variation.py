@@ -58,12 +58,12 @@ def matrix_from_images(images) -> tuple:
 
 
 def zero_matrix(size: int) -> tuple:
-    return tuple((Fraction(0),) * size for _ in range(size))
+    return tuple((0,) * size for _ in range(size))
 
 
 def identity_matrix(size: int) -> tuple:
     return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(size)) for i in range(size)
+        tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
     )
 
 
@@ -74,7 +74,7 @@ def mat_mul(a: tuple, b: tuple) -> tuple:
     for i in range(size):
         row = []
         for j in range(size):
-            acc = Fraction(0)
+            acc = 0
             for k in range(size):
                 x, y = a[i][k], b[k][j]
                 if x == 0 or y == 0:
@@ -91,7 +91,7 @@ def mat_mul(a: tuple, b: tuple) -> tuple:
 def mat_vec(a: tuple, v: tuple) -> tuple:
     out = []
     for i in range(len(a)):
-        acc = Fraction(0)
+        acc = 0
         for k in range(len(v)):
             x, y = a[i][k], v[k]
             if x == 0 or y == 0:

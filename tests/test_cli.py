@@ -743,3 +743,89 @@ def test_cli_contract_holds_on_malformed_input(tmp_path_factory, case):
     assert code in (0, 1, 2), (argv, err)
     assert "Traceback" not in err
     assert sum("error:" in line for line in err.splitlines()) <= 1, (argv, err)
+
+
+# -- one stage pipeline: `analyze` sections are the subcommands' outputs -------------
+
+TRACK_OPTIONS = {"loop": "psq:center=9,r=0.1", "chart": "x1=1", "var": "x2",
+                 "fix": "m1sq=1,m2sq=4", "mark": "0"}
+
+
+def analyze_argv(graph, checks, audit=None, track=False):
+    argv = ["analyze", graph]
+    for word in checks:
+        argv += ["--check", word]
+    if audit:
+        argv += ["--audit", audit]
+    if track:
+        for name, value in TRACK_OPTIONS.items():
+            argv += [f"--track-{name}", value]
+    return argv
+
+
+@pytest.mark.parametrize("graph, checks, audit, track", [
+    ("bubble", ["lF/1,lF+", "lFU"], "bubble", True),
+    ("triangle", ["lF/1,lF", "lFU/2,lFU"], None, False),
+])
+def test_analyze_sections_equal_the_subcommand_outputs(capsys, graph, checks, audit,
+                                                        track):
+    def subcommand(*argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0 and err == "", argv
+        return json.loads(out)
+
+    code, out, err = run_cli(capsys, *analyze_argv(graph, checks, audit, track))
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["symanzik"] == subcommand("symanzik", graph)
+    assert report["landau"] == subcommand("landau", "oneloop", graph, "--split")
+    assert report["hierarchy"] == subcommand("hierarchy", "--graph", graph)
+    check_args = [arg for word in checks for arg in ("--check", word)]
+    assert report["words"] == subcommand("hierarchy", "--graph", graph, *check_args)
+    assert report["audit"] == (audit and subcommand("variation", "audit", audit))
+    if track:
+        track_args = [arg for name, value in TRACK_OPTIONS.items()
+                      for arg in (f"--{name}", value)]
+        assert report["track"] == subcommand("track", graph, *track_args)
+    else:
+        assert report["track"] is None
+
+
+def test_analyze_runs_each_stage_once(capsys, monkeypatch):
+    from landauvar import graphs, hierarchy, landau, tracking, variation
+
+    calls = {}
+    for module, name in [(graphs, "symanzik_F"), (landau, "oneloop_landau"),
+                         (hierarchy, "hierarchy_graph"),
+                         (variation, "check_against_hierarchy"), (tracking, "track")]:
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_cli(capsys, *analyze_argv("bubble", ["lF/1,lF+"], "bubble", True))
+    assert code == 0
+    assert calls == {"symanzik_F": 1, "oneloop_landau": 1, "hierarchy_graph": 1,
+                     "check_against_hierarchy": 1, "track": 1}
+
+
+def readme_commands():
+    """The argv of each command in the README's "Command line" block."""
+    import shlex
+    from pathlib import Path
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_commands_run_cleanly(tmp_path, capsys):
+    path = tmp_path / "mygraph.json"
+    path.write_text(json.dumps(bubble_document()))
+    commands = readme_commands()
+    assert len(commands) == 16
+    for argv in commands:
+        argv = [str(path) if arg == "mygraph.json" else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and out and err == "", argv

@@ -11,7 +11,9 @@ signed sum over all such chains.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
+from operator import getitem
 
 from .hierarchy import HierarchyRelation
 from .landau import LINEAR, LandauComponent
@@ -104,10 +106,16 @@ class SignedWord:
         return tuple(component_id(I, J) for I, J in reversed(self.letters))
 
     def __str__(self):
-        body = " (x) ".join(
-            f"a[{_digits(I)}|{_digits(J)}]" for I, J in self.letters
-        )
+        body = " (x) ".join(map(_letter_text, self.letters))
         return ("+" if self.sign > 0 else "-") + " " + body
+
+
+@cache
+def _letter_text(letter) -> str:
+    # memoised: the ((n+1)!)^2 words of weight n share far fewer letters
+    # (250 at weight 4 against 57600 letter places)
+    I, J = letter
+    return f"a[{_digits(I)}|{_digits(J)}]"
 
 
 def chain_sets(n: int, sigma, tau) -> list:
@@ -124,16 +132,26 @@ def chain_sets(n: int, sigma, tau) -> list:
 
 def aomoto_symbol(n: int) -> list:
     """The ((n+1)!)^2 signed words of length n, sorted by (sigma, tau); the
-    identity pair is normalized to sign +1."""
+    identity pair is normalized to sign +1.  Word (sigma, tau) is the chain
+    `chain_sets(n, sigma, tau)` read from k = n down to k = 1, signed by
+    `maximal_chain_value`; each permutation's parity and index sets, and each
+    letter (I, J), are built once and shared by all the words that use them."""
     if n < 1:
         raise AomotoError("weight must be at least 1")
-    words = []
-    for sigma in permutations(range(n + 1)):
-        for tau in permutations(range(n + 1)):
-            sets = chain_sets(n, sigma, tau)
-            letters = tuple(reversed(sets))  # leftmost letter is k = n
-            words.append(SignedWord(_parity(sigma) * _parity(tau), letters))
-    return words
+    perms = list(permutations(range(n + 1)))
+    ks = range(n, 0, -1)  # leftmost letter is k = n
+    sets = {}  # one frozenset per index set
+
+    def index_set(indices):
+        s = frozenset(indices)
+        return sets.setdefault(s, s)
+
+    grows = [(_parity(p), [index_set(p[:k]) for k in ks]) for p in perms]
+    shrinks = [(_parity(p), tuple(index_set(p[k:]) for k in ks)) for p in perms]
+    letter = {I: {J: (I, J) for J in sets} for I in sets}  # one tuple per letter
+    rows = [(ps, [letter[I] for I in Is]) for ps, Is in grows]
+    return [SignedWord(ps * pt, tuple(map(getitem, row, Js)))
+            for ps, row in rows for pt, Js in shrinks]
 
 
 def _check_perm(n: int, perm):

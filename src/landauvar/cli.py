@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import sys
@@ -26,7 +27,13 @@ _DOMAIN_ERRORS = (ValueError, OSError)
 
 def _emit(data, fmt: str):
     if fmt == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
+        # written in pieces of many chunks: the whole text of a large document
+        # is never held at once, and an unbuffered stdout is not written to
+        # once per chunk
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
+        while piece := "".join(itertools.islice(chunks, 65536)):
+            sys.stdout.write(piece)
+        print()
     else:
         _emit_text(data)
 
@@ -54,9 +61,33 @@ def _emit_text(data, indent=0):
 
 def _load_graph_arg(source: str) -> graphs.FeynmanGraph:
     if source in graphs.BUILTIN_GRAPHS:
-        return graphs.BUILTIN_GRAPHS[source]()
-    with open(source, "r", encoding="utf-8") as fh:
-        return graphs.load_graph(json.load(fh))
+        g = graphs.BUILTIN_GRAPHS[source]()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            g = graphs.load_graph(json.load(fh))
+    _check_symanzik_budget(g)
+    return g
+
+
+# U sums over the tau(G) spanning trees and F over at most tau(G) * (|V| - 1)
+# spanning 2-forests (a tree less one edge) plus tau(G) * |E| mass terms, so
+# tau(G) * (|V| - 1 + |E|) bounds the terms of both.  Every graph command
+# refuses a graph over this many terms before it enumerates a forest; tau(G)
+# itself takes a (|V| - 1)-square determinant.  `symanzik` takes about 5 s on
+# the 6-loop ladder (93152 terms); the 7-loop ladder (401968) and K7 (453789,
+# about 22 s) are refused.
+SYMANZIK_TERM_BUDGET = 150000
+
+
+def _check_symanzik_budget(g: graphs.FeynmanGraph) -> None:
+    trees = g.spanning_tree_count()
+    terms = trees * (len(g.vertices) - 1 + len(g.edges))
+    if terms > SYMANZIK_TERM_BUDGET:
+        raise graphs.GraphError(
+            f"graph with {trees} spanning trees, {len(g.vertices)} vertices and"
+            f" {len(g.edges)} edges is over the budget of {SYMANZIK_TERM_BUDGET}"
+            f" Symanzik terms: tau(G) * (|V| - 1 + |E|) = {terms}"
+        )
 
 
 def _graph_summary(g: graphs.FeynmanGraph) -> dict:
@@ -176,8 +207,11 @@ def _load_model_arg(source: str) -> variation.VariationModel:
 # (a stage that is one library call is called directly)
 
 
-def _symanzik(g: graphs.FeynmanGraph, f: Polynomial) -> dict:
-    return {"U": str(graphs.symanzik_U(g)), "F": str(f)}
+def _symanzik(g: graphs.FeynmanGraph) -> tuple:
+    """F of `g`, and U and F as printed; the spanning trees are enumerated once."""
+    u = graphs.symanzik_U(g)
+    f = graphs.symanzik_F(g, u)
+    return f, {"U": str(u), "F": str(f)}
 
 
 def _verdicts(rel, comps, texts) -> list:
@@ -218,8 +252,7 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
 
 
 def _cmd_symanzik(args) -> dict:
-    g = _load_graph_arg(args.graph)
-    return _symanzik(g, graphs.symanzik_F(g))
+    return _symanzik(_load_graph_arg(args.graph))[1]
 
 
 def _cmd_landau(args) -> list | dict:
@@ -279,7 +312,9 @@ def _cmd_variation(args) -> dict:
 
 # The Aomoto commands grow factorially with the weight n and refuse a weight
 # over budget before building anything: `symbol` builds ((n+1)!)^2 words
-# (weight 5 is the largest accepted), `components` lists C(2n+2, n+1)
+# (weight 5, the largest accepted, prints in 3-5 s and 190 MB peak RSS as
+# text, 46 s and 285 MB as JSON; weight 6 would build 49x more words),
+# `components` lists C(2n+2, n+1)
 # components (weight 7, 1.6 s) and `hierarchy`, also `hierarchy --aomoto`,
 # compares C(2n+2, n+1)^2 pairs (weight 6, 3-5 s; weight 7 takes 14x longer).
 SYMBOL_WORD_BUDGET = 518400
@@ -314,11 +349,11 @@ def _cmd_aomoto(args) -> str | list | dict:
         words = aomoto_mod.aomoto_symbol(args.n)
         if args.format == "text":
             return [str(w) for w in words]
-        return [
-            {"sign": w.sign,
-             "letters": [{"I": sorted(I), "J": sorted(J)} for I, J in w.letters]}
-            for w in words
-        ]
+        # one record per distinct letter, shared by all its words
+        letters = {letter for w in words for letter in w.letters}
+        records = {(I, J): {"I": sorted(I), "J": sorted(J)} for I, J in letters}
+        return [{"sign": w.sign, "letters": [records[l] for l in w.letters]}
+                for w in words]
     if args.action == "components":
         return [c.describe() for c in aomoto_mod.aomoto_components(args.n)]
     # hierarchy
@@ -341,14 +376,14 @@ def _cmd_analyze(args) -> dict:
     comps = _oneloop_components(g, split=True)
     audit = (variation.check_against_hierarchy(_load_model_arg(args.audit)).describe()
              if args.audit else None)
-    f = graphs.symanzik_F(g)
+    f, symanzik = _symanzik(g)
     track = (_track(g, f, args.track_chart, args.track_var, args.track_loop,
                     args.track_fix, args.track_mark, "--track-chart")
              if args.track_loop else None)
     rel = hierarchy.hierarchy_graph(comps)
     return {
         "graph": _graph_summary(g),
-        "symanzik": _symanzik(g, f),
+        "symanzik": symanzik,
         "landau": [c.describe() for c in comps],
         "hierarchy": rel.describe(),
         "words": _verdicts(rel, comps, args.check),

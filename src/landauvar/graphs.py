@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .poly import Polynomial
 
@@ -141,6 +142,38 @@ class FeynmanGraph:
         rec(0, components(self.vertices, ()), [])
         return sorted(out, key=lambda fs: sorted(fs[0]))
 
+    def spanning_tree_count(self) -> int:
+        """tau(G), the number of spanning trees, by Kirchhoff's matrix-tree
+        theorem: the determinant of the Laplacian with the first vertex's row
+        and column removed, by Fraction elimination.  Self-loops lie in no
+        tree; parallel edges count with their multiplicity."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        n = len(self.vertices) - 1
+        lap = [[0] * (n + 1) for _ in range(n + 1)]
+        for e in self.edges:
+            a, b = index[e.ends[0]], index[e.ends[1]]
+            if a != b:
+                lap[a][a] += 1
+                lap[b][b] += 1
+                lap[a][b] -= 1
+                lap[b][a] -= 1
+        m = [[Fraction(x) for x in row[1:]] for row in lap[1:]]
+        det = Fraction(1)
+        for c in range(n):
+            pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
+            if pivot is None:
+                return 0
+            if pivot != c:
+                m[c], m[pivot] = m[pivot], m[c]
+                det = -det
+            det *= m[c][c]
+            for r in range(c + 1, n):
+                if m[r][c] != 0:  # zero in most rows of a sparse graph
+                    factor = m[r][c] / m[c][c]
+                    for j in range(c, n):
+                        m[r][j] -= factor * m[c][j]
+        return int(det)
+
     def __repr__(self):
         return (f"FeynmanGraph(|V|={len(self.vertices)}, |E|={len(self.edges)}, "
                 f"h1={self.loop_number})")
@@ -157,8 +190,10 @@ def symanzik_U(g: FeynmanGraph) -> Polynomial:
     return sum((_product_outside(g, tree) for tree, _ in trees), Polynomial())
 
 
-def symanzik_F(g: FeynmanGraph) -> Polynomial:
-    """Second Symanzik polynomial F = F0 + U * sum_e m_e^2 x_e."""
+def symanzik_F(g: FeynmanGraph, u: Polynomial | None = None) -> Polynomial:
+    """Second Symanzik polynomial F = F0 + U * sum_e m_e^2 x_e; a caller that
+    already holds U = symanzik_U(g) passes it as `u`, so that the spanning
+    trees are not enumerated again."""
     f0 = Polynomial()
     for forest, side in g.spanning_forests(2):
         sym = g.channel_symbol(frozenset(p for v, p in g.legs if v in side))
@@ -166,7 +201,7 @@ def symanzik_F(g: FeynmanGraph) -> Polynomial:
             f0 = f0 - Polynomial.var(sym) * _product_outside(g, forest)
     mass_part = sum((Polynomial.var(e.mass_sq) * Polynomial.var(e.var) for e in g.edges),
                     Polynomial())
-    return f0 + symanzik_U(g) * mass_part
+    return f0 + (symanzik_U(g) if u is None else u) * mass_part
 
 
 def contract(g: FeynmanGraph, edge_ids) -> FeynmanGraph:

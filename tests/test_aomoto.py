@@ -6,6 +6,7 @@ import pytest
 
 from landauvar.aomoto import (
     AomotoError,
+    SignedWord,
     aomoto_components,
     aomoto_edges,
     aomoto_symbol,
@@ -133,6 +134,19 @@ def test_longer_words_forced_zero_sampled_n2():
     for _ in range(300):
         word = tuple(rng.choice(ids) for _ in range(n + 1))
         assert word_vanishes(rel, comps, word).forced_zero, word
+
+
+def test_symbol_equals_the_per_pair_construction():
+    # `aomoto_symbol` builds its words from per-permutation tables; the
+    # per-pair chain and chain value are the oracle, word by word in order
+    for n in (1, 2, 3, 4):
+        perms = list(itertools.permutations(range(n + 1)))
+        expected = [
+            SignedWord(maximal_chain_value(n, sigma, tau).sign,
+                       tuple(reversed(chain_sets(n, sigma, tau))))
+            for sigma in perms for tau in perms
+        ]
+        assert aomoto_symbol(n) == expected
 
 
 def test_chain_value_signs_match_symbol():

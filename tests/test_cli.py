@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 from importlib import resources
 
@@ -260,6 +261,25 @@ def test_aomoto_symbol_over_budget_is_refused_before_building(capsys, monkeypatc
     assert "1625702400 words" in err and "518400" in err
 
 
+# SHA-256 of the stdout of `aomoto symbol` as first printed by the per-pair
+# construction; the per-permutation tables must print the same bytes
+SYMBOL_DIGESTS = {
+    ("3", "text"): "6f8e1f43e9cad5c5d39840e8db6a76da1d6c664d3888b031856bf92e1296150a",
+    ("3", "json"): "e2cfe28de2577c79691cf85ecd85c5fb1bc4bb9b0202fe0f7eb74c1c2659fca0",
+    ("4", "text"): "b3bb66bff20ab2df935db3c76fec7e74522243265a314d907dbe85ba87d1d1e6",
+    ("4", "json"): "7b1d1fadf32fcceb61051b31b1ef279dfac5751c0189868e80b01ba44ab8be2d",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(SYMBOL_DIGESTS))
+def test_aomoto_symbol_prints_the_recorded_bytes(capsys, n, fmt):
+    import hashlib
+
+    code, out, _ = run_cli(capsys, "aomoto", "symbol", "--n", n, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SYMBOL_DIGESTS[n, fmt]
+
+
 def fresh_process_stdout(*argv):
     import os
     import subprocess
@@ -409,6 +429,75 @@ def test_oneloop_edge_budget_admits_eight_edges(tmp_path, capsys, monkeypatch):
                            "--format", "json")
     assert code == 0 and json.loads(out) == []
     assert len(reached) == 1 and len(reached[0].edges) == 8
+
+
+def write_graph(tmp_path, name, vertices, pairs):
+    """A graph document with the given edges and two legs, written to a file."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({
+        "vertices": vertices,
+        "edges": [{"id": str(k + 1), "ends": list(ends), "mass": f"m{k + 1}",
+                   "var": f"x{k + 1}"} for k, ends in enumerate(pairs)],
+        "legs": [{"vertex": vertices[0], "momentum": "p1"},
+                 {"vertex": vertices[-1], "momentum": "p2"}],
+        "channels": {"p1": "psq"},
+    }))
+    return str(path)
+
+
+def ladder(loops):
+    """The planar ladder of `loops` boxes in a row."""
+    top = [f"a{k}" for k in range(loops + 1)]
+    bottom = [f"b{k}" for k in range(loops + 1)]
+    pairs = (list(zip(top, top[1:])) + list(zip(bottom, bottom[1:]))
+             + list(zip(top, bottom)))
+    return top + bottom, pairs
+
+
+def test_symanzik_budget_refuses_before_any_forest(tmp_path, capsys, monkeypatch):
+    from landauvar import graphs
+
+    def no_forests(self, k):
+        raise AssertionError("spanning_forests started")
+
+    monkeypatch.setattr(graphs.FeynmanGraph, "spanning_forests", no_forests)
+    vertices = [f"v{k}" for k in range(7)]
+    k7 = write_graph(tmp_path, "k7", vertices, list(itertools.combinations(vertices, 2)))
+    for argv in graph_commands(k7):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == "", argv
+        assert_clean_error(code, err)
+        assert "16807 spanning trees" in err and "budget of 150000" in err, argv
+        assert "(|V| - 1 + |E|) = 453789" in err
+
+
+def test_symanzik_budget_admits_the_six_loop_ladder(tmp_path, capsys, monkeypatch):
+    from pathlib import Path
+
+    from landauvar import graphs
+
+    reached = []
+    monkeypatch.setattr(graphs, "symanzik_U", lambda g: reached.append(g) or parse("1"))
+    monkeypatch.setattr(graphs, "symanzik_F", lambda g, u=None: parse("1"))
+    for loops, trees in ((6, 2911), (7, 10864)):
+        path = write_graph(tmp_path, f"ladder{loops}", *ladder(loops))
+        code, _, err = run_cli(capsys, "symanzik", path)
+        assert (code == 0) == (loops == 6)
+        assert graphs.load_graph(json.loads(Path(path).read_text())
+                                 ).spanning_tree_count() == trees
+    assert "10864 spanning trees" in err
+    assert len(reached) == 1
+
+
+@pytest.mark.parametrize("argv", [["symanzik", "bubble"], ["analyze", "bubble"]])
+def test_symanzik_and_analyze_enumerate_the_trees_once(capsys, monkeypatch, argv):
+    from landauvar import graphs
+
+    calls = []
+    real = graphs.symanzik_U
+    monkeypatch.setattr(graphs, "symanzik_U", lambda g: calls.append(g) or real(g))
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(calls) == 1
 
 
 def test_chart_errors_name_the_option_variable_and_value(capsys):

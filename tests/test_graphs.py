@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -142,36 +141,6 @@ def contract_oracle(g, ids):
     return vertices, edges, tuple((remap[v], p) for v, p in g.legs)
 
 
-def tree_count(g):
-    """Matrix-tree theorem: the determinant of the Laplacian with the first
-    row and column removed, by Fraction elimination (self-loops ignored)."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices) - 1
-    lap = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for e in g.edges:
-        a, b = index[e.ends[0]], index[e.ends[1]]
-        if a != b:
-            lap[a][a] += 1
-            lap[b][b] += 1
-            lap[a][b] -= 1
-            lap[b][a] -= 1
-    m = [row[1:] for row in lap[1:]]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            factor = m[r][c] / m[c][c]
-            for j in range(c, n):
-                m[r][j] -= factor * m[c][j]
-    return det
-
-
 @st.composite
 def connected_multigraphs(draw):
     """Connected multigraphs on 1-6 shuffled vertices: a random spanning tree
@@ -198,7 +167,7 @@ def test_spanning_forests_agree_with_the_oracles(g, data):
     assert g.spanning_forests(1) == forests_oracle(g, 1)
     assert g.spanning_forests(2) == forests_oracle(g, 2)
     assert g.spanning_forests(3) == forests_oracle(g, 3)
-    assert len(trees(g)) == tree_count(g)
+    assert len(trees(g)) == g.spanning_tree_count()
     first = g.vertices[0]
     for forest, side in g.spanning_forests(1):
         assert side == frozenset(g.vertices) and len(forest) == len(g.vertices) - 1

@@ -49,12 +49,17 @@ def _emit_text(data, indent=0):
             else:
                 print(f"{pad}{key}: {value}")
     elif isinstance(data, list):
-        for value in data:
-            if isinstance(value, (dict, list)):
-                _emit_text(value, indent)
-                print()
+        # a run of scalars is written in pieces of many lines, like `_emit`: a
+        # long list is never held as one text, nor written once per line
+        for nested, run in itertools.groupby(data, lambda v: isinstance(v, (dict, list))):
+            if nested:
+                for value in run:
+                    _emit_text(value, indent)
+                    print()
             else:
-                print(f"{pad}{value}")
+                lines = (f"{pad}{value}\n" for value in run)
+                while piece := "".join(itertools.islice(lines, 65536)):
+                    sys.stdout.write(piece)
     else:
         print(f"{pad}{data}")
 

@@ -602,6 +602,16 @@ def test_non_finite_tracking_input_is_a_clean_error(capsys):
         (analyze + ["--track-loop", "psq:center=9,r=0.1",
                     "--track-fix", "m1sq=1,m2sq=-inf"],
          "frozen value m2sq=-inf must be finite"),
+        (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4", "--mark", "inf"],
+         "marked point (inf+0j) must be finite"),
+        (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4", "--mark", "nan"],
+         "marked point (nan+0j) must be finite"),
+        (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4",
+                  "--mark", "0", "--mark", "1e400"],
+         "marked point (inf+0j) must be finite"),
+        (analyze + ["--track-loop", "psq:center=9,r=0.1", "--track-fix", "m1sq=1,m2sq=4",
+                    "--track-mark", "nan"],
+         "marked point (nan+0j) must be finite"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -654,6 +664,16 @@ def test_overflowing_tracking_input_is_a_clean_error(capsys):
         assert out == ""
         assert_clean_error(code, err)
         assert "out of floating-point range" in err, argv
+
+
+def test_root_on_a_marked_point_is_a_clean_error(capsys):
+    # with m1sq = 0, x2 = 0 is a root at every point of the loop
+    code, out, err = run_cli(capsys, "track", "bubble", "--chart", "x1=1", "--var", "x2",
+                             "--loop", "psq:center=9,r=1", "--fix", "m1sq=0,m2sq=4",
+                             "--mark", "0")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "a root lies on the marked point 0j" in err
 
 
 def test_loop_over_step_budget_is_refused_before_tracking(capsys, monkeypatch):
@@ -813,6 +833,8 @@ def cli_cases(draw):
 @example(case=(None, TRACK + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=1e400"]))
 @example(case=(None, TRACK + ["--loop", "psq:center=9,r=0.1,steps=99999999999999999999",
                               "--fix", "m1sq=1,m2sq=4"]))
+@example(case=(None, TRACK + ["--loop", "psq:center=9,r=1", "--fix", "m1sq=0,m2sq=4",
+                              "--mark", "0"]))
 @example(case=(None, ["hierarchy", "--aomoto", "7"]))
 @example(case=(None, ["aomoto", "hierarchy", "--n", "7"]))
 @example(case=(None, ["variation", "audit", "massless-triangle", "--max-len", "100000"]))

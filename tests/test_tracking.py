@@ -1,5 +1,8 @@
+import cmath
 import re
 from fractions import Fraction
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from landauvar.tracking import (
     Loop,
     ParametricRootSystem,
     TrackingError,
+    TrackResult,
     _newton,
     compile_coefficients,
     track,
@@ -233,3 +237,178 @@ def test_discriminant_threshold_is_scale_invariant():
                for factor in (Fraction(1, 10**6), 1, 10**6)]
     assert all(r.permutation == (1, 0) for r in results)
     assert all(r.windings == results[0].windings for r in results)
+
+
+def test_root_on_a_marked_point_is_refused():
+    # with m1sq = 0, x2 = 0 is a root of the bubble family at every psq
+    sys = ParametricRootSystem(bubble_family(), "x2", {"m1sq": 0, "m2sq": 4},
+                               Loop("psq", 9, 1))
+    with pytest.raises(TrackingError, match=r"a root lies on the marked point 0j"):
+        track(sys, marked=[0])
+    assert track(sys, marked=[1]).permutation == (0, 1)
+
+
+def test_non_finite_marked_point_is_refused():
+    sys = ParametricRootSystem(bubble_family(), "x2", {"m1sq": 1, "m2sq": 4},
+                               Loop("psq", 9, 0.1))
+    for z, shown in [(float("inf"), "(inf+0j)"), (complex(0, float("nan")), "nanj"),
+                     (complex("1e400"), "(inf+0j)"), (complex(1, float("-inf")), "(1-infj)")]:
+        with pytest.raises(TrackingError, match=re.escape(f"marked point {shown} must be finite")):
+            track(sys, marked=[0, z])
+
+
+# -- the step loop against the straightforward one it replaced -----------------------
+
+
+def reference_track(sys, marked=(), tol=1e-10, disc_threshold=1e-8) -> TrackResult:
+    """Root tracking written plainly, one closure call per step: the oracle
+    that `track` must match bit for bit."""
+    coeff_polys = sys.coefficient_polys()
+    if len(coeff_polys) < 2:
+        raise TrackingError("family must have positive degree in the fiber variable")
+    loop = sys.loop
+    params = dict(sys.basepoint)
+    expected_base = loop.point(0.0)
+    if loop.parameter in params:
+        if abs(params[loop.parameter] - expected_base) > 1e-9 * max(1.0, abs(expected_base)):
+            raise TrackingError("basepoint value disagrees with the loop at theta=0")
+    params[loop.parameter] = expected_base
+    coeffs_at = compile_coefficients(coeff_polys, params, loop.parameter)
+
+    def coeffs_at_theta(theta):
+        cs = coeffs_at(loop.point(theta))
+        scale = max(abs(c) for c in cs)
+        if abs(cs[-1]) <= 1e-12 * max(1.0, scale):
+            raise TrackingError(f"leading coefficient vanishes at theta={theta}")
+        return cs, scale
+
+    cs0, scale0 = coeffs_at_theta(0.0)
+    desc0 = cs0[::-1]
+    start = [complex(r) for r in np.roots(desc0)]
+    degree = len(start)
+    for r in start:
+        if _newton(desc0, (), r, 1e-6 * scale0, max_iter=0) is None:
+            raise TrackingError("basepoint roots failed the residual check")
+    lc = cs0[-1]
+    disc = lc ** (2 * degree - 2)
+    for i in range(degree):
+        for j in range(i + 1, degree):
+            disc *= (start[i] - start[j]) ** 2
+    if abs(disc) / scale0 ** (2 * degree - 2) <= disc_threshold:
+        raise TrackingError("basepoint lies too close to the Landau variety")
+
+    marked = [complex(z) for z in marked]
+    roots = list(start)
+    windings = [[0.0] * len(marked) for _ in range(degree)]
+    theta = 0.0
+    base_step = 1.0 / loop.steps
+    step = base_step
+    n_steps = 0
+    max_residual = 0.0
+    min_sep = min(
+        abs(a - b) for i, a in enumerate(start) for b in start[i + 1:]
+    ) if degree > 1 else float("inf")
+
+    while theta < 1.0 - 1e-15:
+        h = min(step, 1.0 - theta)
+        target = theta + h
+        cs, scale = coeffs_at_theta(target)
+        desc = cs[::-1]
+        ddesc = [(k + 1) * c for k, c in enumerate(cs[1:])][::-1]
+        bound = tol * scale
+        new_roots = []
+        ok = True
+        for r in roots:
+            corrected = _newton(desc, ddesc, r, bound)
+            if corrected is None:
+                ok = False
+                break
+            new_roots.append(corrected)
+        if ok and degree > 1:
+            sep = min(
+                abs(a[0] - b[0])
+                for i, a in enumerate(new_roots)
+                for b in new_roots[i + 1:]
+            )
+            if sep < 10 * tol:
+                ok = False
+            else:
+                move = max(abs(a[0] - b) for a, b in zip(new_roots, roots))
+                if move > 0.4 * sep:
+                    ok = False
+        if not ok:
+            step /= 2
+            if step < 1e-13:
+                raise TrackingError("step underflow: loop passes too near a singularity")
+            continue
+        for i, (val, res) in enumerate(new_roots):
+            max_residual = max(max_residual, res)
+            for k, z in enumerate(marked):
+                windings[i][k] += cmath.phase((val - z) / (roots[i] - z))
+        roots = [val for val, _ in new_roots]
+        theta = target
+        n_steps += 1
+        if step < base_step:
+            step = min(base_step, step * 2)
+
+    permutation = []
+    for i, r in enumerate(roots):
+        dists = sorted(range(degree), key=lambda j: abs(r - start[j]))
+        j = dists[0]
+        if degree > 1 and abs(r - start[j]) > 0.49 * min_sep:
+            raise TrackingError("root matching is ambiguous; refine the loop")
+        permutation.append(j)
+    if len(set(permutation)) != degree:
+        raise TrackingError("root collision: two tracked roots matched one start root")
+
+    int_windings = [
+        [round(w / (2 * cmath.pi)) for w in per_root] for per_root in windings
+    ]
+    return TrackResult(
+        permutation=tuple(permutation),
+        windings=int_windings,
+        steps=n_steps,
+        max_residual=max_residual,
+        start_roots=start,
+        end_roots=roots,
+    )
+
+
+def bubble_loop(frozen, *loop):
+    return ParametricRootSystem(bubble_family(), "x2", frozen, Loop(*loop))
+
+
+# the nine loop kinds of the monodromy benchmark on the bubble with m2sq = 4: in psq
+# (m1sq = 1, thresholds 9 and 1) and in m1sq (psq = 25, thresholds 49 and 9, and the
+# zero of the constant term at m1sq = 0, or psq = -1 for the winding loop)
+LOOP_KINDS = {
+    "psq-normal": bubble_loop({"m1sq": 1, "m2sq": 4}, "psq", 9, 2),
+    "psq-pseudo": bubble_loop({"m1sq": 1, "m2sq": 4}, "psq", 1, 2, -1),
+    "psq-both": bubble_loop({"m1sq": 1, "m2sq": 4}, "psq", 5, 6),
+    "psq-neither": bubble_loop({"m1sq": 1, "m2sq": 4}, "psq", 15, 2, -1, 512),
+    "m1sq-winding": bubble_loop({"m2sq": 4, "psq": -1}, "m1sq", 0, 2, 1, 1024),
+    "m1sq-normal": bubble_loop({"m2sq": 4, "psq": 25}, "m1sq", 49, 10),
+    "m1sq-pseudo": bubble_loop({"m2sq": 4, "psq": 25}, "m1sq", 9, 5, -1),
+    "m1sq-both": bubble_loop({"m2sq": 4, "psq": 25}, "m1sq", 29, 25, 1, 2048),
+    "m1sq-neither": bubble_loop({"m2sq": 4, "psq": 25}, "m1sq", 80, 10),
+}
+ORACLE_CASES = [(name, sys, [0]) for name, sys in LOOP_KINDS.items()] + [
+    ("halving", bubble_loop({"m1sq": 1, "m2sq": 4}, "psq", 9, 3, 1, 8), [0]),
+    ("cubic", ParametricRootSystem(parse("x^3 - 3*x + t"), "x", {}, Loop("t", 2, 0.5)),
+     [1, -0.5j]),
+    ("two-turns", bubble_loop({"m1sq": 1, "m2sq": 4}, "psq", 9, 0.1, 1, 512, 2), [0, 2]),
+    ("clockwise", mass_loop(orientation=-1), [0]),
+]
+
+
+@pytest.mark.parametrize("name, sys, marked", ORACLE_CASES,
+                         ids=[case[0] for case in ORACLE_CASES])
+def test_track_equals_the_reference_loop(name, sys, marked):
+    got, want = track(sys, marked), reference_track(sys, marked)
+    for attr in ("permutation", "windings", "steps", "max_residual",
+                 "start_roots", "end_roots"):
+        assert getattr(got, attr) == getattr(want, attr), attr
+    if name == "halving":
+        # 14 accepted steps where 8 were planned: rejected steps were halved
+        assert got.steps == 14 and got.halvings > 0
+        assert "halvings" not in got.describe()

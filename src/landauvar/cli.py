@@ -25,43 +25,35 @@ from .poly import Polynomial
 _DOMAIN_ERRORS = (ValueError, OSError)
 
 
-def _emit(data, fmt: str):
+def _chunks(data, fmt: str):
+    """The text `main` prints for `data`, as an iterator of chunks: a string
+    as it is (DOT output or a rank), else JSON or the indented text form."""
+    if isinstance(data, str):
+        return iter((data, "\n"))
     if fmt == "json":
-        # written in pieces of many chunks: the whole text of a large document
-        # is never held at once, and an unbuffered stdout is not written to
-        # once per chunk
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(data)
-        while piece := "".join(itertools.islice(chunks, 65536)):
-            sys.stdout.write(piece)
-        print()
-    else:
-        _emit_text(data)
+        encoder = json.JSONEncoder(indent=2, sort_keys=True)
+        return itertools.chain(encoder.iterencode(data), "\n")
+    return _text_chunks(data)
 
 
-def _emit_text(data, indent=0):
+def _text_chunks(data, indent=0):
     pad = "  " * indent
     if isinstance(data, dict):
-        for key in data:
-            value = data[key]
+        for key, value in data.items():
             if isinstance(value, (dict, list)):
-                print(f"{pad}{key}:")
-                _emit_text(value, indent + 1)
+                yield f"{pad}{key}:\n"
+                yield from _text_chunks(value, indent + 1)
             else:
-                print(f"{pad}{key}: {value}")
+                yield f"{pad}{key}: {value}\n"
     elif isinstance(data, list):
-        # a run of scalars is written in pieces of many lines, like `_emit`: a
-        # long list is never held as one text, nor written once per line
-        for nested, run in itertools.groupby(data, lambda v: isinstance(v, (dict, list))):
-            if nested:
-                for value in run:
-                    _emit_text(value, indent)
-                    print()
+        for value in data:
+            if isinstance(value, (dict, list)):
+                yield from _text_chunks(value, indent)
+                yield "\n"
             else:
-                lines = (f"{pad}{value}\n" for value in run)
-                while piece := "".join(itertools.islice(lines, 65536)):
-                    sys.stdout.write(piece)
+                yield f"{pad}{value}\n"
     else:
-        print(f"{pad}{data}")
+        yield f"{pad}{data}\n"
 
 
 def _load_graph_arg(source: str) -> graphs.FeynmanGraph:
@@ -190,12 +182,20 @@ def _parse_loop(text: str) -> tracking.Loop:
     if not rest:
         raise ValueError("loop spec must look like psq:center=9,r=0.1")
     opts = _parse_assignments(rest)
+
+    def value(key, kind, default):
+        try:
+            return kind(opts.get(key, default))
+        except ValueError:
+            raise ValueError(f"loop {key}={opts[key]}: the value must be"
+                             f" {'an integer' if kind is int else 'a number'}") from None
+
     return tracking.Loop(
         parameter=name,
-        center=complex(opts.get("center", "0")),
-        radius=float(opts.get("r", opts.get("radius", "0.1"))),
-        orientation=int(opts.get("orient", "1")),
-        steps=int(opts.get("steps", "256")),
+        center=value("center", complex, "0"),
+        radius=value("r" if "r" in opts else "radius", float, "0.1"),
+        orientation=value("orient", int, "1"),
+        steps=value("steps", int, "256"),
     )
 
 
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", default="")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--variant", choices=["open", "closed"], default="open")
-    p.set_defaults(func=_cmd_homrank)
+    p.set_defaults(func=_cmd_homrank, format="text")
 
     p = sub.add_parser("signword", help="normalize an operator word")
     p.add_argument("word", help='e.g. "d1 p2 d3:r=2"')
@@ -518,10 +518,11 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         data = args.func(args)
-        if isinstance(data, str):  # DOT output or a rank, printed as it is
-            print(data)
-        else:
-            _emit(data, args.format)
+        # written in pieces of many chunks: a large document is never held whole,
+        # and an unbuffered stdout is not written to once per chunk
+        chunks = _chunks(data, args.format)
+        while piece := "".join(itertools.islice(chunks, 65536)):
+            sys.stdout.write(piece)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

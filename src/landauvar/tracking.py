@@ -32,6 +32,10 @@ class TrackingError(ValueError):
 # more steps are refused
 LOOP_STEP_BUDGET = 100_000
 
+# the basepoint must sit off the Landau variety: its discriminant, divided by
+# scale0^(2·degree − 2) so that rescaling f leaves it unchanged, must exceed this
+DISC_THRESHOLD = 1e-8
+
 
 @dataclass(frozen=True)
 class Loop:
@@ -43,6 +47,9 @@ class Loop:
     turns: int = 1           # number of revolutions
 
     def __post_init__(self):
+        if self.orientation not in (1, -1):
+            raise TrackingError("loop orientation must be +1 or -1, got"
+                                f" orient={self.orientation}")
         if self.steps < 1:
             raise TrackingError(f"loop needs at least 1 step, got steps={self.steps}")
         if self.steps > LOOP_STEP_BUDGET:
@@ -159,17 +166,18 @@ def _newton(coeffs, dcoeffs, x0, bound, max_iter=20):
         x = x - fx / dfx
 
 
-def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10,
-          disc_threshold: float = 1e-8) -> TrackResult:
+def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10) -> TrackResult:
     """Continue all roots of f around the loop and report the induced
     permutation and windings around the marked points."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise TrackingError(f"tolerance tol={tol} must be finite and positive")
     try:
-        return _track(sys, marked, tol, disc_threshold)
+        return _track(sys, marked, tol)
     except OverflowError as exc:
         raise TrackingError(f"values out of floating-point range: {exc}") from None
 
 
-def _track(sys, marked, tol, disc_threshold) -> TrackResult:
+def _track(sys, marked, tol) -> TrackResult:
     marked = [complex(z) for z in marked]
     for z in marked:
         if not cmath.isfinite(z):
@@ -196,15 +204,12 @@ def _track(sys, marked, tol, disc_threshold) -> TrackResult:
     for r in start:
         if _newton(desc0, (), r, 1e-6 * scale0, max_iter=0) is None:
             raise TrackingError("basepoint roots failed the residual check")
-    # basepoint must sit off the Landau variety: the discriminant, divided by
-    # scale0^(2·degree − 2) so that rescaling f leaves it unchanged, must
-    # exceed the threshold
     lc = cs0[-1]
     disc = lc ** (2 * degree - 2)
     pairs = [(i, j) for i in range(degree) for j in range(i + 1, degree)]
     for i, j in pairs:
         disc *= (start[i] - start[j]) ** 2
-    if abs(disc) / scale0 ** (2 * degree - 2) <= disc_threshold:
+    if abs(disc) / scale0 ** (2 * degree - 2) <= DISC_THRESHOLD:
         raise TrackingError("basepoint lies too close to the Landau variety")
 
     roots = list(start)

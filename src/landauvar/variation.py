@@ -57,10 +57,6 @@ def matrix_from_images(images) -> tuple:
     )
 
 
-def zero_matrix(size: int) -> tuple:
-    return tuple((0,) * size for _ in range(size))
-
-
 def identity_matrix(size: int) -> tuple:
     return tuple(
         tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
@@ -128,7 +124,8 @@ class VariationModel:
     `vanishing` declares, per component, spanning vectors for the image of its
     operator (for simple pinches: rational multiples of the vanishing cycle);
     `intersection_rows` holds dual-cycle intersection numbers against the
-    basis, enough to rebuild simple-pinch operators from the rank-one rule.
+    basis: a simple pinch with one vanishing cycle and a row must have the
+    operator that the rank-one rule `pl_operator` builds from the two.
     """
 
     name: str
@@ -160,15 +157,21 @@ class VariationModel:
         for cid, row in self.intersection_rows.items():
             if any(x is None for x in row):
                 raise ModelError(f"intersection row of {cid} has an unknown (null) entry")
-        self._check_image_spans()
+        self._check_images()
 
-    def _check_image_spans(self):
+    def _check_images(self):
+        """A simple pinch with one vanishing cycle and a row has the rank-one
+        operator of the two; any other declared span holds its images."""
         for comp in self.components:
             span = self.vanishing.get(comp.id)
-            if span is None:
-                continue
             m = self.ops[comp.id]
-            if has_unknown(m):
+            if span is None or has_unknown(m):
+                continue
+            row = self.intersection_rows.get(comp.id)
+            if comp.is_simple_pinch and len(span) == 1 and row is not None:
+                if m != pl_operator(self.n, span[0], row):
+                    raise ModelError(f"{comp.id}: operator is not the Picard-Lefschetz"
+                                     " map pl_sign(n) * cycle * intersection row")
                 continue
             for j in range(len(self.basis)):
                 col = tuple(m[i][j] for i in range(len(self.basis)))
@@ -235,9 +238,7 @@ def pl_operator(n: int, vanishing_cycle, dual_row) -> tuple:
     if len(cycle) != len(row):
         raise ModelError("cycle and intersection row must have equal length")
     s = pl_sign(n)
-    return tuple(
-        tuple(s * ci * rj for rj in row) for ci in cycle
-    )
+    return tuple(tuple(sc * rj for rj in row) for sc in (s * ci for ci in cycle))
 
 
 def _word_product(model: VariationModel, word) -> tuple:
@@ -512,6 +513,14 @@ def model_from_json(data) -> VariationModel:
 # -- builtin fixture models -----------------------------------------------------------
 
 
+def _rank_one_ops(n: int, comps, vanishing: dict, rows: dict) -> dict:
+    """Every operator by the rank-one rule from its cycle and row; a component
+    with no vanishing cycle has a zero row, so its operator is zero."""
+    return {c.id: pl_operator(n, vanishing[c.id][0] if c.id in vanishing
+                              else (0,) * len(rows[c.id]), rows[c.id])
+            for c in comps}
+
+
 def _logarithm_model() -> VariationModel:
     t = Polynomial.var("t")
     comps = (
@@ -523,16 +532,12 @@ def _logarithm_model() -> VariationModel:
                         frozenset({"B1"}), frozenset({"A1"}), frozenset({"B1"}),
                         LINEAR, -1),
     )
-    nu = (0, 1)
-    ops = {
-        "l0": zero_matrix(2),
-        "l1": matrix_from_images([nu, (0, 0)]),
-        "linf": matrix_from_images([nu, (0, 0)]),
-    }
+    vanishing = {"l1": ((0, 1),), "linf": ((0, 1),)}
+    rows = {"l0": (0, 0), "l1": (-1, 0), "linf": (-1, 0)}
     return VariationModel(
-        name="logarithm", n=1, basis=("sigma", "nu"), ops=ops, components=comps,
-        vanishing={"l1": ((0, 1),), "linf": ((0, 1),)},
-        intersection_rows={"l1": (-1, 0), "linf": (-1, 0), "l0": (0, 0)},
+        name="logarithm", n=1, basis=("sigma", "nu"), components=comps,
+        ops=_rank_one_ops(1, comps, vanishing, rows), vanishing=vanishing,
+        intersection_rows=rows,
         boundary_K={"sigma": frozenset({"B1", "B2"}), "nu": frozenset()},
         coboundary_J={"sigma": frozenset(), "nu": frozenset({"A1"})},
     )
@@ -554,28 +559,14 @@ def _bubble_model() -> VariationModel:
                         frozenset({"A1", "A2"}), frozenset(), LINEAR, -1, True),
     )
     nu_delta = (0, -1, 1)  # nu2 - nu1
-    ops = {
-        "l1": matrix_from_images([(0, -1, 0), (0, 0, 0), (0, 0, 0)]),
-        "l2": matrix_from_images([(0, 0, 1), (0, 0, 0), (0, 0, 0)]),
-        "lD+": matrix_from_images([nu_delta, nu_delta, (0, 1, -1)]),
-        "lD-": matrix_from_images([(0, 0, 0), nu_delta, (0, 1, -1)]),
-        "lp": zero_matrix(3),
-    }
+    vanishing = {"l1": ((0, 1, 0),), "l2": ((0, 0, 1),), "lD+": (nu_delta,),
+                 "lD-": (nu_delta,)}
+    rows = {"l1": (1, 0, 0), "l2": (-1, 0, 0), "lD+": (-1, -1, 1), "lD-": (0, -1, 1),
+            "lp": (0, 0, 0)}
     return VariationModel(
-        name="bubble", n=1, basis=("sigma", "nu1", "nu2"), ops=ops, components=comps,
-        vanishing={
-            "l1": ((0, 1, 0),),
-            "l2": ((0, 0, 1),),
-            "lD+": (nu_delta,),
-            "lD-": (nu_delta,),
-        },
-        intersection_rows={
-            "l1": (1, 0, 0),
-            "l2": (-1, 0, 0),
-            "lD+": (-1, -1, 1),
-            "lD-": (0, -1, 1),
-            "lp": (0, 0, 0),
-        },
+        name="bubble", n=1, basis=("sigma", "nu1", "nu2"), components=comps,
+        ops=_rank_one_ops(1, comps, vanishing, rows), vanishing=vanishing,
+        intersection_rows=rows,
         boundary_K={
             "sigma": frozenset({"B1", "B2"}),
             "nu1": frozenset(),

@@ -58,6 +58,7 @@ from landauvar.variation import (
     pl_operator,
     word_zero_certificate,
 )
+from test_variation import LITERAL_OPS
 
 
 def ok(num, text):
@@ -177,9 +178,10 @@ def test_c05_bubble_variation_table():
             assert apply_word(m, (i,), nu) == (0, 0, 0)
     assert is_zero_matrix(m.ops["lp"])
     # rebuild every operator from its intersection row: entry-for-entry equal
-    for cid in ("l1", "l2", "lD+", "lD-", "lp"):
+    # to the literal matrices
+    for cid, literal in LITERAL_OPS["bubble"].items():
         cycle = m.vanishing.get(cid, ((0, 0, 0),))[0]
-        assert pl_operator(m.n, cycle, m.intersection_rows[cid]) == m.ops[cid]
+        assert pl_operator(m.n, cycle, m.intersection_rows[cid]) == literal == m.ops[cid]
     assert apply_word(m, ("l2", "lD+"), "sigma") == (0, 1, -1)  # nu1 - nu2
     # "all other iterated variations vanish" at the matrix level
     for word in itertools.chain(

@@ -3,6 +3,7 @@ import copy
 import io
 import itertools
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -655,6 +656,45 @@ def test_model_document_with_a_bad_entry_is_a_clean_error(
         assert message in err, argv
 
 
+def test_model_document_off_the_rank_one_rule_is_a_clean_error(tmp_path, capsys):
+    from landauvar.variation import builtin_model, model_to_json
+
+    doc = model_to_json(builtin_model("bubble"))
+    doc["ops"]["l1"] = [[str(2 * Fraction(x)) for x in row] for row in doc["ops"]["l1"]]
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["table", str(path)], ["compose", str(path), "w=l1"],
+                 ["audit", str(path), "--max-len", "3"]):
+        code, out, err = run_cli(capsys, "variation", *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert "error: l1: operator is not the Picard-Lefschetz map" in err, argv
+
+
+def test_bad_loop_orientation_steps_and_tolerance_are_clean_errors(capsys):
+    track = ["track", "bubble", "--chart", "x1=1", "--var", "x2", "--fix", "m1sq=1,m2sq=4"]
+    cases = [
+        (["--loop", "psq:center=9,r=0.1,orient=0"],
+         "loop orientation must be +1 or -1, got orient=0"),
+        (["--loop", "psq:center=9,r=0.1,orient=3"],
+         "loop orientation must be +1 or -1, got orient=3"),
+        (["--loop", "psq:center=9,r=0.1,steps=1.5"],
+         "loop steps=1.5: the value must be an integer"),
+        (["--loop", "psq:center=x,r=0.1"], "loop center=x: the value must be a number"),
+        (["--loop", "psq:center=9,r=0.1", "--tol", "nan"],
+         "tolerance tol=nan must be finite and positive"),
+        (["--loop", "psq:center=9,r=0.1", "--tol", "0"],
+         "tolerance tol=0.0 must be finite and positive"),
+        (["--loop", "psq:center=9,r=0.1", "--tol", "-1"],
+         "tolerance tol=-1.0 must be finite and positive"),
+    ]
+    for extra, message in cases:
+        code, out, err = run_cli(capsys, *track, *extra)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert message in err, extra
+
+
 def test_overflowing_tracking_input_is_a_clean_error(capsys):
     track = ["track", "bubble", "--chart", "x1=1", "--var", "x2"]
     for argv in (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1e-200,m2sq=1e300"],
@@ -835,6 +875,8 @@ def cli_cases(draw):
                               "--fix", "m1sq=1,m2sq=4"]))
 @example(case=(None, TRACK + ["--loop", "psq:center=9,r=1", "--fix", "m1sq=0,m2sq=4",
                               "--mark", "0"]))
+@example(case=(None, TRACK + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4",
+                              "--tol", "nan"]))
 @example(case=(None, ["hierarchy", "--aomoto", "7"]))
 @example(case=(None, ["aomoto", "hierarchy", "--n", "7"]))
 @example(case=(None, ["variation", "audit", "massless-triangle", "--max-len", "100000"]))

@@ -140,6 +140,21 @@ def test_loop_rejects_a_non_finite_center_or_radius():
             Loop("psq", complex(center), radius)
 
 
+def test_loop_refuses_an_orientation_other_than_plus_or_minus_one():
+    for orientation in (0, 3, -2):
+        with pytest.raises(TrackingError,
+                           match=f"must be \\+1 or -1, got orient={orientation}$"):
+            Loop("psq", 9, 0.1, orientation=orientation)
+
+
+def test_track_refuses_a_tolerance_that_is_not_finite_and_positive():
+    sys = ParametricRootSystem(bubble_family(), "x2", {"m1sq": 1, "m2sq": 4},
+                               Loop("psq", 9, 0.1))
+    for tol in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(TrackingError, match=f"tol={tol} must be finite and positive"):
+            track(sys, tol=tol)
+
+
 def test_newton_without_iterations_is_the_residual_check():
     # the basepoint check: _newton with max_iter=0 fails exactly when
     # |f(r)| exceeds the bound

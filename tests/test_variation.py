@@ -31,7 +31,6 @@ from landauvar.variation import (
     nilpotency_index,
     pl_operator,
     word_zero_certificate,
-    zero_matrix,
 )
 
 BUILTIN = ("logarithm", "bubble", "dilog", "massless-triangle")
@@ -67,13 +66,67 @@ def test_bubble_compose_example():
     assert compose(m, ()) == identity_matrix(3)
 
 
+def zero_matrix(size):
+    return ((0,) * size,) * size
+
+
+# the logarithm and bubble operators as literal matrices, columns the images
+# of the basis elements: the oracle for the rank-one rule the builders use
+LITERAL_OPS = {
+    "logarithm": {
+        "l0": zero_matrix(2),
+        "l1": matrix_from_images([(0, 1), (0, 0)]),
+        "linf": matrix_from_images([(0, 1), (0, 0)]),
+    },
+    "bubble": {
+        "l1": matrix_from_images([(0, -1, 0), (0, 0, 0), (0, 0, 0)]),
+        "l2": matrix_from_images([(0, 0, 1), (0, 0, 0), (0, 0, 0)]),
+        "lD+": matrix_from_images([(0, -1, 1), (0, -1, 1), (0, 1, -1)]),
+        "lD-": matrix_from_images([(0, 0, 0), (0, -1, 1), (0, 1, -1)]),
+        "lp": zero_matrix(3),
+    },
+}
+
+
 def test_pl_operator_rebuild():
+    for name, literal in LITERAL_OPS.items():
+        m = builtin_model(name)
+        assert m.ops == literal, name
+        zero = (0,) * len(m.basis)
+        for cid, op in literal.items():
+            cycle = m.vanishing.get(cid, (zero,))[0]
+            assert pl_operator(m.n, cycle, m.intersection_rows[cid]) == op, (name, cid)
+
+
+def test_model_refuses_an_operator_off_the_rank_one_rule():
     m = builtin_model("bubble")
-    zero3 = (0, 0, 0)
-    for cid in ("l1", "l2", "lD+", "lD-", "lp"):
-        cycle = m.vanishing.get(cid, (zero3,))[0]
-        rebuilt = pl_operator(m.n, cycle, m.intersection_rows[cid])
-        assert rebuilt == m.ops[cid], cid
+    doubled = tuple(tuple(2 * x for x in row) for row in m.ops["l1"])
+    fields = dict(name="x", n=m.n, basis=m.basis, components=m.components,
+                  vanishing=m.vanishing)
+    # the doubled operator keeps its image in the declared span ...
+    VariationModel(ops={**m.ops, "l1": doubled}, **fields)
+    # ... but is not the operator of the cycle and the row
+    with pytest.raises(ModelError, match="^l1: operator is not the Picard-Lefschetz"):
+        VariationModel(ops={**m.ops, "l1": doubled},
+                       intersection_rows=m.intersection_rows, **fields)
+    # nor is the logarithm's operator with the opposite sign
+    log = builtin_model("logarithm")
+    flipped = tuple(tuple(-x for x in row) for row in log.ops["linf"])
+    with pytest.raises(ModelError, match="^linf: "):
+        VariationModel(name="x", n=log.n, basis=log.basis, components=log.components,
+                       ops={**log.ops, "linf": flipped}, vanishing=log.vanishing,
+                       intersection_rows=log.intersection_rows)
+
+
+def test_basis_transforms_keep_the_rank_one_rule():
+    # T^-1 (s nu r) T = s (T^-1 nu)(r T): every transformed copy loads, and
+    # its operators are the rule's
+    rng = random.Random(11)
+    for name in LITERAL_OPS:
+        for _ in range(25):
+            m = transformed(builtin_model(name), rng)
+            for cid, (cycle,) in m.vanishing.items():
+                assert m.ops[cid] == pl_operator(m.n, cycle, m.intersection_rows[cid])
 
 
 def test_pl_operator_zero_row():

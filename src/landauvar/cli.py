@@ -30,10 +30,40 @@ def _chunks(data, fmt: str):
     as it is (DOT output or a rank), else JSON or the indented text form."""
     if isinstance(data, str):
         return iter((data, "\n"))
-    if fmt == "json":
-        encoder = json.JSONEncoder(indent=2, sort_keys=True)
-        return itertools.chain(encoder.iterencode(data), "\n")
-    return _text_chunks(data)
+    return _json_chunks(data) if fmt == "json" else _text_chunks(data)
+
+
+def _json_chunks(data):
+    """`data` as ``json.JSONEncoder(indent=2, sort_keys=True)`` writes it, one chunk
+    per top-level entry; a dict or list met twice at one depth keeps its text."""
+    esc, seen, memo = json.encoder.encode_basestring_ascii, set(), {}
+
+    def entries(obj, depth):
+        if isinstance(obj, dict):  # sorted on the keys as given, then coerced
+            return (f"{esc(k if isinstance(k, str) else json.dumps(k))}: {text(v, depth)}"
+                    for k, v in sorted(obj.items()))
+        return (text(v, depth) for v in obj)
+
+    def text(obj, depth):
+        if not isinstance(obj, (dict, list, tuple)):  # json.dumps prints NaN, true, null
+            return (esc(obj) if isinstance(obj, str) else repr(obj) if type(obj) is int
+                    or (type(obj) is float and math.isfinite(obj)) else json.dumps(obj))
+        if (key := (id(obj), depth)) in memo:
+            return memo[key]
+        pad = "\n" + "  " * (depth + 1)
+        out = f"{pad}{(',' + pad).join(entries(obj, depth + 1))}{pad[:-2]}" if obj else ""
+        out = out.join("{}" if isinstance(obj, dict) else "[]")
+        if id(obj) in seen:
+            memo[key] = out
+        seen.add(id(obj))
+        return out
+
+    if isinstance(data, (dict, list, tuple)) and data:
+        opener, closer = "{}" if isinstance(data, dict) else "[]"
+        yield from (f"{',' if i else opener}\n  {e}" for i, e in enumerate(entries(data, 1)))
+        yield f"\n{closer}\n"
+    else:
+        yield text(data, 0) + "\n"
 
 
 def _text_chunks(data, indent=0):
@@ -168,13 +198,15 @@ def _parse_chart(text: str, f: Polynomial, flag: str) -> dict:
     return chart
 
 
-def _parse_index_set(text: str) -> frozenset:
+def _parse_index_set(text: str, flag: str) -> frozenset:
+    """An index set given as digits (``12``) or a comma list (``1,12``)."""
     text = (text or "").strip()
-    if not text:
-        return frozenset()
-    if "," in text:
-        return frozenset(int(part) for part in text.split(",") if part)
-    return frozenset(int(ch) for ch in text)
+    try:
+        return frozenset(int(part) for part in (text.split(",") if "," in text else text)
+                         if part)
+    except ValueError:
+        raise ValueError(f"{flag} {text}: the value must be digits, such as 12, or a"
+                         " comma list of integers, such as 1,12") from None
 
 
 def _parse_loop(text: str) -> tracking.Loop:
@@ -285,7 +317,8 @@ def _cmd_hierarchy(args) -> str | list | dict:
 
 
 def _cmd_homrank(args) -> str:
-    sets = (_parse_index_set(text) for text in (args.I, args.J, args.K))
+    sets = (_parse_index_set(text, flag)
+            for text, flag in ((args.I, "--I"), (args.J, "--J"), (args.K, "--K")))
     cfg = localhom.pinch_config(args.n, args.m, *sets)
     return str(localhom.local_rank(cfg, args.degree, args.variant))
 
@@ -318,7 +351,7 @@ def _cmd_variation(args) -> dict:
 # The Aomoto commands grow factorially with the weight n and refuse a weight
 # over budget before building anything: `symbol` builds ((n+1)!)^2 words
 # (weight 5, the largest accepted, prints in 3-5 s and 190 MB peak RSS as
-# text, 46 s and 285 MB as JSON; weight 6 would build 49x more words),
+# text, about 10 s and 270 MB as JSON; weight 6 would build 49x more words),
 # `components` lists C(2n+2, n+1)
 # components (weight 7, 1.6 s) and `hierarchy`, also `hierarchy --aomoto`,
 # compares C(2n+2, n+1)^2 pairs (weight 6, 3-5 s; weight 7 takes 14x longer).
@@ -518,10 +551,11 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         data = args.func(args)
-        # written in pieces of many chunks: a large document is never held whole,
-        # and an unbuffered stdout is not written to once per chunk
+        # written in pieces of many chunks (a JSON chunk is a whole top-level entry):
+        # a large document is never held whole, and an unbuffered stdout is not
+        # written to once per chunk
         chunks = _chunks(data, args.format)
-        while piece := "".join(itertools.islice(chunks, 65536)):
+        while piece := "".join(itertools.islice(chunks, 1024)):
             sys.stdout.write(piece)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from operator import mul, sub
 
-import numpy as np
-
 from .poly import Polynomial, PolynomialError
 
 
@@ -102,14 +100,15 @@ class TrackResult:
 def compile_coefficients(coeff_polys, frozen, loop_var):
     """The coefficient polynomials as a function of the loop parameter alone.
 
-    Every term c·Π v^e becomes (head, e_t, tail): head is complex(c) times the
+    Every term c·Π v^e becomes (head, k, tail): head is complex(c) times the
     frozen powers of the variables that sort before `loop_var` (all of them
-    when `loop_var` does not occur), e_t the exponent of `loop_var` and tail
-    the remaining frozen powers.  The returned function multiplies in the same
-    order as `Polynomial.evaluate`, so its values equal
+    when `loop_var` does not occur), k the slot of the power t^e of `loop_var`
+    among the powers computed once per call (None when it does not occur) and
+    tail the remaining frozen powers.  The returned function multiplies in the
+    same order as `Polynomial.evaluate`, so its values equal
     ``[p.evaluate({**frozen, loop_var: t}) for p in coeff_polys]`` exactly.
     """
-    compiled = []
+    compiled, slots = [], {}  # each distinct e_t -> its slot
     for poly in coeff_polys:
         terms = []
         for mono, c in poly.terms.items():
@@ -123,21 +122,22 @@ def compile_coefficients(coeff_polys, frozen, loop_var):
                     tail.append(frozen[v] ** e)
                 else:
                     head *= frozen[v] ** e
-            terms.append((head, e_t, tail))
+            terms.append((head, slots.setdefault(e_t, len(slots)) if e_t else None, tail))
         compiled.append(terms)
-    exponents = {e_t for terms in compiled for _, e_t, _ in terms if e_t}
+    exponents = list(slots)
 
     def at(t):
-        powers = {e: t ** e for e in exponents}
+        powers = [t ** e for e in exponents]
         cs = []
         for terms in compiled:
             total = 0j
-            for head, e_t, tail in terms:
-                val = head
-                if e_t:
-                    val *= powers[e_t]
-                    for factor in tail:
-                        val *= factor
+            for head, k, tail in terms:
+                if k is None:
+                    total += head
+                    continue
+                val = head * powers[k]
+                for factor in tail:
+                    val *= factor
                 total += val
             cs.append(total)
         return cs
@@ -199,6 +199,7 @@ def _track(sys, marked, tol) -> TrackResult:
     if abs(cs0[-1]) <= 1e-12 * max(1.0, scale0):
         raise TrackingError("leading coefficient vanishes at theta=0.0")
     desc0 = cs0[::-1]
+    import numpy as np  # here, so that commands which never track do not load numpy
     start = [complex(r) for r in np.roots(desc0)]
     degree = len(start)
     for r in start:

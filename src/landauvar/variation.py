@@ -150,13 +150,18 @@ class VariationModel:
         for comp in self.components:
             if comp.variation_known_zero and not _known_zero(self.ops[comp.id]):
                 raise ModelError(f"{comp.id} is flagged zero but its matrix is not")
-        # only the operators may leave entries unknown
-        for cid, vectors in self.vanishing.items():
-            if any(x is None for v in vectors for x in v):
-                raise ModelError(f"vanishing vector of {cid} has an unknown (null) entry")
-        for cid, row in self.intersection_rows.items():
-            if any(x is None for x in row):
-                raise ModelError(f"intersection row of {cid} has an unknown (null) entry")
+        # every vector has one entry per basis element, and only the operators
+        # may leave entries unknown
+        vectors = [("vanishing vector", cid, v)
+                   for cid, vs in self.vanishing.items() for v in vs]
+        vectors += [("intersection row", cid, row)
+                    for cid, row in self.intersection_rows.items()]
+        for what, cid, v in vectors:
+            if len(v) != size:
+                raise ModelError(f"{what} of {cid} has {len(v)} entries for a basis"
+                                 f" of {size}")
+            if any(x is None for x in v):
+                raise ModelError(f"{what} of {cid} has an unknown (null) entry")
         self._check_images()
 
     def _check_images(self):

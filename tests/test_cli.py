@@ -108,6 +108,16 @@ def test_homrank(capsys):
     assert code == 0 and out.strip() == "1"
 
 
+@pytest.mark.parametrize("flag, value", [("--I", "x"), ("--J", "1,x"), ("--K", "1 2")])
+def test_homrank_index_set_errors_name_the_option_and_value(capsys, flag, value):
+    argv = ["homrank", "--n", "2", "--m", "3", flag, value, "--degree", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert_clean_error(code, err)
+    assert (f"error: {flag} {value}: the value must be digits, such as 12, or a comma"
+            " list of integers, such as 1,12") in err
+
+
 def test_signword(capsys):
     code, out, _ = run_cli(capsys, "signword", "d1 p2 d3:r=2", "--format", "json")
     assert code == 0
@@ -281,6 +291,53 @@ def test_aomoto_symbol_prints_the_recorded_bytes(capsys, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SYMBOL_DIGESTS[n, fmt]
 
 
+# -- the JSON writer -----------------------------------------------------------------
+
+# strings with non-ASCII characters, a lone surrogate and characters that need escapes
+json_text = st.text(st.sampled_from("a \"\\/\n\t\x00\x7f\u00e9\u2603\U0001f600\ud800"),
+                    max_size=4)
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats() | json_text)
+
+
+# one dict drawn once per example and placed at several depths of its document
+shared_record = st.shared(st.dictionaries(json_text, json_scalars | st.lists(json_scalars),
+                                          min_size=1, max_size=3), key="record")
+
+
+def extend_json(children):
+    """Lists, tuples and dicts of `children`; each dict has keys of one type,
+    which the encoder coerces to strings."""
+    keyed = [st.dictionaries(keys, children, max_size=3) for keys in
+             (json_text, st.integers(), st.floats(), st.booleans(), st.none())]
+    return st.one_of(st.lists(children, max_size=3),
+                     st.lists(children, max_size=3).map(tuple), *keyed)
+
+
+json_trees = st.recursive(json_scalars | shared_record, extend_json, max_leaves=8)
+
+
+@st.composite
+def shared_documents(draw):
+    """A document in which one dict, and one subtree, occur at several depths."""
+    shared, tree = draw(shared_record), draw(json_trees)
+    doc = [shared, {"shared": shared, "tree": tree}, (tree, [shared, []], {})]
+    return draw(st.sampled_from([doc, {"doc": doc, "\u00e9\n": shared}, [tree], tree]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=shared_documents())
+@example(doc=[{"I": [1], "J": []}] * 3 + [float("nan"), float("inf"), -0.0, True, None])
+@example(doc={"\x00\u2603": (), "i": {2: [], -1: {}}, "f": {1.5: 0, float("-inf"): 1},
+              "b": {False: 0.5, True: 1e300}, "n": {None: "\ud800"}})
+def test_json_writer_equals_the_encoder(doc):
+    from landauvar.cli import _chunks
+
+    if isinstance(doc, str):  # a string is printed as it is, not as JSON
+        doc = [doc]
+    expected = json.JSONEncoder(indent=2, sort_keys=True).encode(doc) + "\n"
+    assert "".join(_chunks(doc, "json")) == expected
+
+
 def fresh_process_stdout(*argv):
     import os
     import subprocess
@@ -293,6 +350,31 @@ def fresh_process_stdout(*argv):
     done = subprocess.run([sys.executable, "-m", "landauvar.cli", *argv], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return done.stdout
+
+
+def test_cli_import_leaves_numpy_unloaded_until_track():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import landauvar
+
+    script = (
+        "import sys\n"
+        "import landauvar.cli\n"
+        "landauvar.cli.build_parser()\n"
+        "assert 'numpy' not in sys.modules, 'import landauvar.cli loaded numpy'\n"
+        "code = landauvar.cli.main(['track', 'bubble', '--chart', 'x1=1', '--var', 'x2',\n"
+        "                           '--loop', 'psq:center=9,r=0.1', '--fix', 'm1sq=1,m2sq=4',\n"
+        "                           '--format', 'json'])\n"
+        "assert code == 0 and 'numpy' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(landauvar.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["permutation"] == [1, 0]
 
 
 def test_reused_parser_gives_fresh_process_output(capsys):
@@ -669,6 +751,27 @@ def test_model_document_off_the_rank_one_rule_is_a_clean_error(tmp_path, capsys)
         assert out == ""
         assert_clean_error(code, err)
         assert "error: l1: operator is not the Picard-Lefschetz map" in err, argv
+
+
+def test_model_document_with_a_short_span_vector_is_a_clean_error(tmp_path, capsys):
+    # l1 maps sigma to nu1 + mu, which a span vector cut to three entries
+    # of the five would accept
+    doc = triangle_model_document()
+    doc["ops"]["l1"] = [["0"] * 5 for _ in range(5)]
+    doc["ops"]["l1"][1][0] = doc["ops"]["l1"][4][0] = "1"
+    doc["vanishing"]["l1"] = [["0", "1", "0"]]
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "variation", "table", str(path))
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "error: vanishing vector of l1 has 3 entries for a basis of 5" in err
+    doc = triangle_model_document()
+    doc["intersection_rows"] = {"l2": ["1", "0"]}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "variation", "table", str(path))
+    assert_clean_error(code, err)
+    assert "error: intersection row of l2 has 2 entries for a basis of 5" in err
 
 
 def test_bad_loop_orientation_steps_and_tolerance_are_clean_errors(capsys):

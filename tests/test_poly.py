@@ -216,6 +216,20 @@ def test_divides_recovers_exact_factor(a, b):
     assert divides(b, a * b) == a
 
 
+@given(polynomials(), polynomials(), polynomials())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_divides_gives_the_quotient_of_a_multiple_and_none_otherwise(d, q, r):
+    # the gate of any faster division: d*q gives q back, and d*q + r gives None
+    # for a nonzero r below the total degree of d, which no multiple of d is
+    if d.is_zero():
+        return
+    assert divides(d, d * q) == q
+    low = Polynomial({m: c for m, c in r.terms.items()
+                      if sum(e for _, e in m) < d.total_degree()})
+    if not low.is_zero():
+        assert divides(d, d * q + low) is None
+
+
 def _leibniz_det(m):
     import itertools
 

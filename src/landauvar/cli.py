@@ -178,7 +178,10 @@ def _parse_assignments(text: str) -> dict:
         name, _, value = item.partition("=")
         if not name or not value:
             raise ValueError(f"bad assignment {item!r}")
-        out[name.strip()] = value.strip()
+        name = name.strip()
+        if name in out:
+            raise ValueError(f"{name} is assigned twice in {text!r}")
+        out[name] = value.strip()
     return out
 
 
@@ -209,11 +212,21 @@ def _parse_index_set(text: str, flag: str) -> frozenset:
                          " comma list of integers, such as 1,12") from None
 
 
+# the keys of a loop spec; `r` and `radius` name the same field
+LOOP_KEYS = ("center", "r", "radius", "orient", "steps", "turns")
+
+
 def _parse_loop(text: str) -> tracking.Loop:
     name, _, rest = text.partition(":")
     if not rest:
         raise ValueError("loop spec must look like psq:center=9,r=0.1")
     opts = _parse_assignments(rest)
+    unknown = [key for key in opts if key not in LOOP_KEYS]
+    if unknown:
+        raise ValueError(f"unknown loop key {unknown[0]!r} (the keys are"
+                         f" {', '.join(LOOP_KEYS)})")
+    if "r" in opts and "radius" in opts:
+        raise ValueError("loop gives both r and radius: give the radius once")
 
     def value(key, kind, default):
         try:
@@ -228,6 +241,7 @@ def _parse_loop(text: str) -> tracking.Loop:
         radius=value("r" if "r" in opts else "radius", float, "0.1"),
         orientation=value("orient", int, "1"),
         steps=value("steps", int, "256"),
+        turns=value("turns", int, "1"),
     )
 
 

@@ -5,7 +5,11 @@ circle; all other parameters stay frozen.  Each step predicts every root by
 its value at the previous step and corrects it with Newton's method.  A step
 is rejected, and halved, when a correction fails or the corrected roots come
 close to each other compared with how far they moved; after an accepted step
-a halved step doubles back towards the nominal one.  At the end the roots are
+a halved step doubles back towards the nominal one.  One corrector step is a
+straight-line function per family degree, generated once from text that
+depends on the degree alone (`_step_kernel`): Horner's rule unrolled over
+the unpacked coefficients, every root and every root pair written out, and
+the same floating-point operations as the plain loop.  At the end the roots are
 matched back to the start, giving the permutation of the roots and the
 winding number of each tracked root around marked points.  The discrete
 outputs are the contract; residuals are diagnostics.
@@ -14,9 +18,9 @@ outputs are the contract; residuals are diagnostics.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
-from operator import mul, sub
 
 from .poly import Polynomial, PolynomialError
 
@@ -25,7 +29,7 @@ class TrackingError(ValueError):
     pass
 
 
-# `track` takes at least `steps` corrector steps (steps=100000 takes about 1.2 s
+# `track` takes at least `steps` corrector steps (steps=100000 takes about 1.0 s
 # on a 2-vCPU x86-64 VM, and past about 1e16 steps theta stops advancing), so
 # more steps are refused
 LOOP_STEP_BUDGET = 100_000
@@ -48,6 +52,8 @@ class Loop:
         if self.orientation not in (1, -1):
             raise TrackingError("loop orientation must be +1 or -1, got"
                                 f" orient={self.orientation}")
+        if self.turns < 1:
+            raise TrackingError(f"loop needs at least 1 turn, got turns={self.turns}")
         if self.steps < 1:
             raise TrackingError(f"loop needs at least 1 step, got steps={self.steps}")
         if self.steps > LOOP_STEP_BUDGET:
@@ -147,7 +153,9 @@ def compile_coefficients(coeff_polys, frozen, loop_var):
 
 def _newton(coeffs, dcoeffs, x0, bound, max_iter=20):
     """Newton corrector on descending coefficient lists; succeeds once
-    |f(x)| <= bound, giving (x, |f(x)|), else None."""
+    |f(x)| <= bound, giving (x, |f(x)|), else None.  `track` calls it with
+    max_iter=0, as the basepoint residual check; its steps run the same
+    corrector written out by `_step_kernel`."""
     x = x0
     for i in range(max_iter + 1):
         fx = 0j
@@ -164,6 +172,92 @@ def _newton(coeffs, dcoeffs, x0, bound, max_iter=20):
         if dfx == 0:
             return None
         x = x - fx / dfx
+
+
+# One corrector step for a family of one degree d, as straight-line text: the
+# coefficients c0..cd, the derivative's dk = k * ck and the roots r0..r(d-1) are
+# unpacked into locals and Horner's rule is unrolled.  It does what
+# `_newton(desc, ddesc, r, tol * scale)` does for each root, then the separation
+# and move tests, with the same floating-point operations on the same operands in
+# the same order; only integers derived from d are written into the text.
+_STEP_TEMPLATE = """\
+def step(cs, theta, roots, tol):
+    {cs}, = cs
+    scale = max({abs_cs})
+    if abs(c{degree}) <= 1e-12 * max(1.0, scale):
+        raise TrackingError(f"leading coefficient vanishes at theta={{theta}}")
+    {dcs}
+    bound = tol * scale
+    {roots}, = roots
+    residual = 0.0
+{corrections}{tests}    return [{new_roots}], residual
+"""
+
+_CORRECTION_TEMPLATE = """\
+    x = r{i}
+    for _ in range(20):
+        fx = {f}
+        e = abs(fx)
+        if e <= bound:
+            break
+        dfx = {df}
+        if dfx == 0:
+            return None
+        x = x - fx / dfx
+    else:
+        e = abs({f})
+        if not e <= bound:
+            return None
+    x{i} = x
+    if e > residual:
+        residual = e
+"""
+
+# a step is accepted when every root converges, the new roots stay apart and
+# none moves more than 0.4 of their separation
+_TESTS_TEMPLATE = """\
+    sep = {sep}
+    if sep < 10 * tol:
+        return None
+    if max({moves}) > 0.4 * sep:
+        return None
+"""
+
+
+def _horner(names) -> str:
+    text = "0j"
+    for name in names:
+        text = f"({text} * x + {name})"
+    return text
+
+
+@functools.cache
+def _step_kernel(degree: int):
+    """The corrector step for families of `degree`: ``step(cs, theta, roots,
+    tol)`` takes the ascending coefficients at the loop point of `theta` and
+    gives the corrected roots and their largest residual, or None when the
+    step is rejected."""
+    powers = range(degree + 1)
+    ranks = range(degree)
+    pairs = [(i, j) for i in ranks for j in range(i + 1, degree)]
+    f = _horner(f"c{k}" for k in reversed(powers))
+    df = _horner(f"d{k}" for k in reversed(powers[1:]))
+    corrections = "".join(_CORRECTION_TEMPLATE.format(i=i, f=f, df=df) for i in ranks)
+    seps = [f"abs(x{i} - x{j})" for i, j in pairs]
+    tests = _TESTS_TEMPLATE.format(
+        sep=seps[0] if len(seps) == 1 else f"min({', '.join(seps)})",
+        moves=", ".join(f"abs(x{i} - r{i})" for i in ranks)) if pairs else ""
+    source = _STEP_TEMPLATE.format(
+        cs=", ".join(f"c{k}" for k in powers),
+        abs_cs=", ".join(f"abs(c{k})" for k in powers),
+        degree=degree,
+        dcs="; ".join(f"d{k} = {k} * c{k}" for k in powers[1:]),
+        roots=", ".join(f"r{i}" for i in ranks),
+        corrections=corrections, tests=tests,
+        new_roots=", ".join(f"x{i}" for i in ranks))
+    namespace = {"TrackingError": TrackingError}
+    exec(compile(source, f"<corrector step of degree {degree}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10) -> TrackResult:
@@ -226,43 +320,20 @@ def _track(sys, marked, tol) -> TrackResult:
     # products in the same order as `Loop.point`
     center, radius = loop.center, loop.radius
     w = 2j * cmath.pi * loop.orientation * loop.turns
-    derivative_powers = range(len(cs0) - 1, 0, -1)
+    step_to = _step_kernel(degree)
 
     while theta < 1.0 - 1e-15:
         h = min(step, 1.0 - theta)
         target = theta + h
-        cs = coeffs_at(center + radius * cmath.exp(w * target))
-        scale = max(map(abs, cs))
-        if abs(cs[-1]) <= 1e-12 * max(1.0, scale):
-            raise TrackingError(f"leading coefficient vanishes at theta={target}")
-        desc = cs[::-1]
-        ddesc = list(map(mul, derivative_powers, desc))
-        bound = tol * scale
-        # a step is accepted when every root converges, the new roots stay
-        # apart and none moves more than 0.4 of their separation
-        new_roots = []
-        step_residual = 0.0
-        for r in roots:
-            corrected = _newton(desc, ddesc, r, bound)
-            if corrected is None:
-                break
-            x, residual = corrected
-            new_roots.append(x)
-            if residual > step_residual:
-                step_residual = residual
-        ok = len(new_roots) == degree
-        if ok and pairs:
-            sep = min(abs(new_roots[i] - new_roots[j]) for i, j in pairs)
-            if sep < 10 * tol:
-                ok = False
-            elif max(map(abs, map(sub, new_roots, roots))) > 0.4 * sep:
-                ok = False
-        if not ok:
+        stepped = step_to(coeffs_at(center + radius * cmath.exp(w * target)), target,
+                          roots, tol)
+        if stepped is None:
             step /= 2
             halvings += 1
             if step < 1e-13:
                 raise TrackingError("step underflow: loop passes too near a singularity")
             continue
+        new_roots, step_residual = stepped
         if step_residual > max_residual:
             max_residual = step_residual
         if marked:

@@ -798,6 +798,52 @@ def test_bad_loop_orientation_steps_and_tolerance_are_clean_errors(capsys):
         assert message in err, extra
 
 
+def test_loop_turns_are_read(capsys):
+    # the normal-threshold loop swaps the two roots once per turn
+    track = ["track", "bubble", "--chart", "x1=1", "--var", "x2", "--fix", "m1sq=1,m2sq=4",
+             "--format", "json"]
+    for turns, permutation in [("1", [1, 0]), ("2", [0, 1]), ("3", [1, 0])]:
+        code, out, _ = run_cli(capsys, *track, "--loop", f"psq:center=9,r=1,turns={turns}")
+        assert code == 0
+        assert json.loads(out)["permutation"] == permutation, turns
+
+
+def test_unknown_loop_keys_zero_turns_and_repeated_names_are_clean_errors(capsys):
+    track = ["track", "bubble", "--var", "x2"]
+    loop = ["--loop", "psq:center=9,r=0.1"]
+    fix = ["--fix", "m1sq=1,m2sq=4"]
+    chart = ["--chart", "x1=1"]
+    cases = [
+        (chart + fix + ["--loop", "psq:center=9,r=0.1,stpes=4096"],
+         "unknown loop key 'stpes' (the keys are center, r, radius, orient, steps, turns)"),
+        (chart + fix + ["--loop", "psq:center=9,r=0.1,radius=2"],
+         "loop gives both r and radius"),
+        (chart + fix + ["--loop", "psq:center=9,r=0.1,turns=0"],
+         "loop needs at least 1 turn, got turns=0"),
+        (chart + fix + ["--loop", "psq:center=9,r=0.1,turns=-2"],
+         "loop needs at least 1 turn, got turns=-2"),
+        (chart + fix + ["--loop", "psq:center=9,r=0.1,turns=1.5"],
+         "loop turns=1.5: the value must be an integer"),
+        (chart + fix + ["--loop", "psq:center=9,r=0.1,center=1"],
+         "center is assigned twice in 'center=9,r=0.1,center=1'"),
+        (chart + loop + ["--fix", "m1sq=1,m2sq=4,m1sq=100"],
+         "m1sq is assigned twice in 'm1sq=1,m2sq=4,m1sq=100'"),
+        (chart + loop + ["--fix", "m1sq=1, m1sq =2,m2sq=4"], "m1sq is assigned twice"),
+        (["--chart", "x1=1,x1=2"] + loop + fix, "x1 is assigned twice in 'x1=1,x1=2'"),
+    ]
+    for extra, message in cases:
+        code, out, err = run_cli(capsys, *track, *extra)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert message in err, extra
+    code, out, err = run_cli(capsys, "analyze", "bubble", "--track-chart", "x1=1",
+                             "--track-var", "x2", "--track-fix", "m1sq=1,m2sq=4",
+                             "--track-loop", "psq:center=9,r=0.1,turns=0")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert "got turns=0" in err
+
+
 def test_overflowing_tracking_input_is_a_clean_error(capsys):
     track = ["track", "bubble", "--chart", "x1=1", "--var", "x2"]
     for argv in (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1e-200,m2sq=1e300"],

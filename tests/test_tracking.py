@@ -16,6 +16,7 @@ from landauvar.tracking import (
     TrackingError,
     TrackResult,
     _newton,
+    _step_kernel,
     compile_coefficients,
     track,
 )
@@ -413,6 +414,15 @@ ORACLE_CASES = [(name, sys, [0]) for name, sys in LOOP_KINDS.items()] + [
      [1, -0.5j]),
     ("two-turns", bubble_loop({"m1sq": 1, "m2sq": 4}, "psq", 9, 0.1, 1, 512, 2), [0, 2]),
     ("clockwise", mass_loop(orientation=-1), [0]),
+    # beyond the bubble: no root pairs, four roots, and the two ways a step is rejected
+    ("degree-1", ParametricRootSystem(parse("(t - 3)*x - t^2 + 1"), "x", {},
+                                      Loop("t", 0, 2, 1, 16)), [0, 5]),
+    ("quartic", ParametricRootSystem(parse("5*x^4 - 10*x^2 + x + 5*t"), "x", {},
+                                     Loop("t", 1, 0.5)), [0, 1]),
+    ("move-rejected", ParametricRootSystem(parse("x^2 - t"), "x", {}, Loop("t", 0, 1, 1, 3)),
+     [0]),
+    ("newton-rejected", ParametricRootSystem(parse("x^2 - t"), "x", {},
+                                             Loop("t", 0, 1, 1, 2)), [0]),
 ]
 
 
@@ -427,3 +437,64 @@ def test_track_equals_the_reference_loop(name, sys, marked):
         # 14 accepted steps where 8 were planned: rejected steps were halved
         assert got.steps == 14 and got.halvings > 0
         assert "halvings" not in got.describe()
+
+
+def test_rejected_steps_are_halved_for_the_reason_named():
+    cases = {name: sys for name, sys, _ in ORACLE_CASES}
+    for name in ("move-rejected", "newton-rejected"):
+        assert track(cases[name], [0]).halvings > 0, name
+    # the first full step of x^2 - t around t = 0: with 3 steps both roots
+    # converge but move by half their separation; with 2 steps Newton fails
+    for name, converges in (("move-rejected", True), ("newton-rejected", False)):
+        sys = cases[name]
+        at = compile_coefficients(sys.coefficient_polys(), {}, "t")
+        theta = 1 / sys.loop.steps
+        cs = at(sys.loop.point(theta))
+        desc, ddesc = cs[::-1], [2 * cs[2], cs[1]]
+        start = [complex(r) for r in np.roots(at(sys.loop.point(0.0))[::-1])]
+        assert _step_kernel(2)(cs, theta, start, 1e-10) is None, name
+        corrected = [_newton(desc, ddesc, r, 1e-10 * max(map(abs, cs))) for r in start]
+        assert all(c is not None for c in corrected) == converges, name
+    # x^2 + 1 from x = 1 or -1: the first Newton iterate is 0, where f' vanishes
+    cs, start = [1 + 0j, 0j, 1 + 0j], [1 + 0j, -1 + 0j]
+    assert _newton(cs, [2 + 0j, 0j], 1 + 0j, 1e-10) is None
+    assert _step_kernel(2)(cs, 0.5, start, 1e-10) is None
+
+
+def test_families_of_one_degree_share_one_kernel():
+    _step_kernel.cache_clear()
+    for text in ("x^2 - t", "3*x^2 + x*t - 2", "x^3 - 3*x + t"):
+        track(ParametricRootSystem(parse(text), "x", {}, Loop("t", 2, 0.5)))
+    info = _step_kernel.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    assert _step_kernel(2) is _step_kernel(2) is not _step_kernel(3)
+
+
+@st.composite
+def integer_loops(draw):
+    """A family of degree 1-4 in x whose coefficients are integer polynomials of
+    degree up to 2 in the loop parameter t, and a loop in t."""
+    degree = draw(st.sampled_from([4, 3, 2, 1]))
+    small = st.integers(-3, 3)
+    terms = []
+    for k in range(degree + 1):
+        terms.append(f"({draw(st.integers(1, 3) if k == degree else small)})*x^{k}")
+        terms += [f"({draw(small)})*t^{e}*x^{k}" for e in range(1, draw(st.integers(0, 2)) + 1)]
+    loop = Loop("t", complex(draw(small), draw(st.integers(-1, 1))),
+                draw(st.sampled_from([0.5, 1.0, 2.0, 3.5])), draw(st.sampled_from([1, -1])),
+                draw(st.integers(4, 40)), draw(st.integers(1, 2)))
+    return ParametricRootSystem(parse(" + ".join(terms)), "x", {}, loop)
+
+
+@given(integer_loops())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_track_equals_the_reference_on_integer_families(sys):
+    def outcome(tracker):
+        try:
+            result = tracker(sys, [0.5 + 0.25j])
+        except TrackingError as exc:
+            return str(exc)
+        return [getattr(result, attr) for attr in ("permutation", "windings", "steps",
+                                                     "max_residual", "start_roots",
+                                                     "end_roots")]
+    assert outcome(track) == outcome(reference_track)

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+from collections.abc import Iterator
 
 from . import aomoto as aomoto_mod
 from . import graphs, hierarchy, landau, localhom, tracking, variation
@@ -25,45 +26,21 @@ from .poly import Polynomial
 _DOMAIN_ERRORS = (ValueError, OSError)
 
 
+# the one JSON writer: `--format json` prints exactly this encoder's text
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def _chunks(data, fmt: str):
     """The text `main` prints for `data`, as an iterator of chunks: a string
-    as it is (DOT output or a rank), else JSON or the indented text form."""
+    as it is (DOT output or a rank), a handler's own iterator of text as it
+    is, else JSON or the indented text form."""
     if isinstance(data, str):
         return iter((data, "\n"))
-    return _json_chunks(data) if fmt == "json" else _text_chunks(data)
-
-
-def _json_chunks(data):
-    """`data` as ``json.JSONEncoder(indent=2, sort_keys=True)`` writes it, one chunk
-    per top-level entry; a dict or list met twice at one depth keeps its text."""
-    esc, seen, memo = json.encoder.encode_basestring_ascii, set(), {}
-
-    def entries(obj, depth):
-        if isinstance(obj, dict):  # sorted on the keys as given, then coerced
-            return (f"{esc(k if isinstance(k, str) else json.dumps(k))}: {text(v, depth)}"
-                    for k, v in sorted(obj.items()))
-        return (text(v, depth) for v in obj)
-
-    def text(obj, depth):
-        if not isinstance(obj, (dict, list, tuple)):  # json.dumps prints NaN, true, null
-            return (esc(obj) if isinstance(obj, str) else repr(obj) if type(obj) is int
-                    or (type(obj) is float and math.isfinite(obj)) else json.dumps(obj))
-        if (key := (id(obj), depth)) in memo:
-            return memo[key]
-        pad = "\n" + "  " * (depth + 1)
-        out = f"{pad}{(',' + pad).join(entries(obj, depth + 1))}{pad[:-2]}" if obj else ""
-        out = out.join("{}" if isinstance(obj, dict) else "[]")
-        if id(obj) in seen:
-            memo[key] = out
-        seen.add(id(obj))
-        return out
-
-    if isinstance(data, (dict, list, tuple)) and data:
-        opener, closer = "{}" if isinstance(data, dict) else "[]"
-        yield from (f"{',' if i else opener}\n  {e}" for i, e in enumerate(entries(data, 1)))
-        yield f"\n{closer}\n"
-    else:
-        yield text(data, 0) + "\n"
+    if isinstance(data, Iterator):
+        return data
+    if fmt == "json":
+        return itertools.chain(_ENCODER.iterencode(data), "\n")
+    return _text_chunks(data)
 
 
 def _text_chunks(data, indent=0):
@@ -185,20 +162,32 @@ def _parse_assignments(text: str) -> dict:
     return out
 
 
-def _parse_chart(text: str, f: Polynomial, flag: str) -> dict:
-    """Chart bindings such as ``x1=1`` as integer constant polynomials; each
-    bound variable must occur in `f`."""
-    chart = {}
+def _number(kind, text: str, where: str):
+    """`text` read as an int, float or complex `kind`; a malformed value is
+    refused with `where` (the option and value) named."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{where}: the value must be"
+                         f" {'an integer' if kind is int else 'a number'}") from None
+
+
+def _parse_bindings(text: str, f: Polynomial, flag: str, kind) -> dict:
+    """Bindings such as ``x1=1`` read as `kind`; each bound variable must
+    occur in `f`."""
+    out = {}
     variables = f.variables
     for name, value in _parse_assignments(text).items():
         if name not in variables:
             raise ValueError(f"{flag} binds {name!r}, which does not occur in F")
-        try:
-            chart[name] = Polynomial.const(int(value))
-        except ValueError:
-            raise ValueError(
-                f"{flag} {name}={value}: the value must be an integer") from None
-    return chart
+        out[name] = _number(kind, value, f"{flag} {name}={value}")
+    return out
+
+
+def _parse_chart(text: str, f: Polynomial, flag: str) -> dict:
+    """Chart bindings such as ``x1=1`` as integer constant polynomials."""
+    return {name: Polynomial.const(value)
+            for name, value in _parse_bindings(text, f, flag, int).items()}
 
 
 def _parse_index_set(text: str, flag: str) -> frozenset:
@@ -229,11 +218,8 @@ def _parse_loop(text: str) -> tracking.Loop:
         raise ValueError("loop gives both r and radius: give the radius once")
 
     def value(key, kind, default):
-        try:
-            return kind(opts.get(key, default))
-        except ValueError:
-            raise ValueError(f"loop {key}={opts[key]}: the value must be"
-                             f" {'an integer' if kind is int else 'a number'}") from None
+        text = opts.get(key, default)
+        return _number(kind, text, f"loop {key}={text}")
 
     return tracking.Loop(
         parameter=name,
@@ -280,23 +266,27 @@ def _verdicts(rel, comps, texts) -> list:
 
 
 def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
-           loop_text: str, fix_text: str, marks: list, chart_flag: str,
+           loop_text: str, fix_text: str, marks: list, prefix: str,
            tol: float = 1e-10) -> dict:
     """Roots of F = `f` of `g` in `var` tracked around a loop under a chart and
-    frozen values: the one stage of `track` and `analyze --track-loop`."""
-    chart = _parse_chart(chart_text, f, chart_flag)
+    frozen values: the one stage of `track` and `analyze --track-loop`, whose
+    options start with `prefix` (``--`` and ``--track-``)."""
+    chart = _parse_chart(chart_text, f, f"{prefix}chart")
     loop = _parse_loop(loop_text)
-    basepoint = {}
+    basepoint = _parse_bindings(fix_text, f, f"{prefix}fix", complex)
     for name, value in _parse_assignments(fix_text).items():
-        basepoint[name] = complex(value)
         if not cmath.isfinite(basepoint[name]):
-            raise tracking.TrackingError(
-                f"frozen value {name}={value} must be finite")
+            raise tracking.TrackingError(f"frozen value {name}={value} must be finite")
     fixed_fiber = [e.var for e in g.edges if e.var != var and e.var not in chart]
     if fixed_fiber:
-        raise ValueError(f"fiber variables {fixed_fiber} not bound by {chart_flag}")
-    system = tracking.ParametricRootSystem(f.substitute(chart), var, basepoint, loop)
-    return tracking.track(system, [complex(z) for z in marks], tol=tol).describe()
+        raise ValueError(f"fiber variables {fixed_fiber} not bound by {prefix}chart")
+    family = f.substitute(chart)
+    if loop.parameter not in family.variables:  # a constant family tracks silently
+        raise ValueError(f"{prefix}loop varies {loop.parameter!r}, which does not occur"
+                         f" in F under {prefix}chart")
+    system = tracking.ParametricRootSystem(family, var, basepoint, loop)
+    marked = [_number(complex, z, f"{prefix}mark {z}") for z in marks]
+    return tracking.track(system, marked, tol=tol).describe()
 
 
 # -- subcommand handlers: each returns what `main` prints ---------------------------
@@ -364,11 +354,11 @@ def _cmd_variation(args) -> dict:
 
 # The Aomoto commands grow factorially with the weight n and refuse a weight
 # over budget before building anything: `symbol` builds ((n+1)!)^2 words
-# (weight 5, the largest accepted, prints in 3-5 s and 190 MB peak RSS as
-# text, about 10 s and 270 MB as JSON; weight 6 would build 49x more words),
-# `components` lists C(2n+2, n+1)
-# components (weight 7, 1.6 s) and `hierarchy`, also `hierarchy --aomoto`,
-# compares C(2n+2, n+1)^2 pairs (weight 6, 3-5 s; weight 7 takes 14x longer).
+# (weight 5, the largest accepted, prints in about 3 s, with 180 MB peak RSS as
+# text and 110 MB as JSON; weight 6 would build 49x more words), `components`
+# lists C(2n+2, n+1) components (weight 7, 1.6 s) and `hierarchy`, also
+# `hierarchy --aomoto`, compares C(2n+2, n+1)^2 pairs (weight 6, 3-5 s; weight
+# 7 takes 14x longer).
 SYMBOL_WORD_BUDGET = 518400
 AOMOTO_COMPONENT_BUDGET = 12870
 AOMOTO_PAIR_BUDGET = 11778624
@@ -395,17 +385,23 @@ def _check_aomoto_budget(n: int, action: str) -> None:
         )
 
 
-def _cmd_aomoto(args) -> str | list | dict:
+def _cmd_aomoto(args) -> str | list | dict | Iterator:
     _check_aomoto_budget(args.n, args.action)
     if args.action == "symbol":
         words = aomoto_mod.aomoto_symbol(args.n)
         if args.format == "text":
             return [str(w) for w in words]
-        # one record per distinct letter, shared by all its words
-        letters = {letter for w in words for letter in w.letters}
-        records = {(I, J): {"I": sorted(I), "J": sorted(J)} for I, J in letters}
-        return [{"sign": w.sign, "letters": [records[l] for l in w.letters]}
-                for w in words]
+        # the encoder's text of [{"letters": [{"I": ..., "J": ...}, ...], "sign":
+        # ...}, ...], one chunk per word; each distinct letter record is encoded
+        # once and indented to its depth in the document, 3 levels
+        pad = "\n" + "  " * 3
+        records = {(I, J): _ENCODER.encode({"I": sorted(I), "J": sorted(J)}).replace("\n", pad)
+                   for I, J in {letter for w in words for letter in w.letters}}
+        word_texts = (f'{"," if i else "["}\n  {{\n    "letters": [{pad}'
+                      + f",{pad}".join(map(records.__getitem__, w.letters))
+                      + f'\n    ],\n    "sign": {w.sign}\n  }}'
+                      for i, w in enumerate(words))
+        return itertools.chain(word_texts, ("\n]\n",))
     if args.action == "components":
         return [c.describe() for c in aomoto_mod.aomoto_components(args.n)]
     # hierarchy
@@ -418,7 +414,7 @@ def _cmd_aomoto(args) -> str | list | dict:
 def _cmd_track(args) -> dict:
     g = _load_graph_arg(args.graph)
     return _track(g, graphs.symanzik_F(g), args.chart, args.var, args.loop, args.fix,
-                  args.mark, "--chart", tol=args.tol)
+                  args.mark, "--", tol=args.tol)
 
 
 def _cmd_analyze(args) -> dict:
@@ -430,7 +426,7 @@ def _cmd_analyze(args) -> dict:
              if args.audit else None)
     f, symanzik = _symanzik(g)
     track = (_track(g, f, args.track_chart, args.track_var, args.track_loop,
-                    args.track_fix, args.track_mark, "--track-chart")
+                    args.track_fix, args.track_mark, "--track-")
              if args.track_loop else None)
     rel = hierarchy.hierarchy_graph(comps)
     return {
@@ -565,9 +561,8 @@ def main(argv=None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         data = args.func(args)
-        # written in pieces of many chunks (a JSON chunk is a whole top-level entry):
-        # a large document is never held whole, and an unbuffered stdout is not
-        # written to once per chunk
+        # written in pieces of many chunks: a large document is never held whole,
+        # and an unbuffered stdout is not written to once per chunk
         chunks = _chunks(data, args.format)
         while piece := "".join(itertools.islice(chunks, 1024)):
             sys.stdout.write(piece)

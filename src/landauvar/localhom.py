@@ -151,7 +151,11 @@ def parse_word(text: str) -> tuple:
         if opt:
             if not opt.startswith("r="):
                 raise LocalHomologyError(f"bad option {opt!r}")
-            codim = int(opt[2:])
+            try:
+                codim = int(opt[2:])
+            except ValueError:
+                raise LocalHomologyError(
+                    f"operator {token!r}: r={opt[2:]} must be an integer") from None
         kind, surface = body[0], body[1:]
         if not surface:
             raise LocalHomologyError(f"operator {token!r} needs a surface id")

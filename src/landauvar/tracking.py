@@ -56,6 +56,9 @@ class Loop:
             raise TrackingError(f"loop needs at least 1 turn, got turns={self.turns}")
         if self.steps < 1:
             raise TrackingError(f"loop needs at least 1 step, got steps={self.steps}")
+        if self.steps < 2 * self.turns:  # a longer step can wrap round to its start
+            raise TrackingError("loop needs at least 2 steps per turn, got"
+                                f" steps={self.steps}, turns={self.turns}")
         if self.steps > LOOP_STEP_BUDGET:
             raise TrackingError(f"loop steps={self.steps} is over the budget of"
                                 f" {LOOP_STEP_BUDGET} steps")
@@ -185,6 +188,8 @@ def step(cs, theta, roots, tol):
     {cs}, = cs
     scale = max({abs_cs})
     if abs(c{degree}) <= 1e-12 * max(1.0, scale):
+        if not isfinite(scale):
+            raise OverflowError(f"a coefficient is not finite at theta={{theta}}")
         raise TrackingError(f"leading coefficient vanishes at theta={{theta}}")
     {dcs}
     bound = tol * scale
@@ -255,7 +260,7 @@ def _step_kernel(degree: int):
         roots=", ".join(f"r{i}" for i in ranks),
         corrections=corrections, tests=tests,
         new_roots=", ".join(f"x{i}" for i in ranks))
-    namespace = {"TrackingError": TrackingError}
+    namespace = {"TrackingError": TrackingError, "isfinite": math.isfinite}
     exec(compile(source, f"<corrector step of degree {degree}>", "exec"), namespace)
     return namespace["step"]
 
@@ -291,6 +296,8 @@ def _track(sys, marked, tol) -> TrackResult:
     cs0 = coeffs_at(expected_base)
     scale0 = max(map(abs, cs0))
     if abs(cs0[-1]) <= 1e-12 * max(1.0, scale0):
+        if not math.isfinite(scale0):
+            raise OverflowError("a coefficient is not finite at theta=0.0")
         raise TrackingError("leading coefficient vanishes at theta=0.0")
     desc0 = cs0[::-1]
     import numpy as np  # here, so that commands which never track do not load numpy

@@ -126,6 +126,17 @@ def test_signword(capsys):
     assert data["canonical"] == "d1 d3 p2"
 
 
+@pytest.mark.parametrize("word, message", [
+    ("d1:r=x", "operator 'd1:r=x': r=x must be an integer"),
+    ("p2 d3:r=2.5", "operator 'd3:r=2.5': r=2.5 must be an integer"),
+])
+def test_signword_codimension_errors_name_the_token_and_value(capsys, word, message):
+    code, out, err = run_cli(capsys, "signword", word)
+    assert out == ""
+    assert_clean_error(code, err)
+    assert f"error: {message}" in err
+
+
 def test_variation_commands(capsys):
     code, out, _ = run_cli(capsys, "variation", "compose", "bubble",
                            "w=l2,lD+", "--format", "json")
@@ -275,6 +286,10 @@ def test_aomoto_symbol_over_budget_is_refused_before_building(capsys, monkeypatc
 # SHA-256 of the stdout of `aomoto symbol` as first printed by the per-pair
 # construction; the per-permutation tables must print the same bytes
 SYMBOL_DIGESTS = {
+    ("1", "text"): "57e518df91d7489504e0039ad758eec005c4aae0ef668d582dfa8ce858beb5a5",
+    ("1", "json"): "8abbace3ee173ba1b8a5b55defe55acc202f4e2ac018d4d7b1365ce4bd8915f8",
+    ("2", "text"): "d395b3385403e3d258eff77e6699bc367051c73de744df0d503aed4fccc3a31d",
+    ("2", "json"): "eaee188d92d25e0c705816c1380a8b16a012d667a757e951f423f16d9e6b3ac5",
     ("3", "text"): "6f8e1f43e9cad5c5d39840e8db6a76da1d6c664d3888b031856bf92e1296150a",
     ("3", "json"): "e2cfe28de2577c79691cf85ecd85c5fb1bc4bb9b0202fe0f7eb74c1c2659fca0",
     ("4", "text"): "b3bb66bff20ab2df935db3c76fec7e74522243265a314d907dbe85ba87d1d1e6",
@@ -585,6 +600,7 @@ def test_symanzik_and_analyze_enumerate_the_trees_once(capsys, monkeypatch, argv
 
 def test_chart_errors_name_the_option_variable_and_value(capsys):
     track = ["--var", "x2", "--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4"]
+    analyze = ["analyze", "bubble", "--track-chart", "x1=1", "--track-var", "x2"]
     cases = [
         (["landau", "eliminate", "bubble", "--chart", "x9=1"],
          "--chart binds 'x9', which does not occur in F"),
@@ -595,6 +611,29 @@ def test_chart_errors_name_the_option_variable_and_value(capsys):
         (["analyze", "bubble", "--track-loop", "psq:center=9,r=0.1", "--track-var",
           "x2", "--track-chart", "x1=one", "--track-fix", "m1sq=1,m2sq=4"],
          "--track-chart x1=one: the value must be an integer"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--fix", "m1sq=abc,m2sq=4"],
+         "--fix m1sq=abc: the value must be a number"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--mark", "abc"],
+         "--mark abc: the value must be a number"),
+        (analyze + ["--track-loop", "psq:center=9,r=0.1", "--track-fix", "m1sq=1,m2sq=4j+"],
+         "--track-fix m2sq=4j+: the value must be a number"),
+        (analyze + ["--track-loop", "psq:center=9,r=0.1", "--track-fix", "m1sq=1,m2sq=4",
+                    "--track-mark", "0", "--track-mark", "1/2"],
+         "--track-mark 1/2: the value must be a number"),
+        # a name that is not in F binds nothing, and a loop over it tracks a
+        # constant family
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--fix", "m1sq=1,m2sq=4,m3sq=7"],
+         "--fix binds 'm3sq', which does not occur in F"),
+        (["track", "bubble", "--chart", "x1=1", "--var", "x2", "--loop", "zz:center=9,r=1",
+          "--fix", "m1sq=1,m2sq=4,psq=20"],
+         "--loop varies 'zz', which does not occur in F under --chart"),
+        (["track", "bubble", "--chart", "x1=1", "--var", "x2", "--loop", "x1:center=9,r=1",
+          "--fix", "m1sq=1,m2sq=4,psq=20"],
+         "--loop varies 'x1', which does not occur in F under --chart"),
+        (analyze + ["--track-loop", "psq:center=9,r=0.1", "--track-fix", "m1sq=1,m3sq=4"],
+         "--track-fix binds 'm3sq', which does not occur in F"),
+        (analyze + ["--track-loop", "zz:center=9,r=0.1", "--track-fix", "m1sq=1,m2sq=4"],
+         "--track-loop varies 'zz', which does not occur in F under --track-chart"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
@@ -783,6 +822,15 @@ def test_bad_loop_orientation_steps_and_tolerance_are_clean_errors(capsys):
          "loop orientation must be +1 or -1, got orient=3"),
         (["--loop", "psq:center=9,r=0.1,steps=1.5"],
          "loop steps=1.5: the value must be an integer"),
+        # under 2 steps per turn a step can wrap round to where it started
+        (["--loop", "psq:center=9,r=1,steps=1"],
+         "loop needs at least 2 steps per turn, got steps=1, turns=1"),
+        (["--loop", "psq:center=9,r=1,turns=3,steps=3"],
+         "loop needs at least 2 steps per turn, got steps=3, turns=3"),
+        (["--loop", "psq:center=9,r=1,turns=100,steps=101"],
+         "got steps=101, turns=100"),
+        (["--loop", "psq:center=9,r=1,turns=1000,steps=1001"],
+         "got steps=1001, turns=1000"),
         (["--loop", "psq:center=x,r=0.1"], "loop center=x: the value must be a number"),
         (["--loop", "psq:center=9,r=0.1", "--tol", "nan"],
          "tolerance tol=nan must be finite and positive"),
@@ -848,7 +896,10 @@ def test_overflowing_tracking_input_is_a_clean_error(capsys):
     track = ["track", "bubble", "--chart", "x1=1", "--var", "x2"]
     for argv in (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1e-200,m2sq=1e300"],
                  track + ["--loop", "psq:center=1e300,r=1e299",
-                          "--fix", "m1sq=1e300,m2sq=1e300"]):
+                          "--fix", "m1sq=1e300,m2sq=1e300"],
+                 # the x2 coefficient sums to inf, which is not a vanishing one
+                 track + ["--loop", "psq:center=1e308,r=1e300",
+                          "--fix", "m1sq=-1e308,m2sq=-1e308"]):
         code, out, err = run_cli(capsys, *argv)
         assert out == ""
         assert_clean_error(code, err)

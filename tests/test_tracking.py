@@ -255,6 +255,20 @@ def test_discriminant_threshold_is_scale_invariant():
     assert all(r.windings == results[0].windings for r in results)
 
 
+def test_an_infinite_coefficient_is_out_of_range_not_a_vanishing_one():
+    # the constant term t - 1.5e308 is finite at the basepoint t = 1e307 and
+    # overflows to -inf on the far side of the loop, while t stays finite
+    far = ParametricRootSystem(parse("10^300*x + t - 15*10^307"), "x", {},
+                               Loop("t", -10**307, 2 * 10**307))
+    with pytest.raises(TrackingError, match=r"^values out of floating-point range: a"
+                       r" coefficient is not finite at theta=0\.4"):
+        track(far)
+    base = ParametricRootSystem(parse("10^300*x + t - 15*10^307"), "x", {},
+                                Loop("t", -10**308, 10**307))
+    with pytest.raises(TrackingError, match=r"coefficient is not finite at theta=0\.0$"):
+        track(base)
+
+
 def test_root_on_a_marked_point_is_refused():
     # with m1sq = 0, x2 = 0 is a root of the bubble family at every psq
     sys = ParametricRootSystem(bubble_family(), "x2", {"m1sq": 0, "m2sq": 4},

@@ -275,8 +275,14 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
     loop = _parse_loop(loop_text)
     basepoint = _parse_bindings(fix_text, f, f"{prefix}fix", complex)
     for name, value in _parse_assignments(fix_text).items():
+        if name in chart:
+            raise ValueError(f"{prefix}fix binds {name!r}, which {prefix}chart already binds")
+        if name == var:
+            raise ValueError(f"{prefix}fix binds {name!r}, the variable that {prefix}var tracks")
         if not cmath.isfinite(basepoint[name]):
             raise tracking.TrackingError(f"frozen value {name}={value} must be finite")
+    if loop.parameter == var:
+        raise ValueError(f"{prefix}loop varies {var!r}, the variable that {prefix}var tracks")
     fixed_fiber = [e.var for e in g.edges if e.var != var and e.var not in chart]
     if fixed_fiber:
         raise ValueError(f"fiber variables {fixed_fiber} not bound by {prefix}chart")

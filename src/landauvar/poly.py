@@ -9,6 +9,8 @@ that equal polynomials always render identically.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -327,8 +329,8 @@ class Polynomial:
 
 def _grlex_key(varorder: tuple):
     """Graded lexicographic sort key on monomials in the variables
-    `varorder`: total degree first, then the exponents along `varorder`.  It
-    orders printed terms and picks the leading term in `divides`."""
+    `varorder`: total degree first, then the list of exponents along
+    `varorder`.  It orders printed terms and the remainder in `divides`."""
     index = {v: i for i, v in enumerate(varorder)}
     zeros = [0] * len(varorder)
 
@@ -451,36 +453,54 @@ def parse(text: str) -> Polynomial:
 
 
 def divides(d: Polynomial, a: Polynomial):
-    """Return the quotient q with a == d*q, or None if no such q exists."""
+    """Return the quotient q with a == d*q, or None if no such q exists.
+
+    Division by the leading term of d in graded lexicographic order, on
+    exponent vectors.  The remainder is a dict with a heap of its terms'
+    negated `_grlex_key` keys, so each step pops the leading term instead of
+    scanning the remainder; a key whose term has cancelled is skipped.  If a
+    is a multiple of d, so is every remainder, and its leading term is
+    divisible by d's; so the first leading term that is not shows that a is
+    not a multiple.
+    """
     if d.is_zero():
         raise PolynomialError("zero divisor polynomial")
     if a.is_zero():
         return Polynomial()
-    key = _grlex_key(tuple(sorted(set(a.variables) | set(d.variables))))
-    lt_d_mono = max(d.terms, key=key)
-    lt_d_coeff = d.terms[lt_d_mono]
-    quotient: dict = {}
-    rem = a
-    while rem.terms:
-        lt_mono = max(rem.terms, key=key)
-        qm = _mono_div(lt_mono, lt_d_mono)
-        if qm is None:
+    names = tuple(sorted(set(a.variables) | set(d.variables)))
+    key = _grlex_key(names)
+    lead_mono = max(d.terms, key=key)
+    lead, lead_c = key(lead_mono)[1], d.terms[lead_mono]
+    rest = [(key(mono)[1], c) for mono, c in d.terms.items() if mono != lead_mono]
+    rem = {}
+    heap = []
+    for mono, c in a.terms.items():
+        total, exps = key(mono)
+        rem[tuple(exps)] = c
+        heap.append((-total, [-e for e in exps], tuple(exps)))
+    heapq.heapify(heap)
+    quotient = {}
+    while heap:
+        exps = heapq.heappop(heap)[2]
+        c = rem.pop(exps, None)
+        if c is None:
+            continue
+        q = [e - f for e, f in zip(exps, lead)]
+        if min(q, default=0) < 0:
             return None
-        qc = rem.terms[lt_mono] / lt_d_coeff
-        quotient[qm] = quotient.get(qm, Fraction(0)) + qc
-        rem = rem - _raw({qm: qc}) * d
-    return _raw({m: c for m, c in quotient.items() if c != 0})
-
-
-def _mono_div(m1: Monomial, m2: Monomial):
-    d = dict(m1)
-    for v, e in m2:
-        if d.get(v, 0) < e:
-            return None
-        d[v] -= e
-        if d[v] == 0:
-            del d[v]
-    return tuple(sorted(d.items()))
+        qc = c / lead_c
+        quotient[tuple((v, e) for v, e in zip(names, q) if e)] = qc
+        for dexps, dc in rest:
+            prod = tuple(e + f for e, f in zip(q, dexps))
+            s = rem.get(prod)
+            if s is None:
+                rem[prod] = -qc * dc
+                heapq.heappush(heap, (-sum(prod), [-e for e in prod], prod))
+            elif s == qc * dc:
+                del rem[prod]
+            else:
+                rem[prod] = s - qc * dc
+    return _raw(quotient)
 
 
 class PolyMatrix:
@@ -552,7 +572,16 @@ def determinant(m: PolyMatrix) -> Polynomial:
     columns.  Choosing column j for the next row flips the sign once per used
     column to the right of j.  Zero entries and zero minors are skipped, and
     a partial minor is dropped once it leaves out a column that is zero in
-    every later row, so banded Sylvester matrices keep few live column sets.
+    every later row.
+
+    The rows are expanded in band order, a stable sort by first and then
+    last nonzero column, and the result is multiplied by the sign of that
+    row permutation.  Rows that close a column early then come first, so a
+    banded matrix keeps few live column sets.  `resultant` stacks all of
+    a's shifted rows above all of b's, and in that order no column is
+    closed before b's block starts: the 9x9 Sylvester matrices of the
+    sunrise elimination peak at 126 live sets, against 10 in band order.
+    Dense matrices are already in band order and are expanded as given.
 
     The expansion runs on a packed integer form.  Row i is multiplied by the
     lcm L_i of its coefficient denominators, so every coefficient is an int
@@ -569,23 +598,33 @@ def determinant(m: PolyMatrix) -> Polynomial:
     shift = {v: k for k, v in enumerate(names)}
     w = sum(max(e.total_degree() for e in row) for row in m.entries).bit_length()
     scale = 1
-    rows = []
+    rows, masks = [], []
     for row in m.entries:
         lcm = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
         scale *= lcm
-        packed = []
+        packed, mask = [], 0
         for j, e in enumerate(row):
             if e.terms:
+                mask |= 1 << j
                 terms = [(sum(power << w * shift[v] for v, power in mono),
                           c.numerator * (lcm // c.denominator))
                          for mono, c in e.terms.items()]
                 packed.append((j, terms, [(p, -c) for p, c in terms]))
         rows.append(packed)
+        masks.append(mask)
+    # Expand the rows in band order: by first, then last nonzero column (a
+    # zero row has neither and goes first).  det(M) = sign(order) det(M[order]).
+    bands = [((b & -b).bit_length(), b.bit_length()) for b in masks]
+    order = sorted(range(n), key=bands.__getitem__)
+    sign = 1
+    if order != list(range(n)):
+        rows = [rows[i] for i in order]
+        masks = [masks[i] for i in order]
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
     # need[i]: columns zero in every row below i, which rows 0..i must use
     need = [(1 << n) - 1] * n
     for i in range(n - 2, -1, -1):
-        zeros = sum(1 << j for j, e in enumerate(m.entries[i + 1]) if e.is_zero())
-        need[i] = need[i + 1] & zeros
+        need[i] = need[i + 1] & ~masks[i + 1]
     minors = {0: {0: 1}}
     for i, entries in enumerate(rows):
         grown: dict = {}
@@ -615,7 +654,7 @@ def determinant(m: PolyMatrix) -> Polynomial:
             if p & mask:
                 mono.append((v, p & mask))
             p >>= w
-        out[tuple(mono)] = Fraction(c, scale)
+        out[tuple(mono)] = Fraction(sign * c, scale)
     return _raw(out)
 
 

@@ -306,6 +306,47 @@ def test_aomoto_symbol_prints_the_recorded_bytes(capsys, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == SYMBOL_DIGESTS[n, fmt]
 
 
+# Outputs built from determinants whose rows `determinant` reorders: the
+# sunrise eliminations end in 9x9 Sylvester matrices, and the 5-gon takes the
+# bordered Cayley matrices of all its edge subsets.  A slip in the row order
+# or its sign changes these bytes.
+DETERMINANT_DIGESTS = {
+    ("landau", "eliminate", "sunrise", "--chart", "x1=1"):
+        "4f2d68d9097359960bb01836ff418015eee0bfa32d60e25fae63ddfde1033824",
+    ("landau", "eliminate", "sunrise", "--chart", "x1=1,m1sq=1"):
+        "25ce9b00d84975d90f3512b029db68b072d0549be70861459597266905fa019d",
+    ("landau", "oneloop", "pentagon", "--format", "json"):
+        "37f06df0af1c9e4877158a6dbb3185f95c130cf03382b46f3ca581ef283daad0",
+}
+
+
+def pentagon_document():
+    """A 5-gon with five masses, a leg at each vertex, and a symbol for each
+    channel of one leg or two adjacent legs."""
+    n = 5
+    channels = {f"p{k}": f"s{k}" for k in range(1, n + 1)}
+    channels.update({f"p{k}+p{k + 1}": f"t{k}" for k in range(1, n)})
+    channels["p1+p5"] = "t5"
+    return {
+        "vertices": [f"v{k}" for k in range(1, n + 1)],
+        "edges": [{"id": str(k), "ends": [f"v{k}", f"v{k % n + 1}"], "mass": f"m{k}",
+                   "var": f"x{k}"} for k in range(1, n + 1)],
+        "legs": [{"vertex": f"v{k}", "momentum": f"p{k}"} for k in range(1, n + 1)],
+        "channels": channels,
+    }
+
+
+@pytest.mark.parametrize("argv", sorted(DETERMINANT_DIGESTS))
+def test_determinant_outputs_print_the_recorded_bytes(tmp_path, capsys, argv):
+    import hashlib
+
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(pentagon_document()))
+    code, out, _ = run_cli(capsys, *(str(path) if a == "pentagon" else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == DETERMINANT_DIGESTS[argv]
+
+
 # -- the JSON writer -----------------------------------------------------------------
 
 # strings with non-ASCII characters, a lone surrogate and characters that need escapes
@@ -634,6 +675,21 @@ def test_chart_errors_name_the_option_variable_and_value(capsys):
          "--track-fix binds 'm3sq', which does not occur in F"),
         (analyze + ["--track-loop", "zz:center=9,r=0.1", "--track-fix", "m1sq=1,m2sq=4"],
          "--track-loop varies 'zz', which does not occur in F under --track-chart"),
+        # a binding of the chart variable or the tracked variable is ignored,
+        # and a loop over the tracked variable moves no coefficient
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--fix", "m1sq=1,m2sq=4,x2=3"],
+         "--fix binds 'x2', the variable that --var tracks"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--fix", "m1sq=1,m2sq=4,x1=5"],
+         "--fix binds 'x1', which --chart already binds"),
+        (["track", "bubble", "--chart", "x1=1", "--var", "x2", "--loop", "x2:center=9,r=1",
+          "--fix", "m1sq=1,m2sq=4,psq=3"],
+         "--loop varies 'x2', the variable that --var tracks"),
+        (analyze + ["--track-loop", "psq:center=9,r=0.1", "--track-fix", "m1sq=1,m2sq=4,x2=3"],
+         "--track-fix binds 'x2', the variable that --track-var tracks"),
+        (analyze + ["--track-loop", "psq:center=9,r=0.1", "--track-fix", "m1sq=1,m2sq=4,x1=5"],
+         "--track-fix binds 'x1', which --track-chart already binds"),
+        (analyze + ["--track-loop", "x2:center=9,r=1", "--track-fix", "m1sq=1,m2sq=4,psq=3"],
+         "--track-loop varies 'x2', the variable that --track-var tracks"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)

@@ -230,19 +230,25 @@ def test_divides_gives_the_quotient_of_a_multiple_and_none_otherwise(d, q, r):
         assert divides(d, d * q + low) is None
 
 
-def _leibniz_det(m):
-    import itertools
+def _permutation_sign(perm):
+    return (-1) ** sum(1 for i, a in enumerate(perm) for b in perm[i + 1:] if a > b)
 
+
+def _leibniz_det(m):
+    """The Leibniz sum over the permutations that take no zero entry."""
     n = m.rows
     total = Polynomial.zero()
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        term = Polynomial.const((-1) ** inversions)
-        for i in range(n):
-            term = term * m[i, perm[i]]
-        total = total + term
+
+    def extend(perm, term):
+        nonlocal total
+        if len(perm) == n:
+            total = total + Polynomial.const(_permutation_sign(perm)) * term
+            return
+        for j in range(n):
+            if j not in perm and not m[len(perm), j].is_zero():
+                extend(perm + [j], term * m[len(perm), j])
+
+    extend([], Polynomial.const(1))
     return total
 
 
@@ -340,6 +346,67 @@ def test_determinant_with_a_variable_in_one_row_only():
         [1, z, x - y, y ** 2],
     ])
     assert determinant(m) == _leibniz_det(m)
+
+
+@st.composite
+def banded_matrices(draw):
+    # rows and a permutation of them.  Row i is nonzero exactly from its
+    # first to its last column, a band that holds column i, so the diagonal
+    # term survives; a row often repeats the band of the row above, so equal
+    # bands and their stable order come up, and now and then a row is zero
+    n = draw(st.integers(min_value=2, max_value=6))
+    nonzero = polynomials(max_terms=2, max_exp=2).filter(lambda p: not p.is_zero())
+    inner = st.one_of(st.just(Polynomial.zero()), nonzero)
+    rows, band = [], (0, 0)
+    for i in range(n):
+        if not band[0] <= i <= band[1] or draw(st.booleans()):
+            band = (draw(st.integers(0, i)), draw(st.integers(i, n - 1)))
+        row = [Polynomial.zero()] * n
+        for j in range(band[0], band[1] + 1):
+            row[j] = draw(nonzero if j in (band[0], i, band[1]) else inner)
+        rows.append(row)
+    if draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, n - 1))] = [Polynomial.zero()] * n
+    return rows, draw(st.permutations(range(n)))
+
+
+@given(banded_matrices())
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_band_order_keeps_the_sign_of_a_row_permutation(rows_and_perm):
+    rows, perm = rows_and_perm
+    permuted = PolyMatrix([rows[i] for i in perm])
+    det = determinant(permuted)
+    assert det == _leibniz_det(permuted)
+    assert det == _permutation_sign(perm) * determinant(PolyMatrix(rows))
+
+
+# coefficients in x's place: polynomials in t, y and z
+x_free = polynomials(max_terms=2, max_exp=1).map(lambda p: p.substitute({"x": t}))
+
+
+@st.composite
+def polynomials_in_x(draw):
+    degree = draw(st.integers(min_value=1, max_value=5))
+    coeffs = draw(st.lists(x_free, min_size=degree, max_size=degree))
+    coeffs.append(draw(x_free.filter(lambda p: not p.is_zero())))
+    return coeffs
+
+
+@given(polynomials_in_x(), polynomials_in_x())
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+def test_resultant_equals_the_leibniz_sum_of_its_sylvester_matrix(ca, cb):
+    # ca[k] is the coefficient of x^k; a's shifted rows come before b's
+    da, db = len(ca) - 1, len(cb) - 1
+    a = sum((c * x ** k for k, c in enumerate(ca)), Polynomial.zero())
+    b = sum((c * x ** k for k, c in enumerate(cb)), Polynomial.zero())
+    rows = [[Polynomial.zero()] * (da + db) for _ in range(da + db)]
+    for i in range(db):
+        for k in range(da + 1):
+            rows[i][i + k] = ca[da - k]
+    for i in range(da):
+        for k in range(db + 1):
+            rows[db + i][i + k] = cb[db - k]
+    assert resultant(a, b, "x") == _leibniz_det(PolyMatrix(rows))
 
 
 def _gauss_det(rows):

@@ -272,6 +272,11 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
     frozen values: the one stage of `track` and `analyze --track-loop`, whose
     options start with `prefix` (``--`` and ``--track-``)."""
     chart = _parse_chart(chart_text, f, f"{prefix}chart")
+    edge_vars = [e.var for e in g.edges]
+    if var not in edge_vars:
+        raise ValueError(f"{prefix}var {var!r} is not one of the edge variables {edge_vars}")
+    if var in chart:
+        raise ValueError(f"{prefix}chart binds {var!r}, the variable that {prefix}var tracks")
     loop = _parse_loop(loop_text)
     basepoint = _parse_bindings(fix_text, f, f"{prefix}fix", complex)
     for name, value in _parse_assignments(fix_text).items():
@@ -283,7 +288,7 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
             raise tracking.TrackingError(f"frozen value {name}={value} must be finite")
     if loop.parameter == var:
         raise ValueError(f"{prefix}loop varies {var!r}, the variable that {prefix}var tracks")
-    fixed_fiber = [e.var for e in g.edges if e.var != var and e.var not in chart]
+    fixed_fiber = [v for v in edge_vars if v != var and v not in chart]
     if fixed_fiber:
         raise ValueError(f"fiber variables {fixed_fiber} not bound by {prefix}chart")
     family = f.substitute(chart)

@@ -5,11 +5,10 @@ circle; all other parameters stay frozen.  Each step predicts every root by
 its value at the previous step and corrects it with Newton's method.  A step
 is rejected, and halved, when a correction fails or the corrected roots come
 close to each other compared with how far they moved; after an accepted step
-a halved step doubles back towards the nominal one.  One corrector step is a
-straight-line function per family degree, generated once from text that
-depends on the degree alone (`_step_kernel`): Horner's rule unrolled over
-the unpacked coefficients, every root and every root pair written out, and
-the same floating-point operations as the plain loop.  At the end the roots are
+a halved step doubles back towards the nominal one.  The whole loop is one
+straight-line function (`_loop_kernel`), generated once per family degree,
+term layout of the coefficients in t and number of marked points, with the
+same floating-point operations as the plain loop.  At the end the roots are
 matched back to the start, giving the permutation of the roots and the
 winding number of each tracked root around marked points.  The discrete
 outputs are the contract; residuals are diagnostics.
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -29,7 +29,7 @@ class TrackingError(ValueError):
     pass
 
 
-# `track` takes at least `steps` corrector steps (steps=100000 takes about 1.0 s
+# `track` takes at least `steps` corrector steps (steps=100000 takes about 0.5 s
 # on a 2-vCPU x86-64 VM, and past about 1e16 steps theta stops advancing), so
 # more steps are refused
 LOOP_STEP_BUDGET = 100_000
@@ -106,18 +106,15 @@ class TrackResult:
         }
 
 
-def compile_coefficients(coeff_polys, frozen, loop_var):
-    """The coefficient polynomials as a function of the loop parameter alone.
-
+def _term_table(coeff_polys, frozen, loop_var):
+    """The terms of each coefficient polynomial, and the exponent of each slot:
+    the one reading of them that `compile_coefficients` and `_loop_kernel` share.
     Every term c·Π v^e becomes (head, k, tail): head is complex(c) times the
     frozen powers of the variables that sort before `loop_var` (all of them
     when `loop_var` does not occur), k the slot of the power t^e of `loop_var`
-    among the powers computed once per call (None when it does not occur) and
-    tail the remaining frozen powers.  The returned function multiplies in the
-    same order as `Polynomial.evaluate`, so its values equal
-    ``[p.evaluate({**frozen, loop_var: t}) for p in coeff_polys]`` exactly.
-    """
-    compiled, slots = [], {}  # each distinct e_t -> its slot
+    among the powers computed once per loop point (None when it does not occur)
+    and tail the remaining frozen powers."""
+    table, slots = [], {}  # each distinct e_t -> its slot
     for poly in coeff_polys:
         terms = []
         for mono, c in poly.terms.items():
@@ -132,100 +129,112 @@ def compile_coefficients(coeff_polys, frozen, loop_var):
                 else:
                     head *= frozen[v] ** e
             terms.append((head, slots.setdefault(e_t, len(slots)) if e_t else None, tail))
-        compiled.append(terms)
-    exponents = list(slots)
-
-    def at(t):
-        powers = [t ** e for e in exponents]
-        cs = []
-        for terms in compiled:
-            total = 0j
-            for head, k, tail in terms:
-                if k is None:
-                    total += head
-                    continue
-                val = head * powers[k]
-                for factor in tail:
-                    val *= factor
-                total += val
-            cs.append(total)
-        return cs
-
-    return at
+        table.append(terms)
+    return table, list(slots)
 
 
-def _newton(coeffs, dcoeffs, x0, bound, max_iter=20):
-    """Newton corrector on descending coefficient lists; succeeds once
-    |f(x)| <= bound, giving (x, |f(x)|), else None.  `track` calls it with
-    max_iter=0, as the basepoint residual check; its steps run the same
-    corrector written out by `_step_kernel`."""
-    x = x0
-    for i in range(max_iter + 1):
-        fx = 0j
-        for c in coeffs:
-            fx = fx * x + c
-        residual = abs(fx)
-        if residual <= bound:
-            return x, residual
-        if i == max_iter:
-            return None
-        dfx = 0j
-        for c in dcoeffs:
-            dfx = dfx * x + c
-        if dfx == 0:
-            return None
-        x = x - fx / dfx
+def _coefficients_at(table, exponents, t):
+    powers = [t ** e for e in exponents]
+    cs = []
+    for terms in table:
+        total = 0j
+        for head, k, tail in terms:  # a term without t has no tail
+            val = head if k is None else head * powers[k]
+            for factor in tail:
+                val *= factor
+            total += val
+        cs.append(total)
+    return cs
 
 
-# One corrector step for a family of one degree d, as straight-line text: the
-# coefficients c0..cd, the derivative's dk = k * ck and the roots r0..r(d-1) are
-# unpacked into locals and Horner's rule is unrolled.  It does what
-# `_newton(desc, ddesc, r, tol * scale)` does for each root, then the separation
-# and move tests, with the same floating-point operations on the same operands in
-# the same order; only integers derived from d are written into the text.
-_STEP_TEMPLATE = """\
-def step(cs, theta, roots, tol):
-    {cs}, = cs
-    scale = max({abs_cs})
-    if abs(c{degree}) <= 1e-12 * max(1.0, scale):
-        if not isfinite(scale):
-            raise OverflowError(f"a coefficient is not finite at theta={{theta}}")
-        raise TrackingError(f"leading coefficient vanishes at theta={{theta}}")
-    {dcs}
-    bound = tol * scale
-    {roots}, = roots
-    residual = 0.0
-{corrections}{tests}    return [{new_roots}], residual
+def compile_coefficients(coeff_polys, frozen, loop_var):
+    """The coefficient polynomials as a function of the loop parameter alone,
+    read through `_term_table`.  The function multiplies in the same order as
+    `Polynomial.evaluate`, so its values equal
+    ``[p.evaluate({**frozen, loop_var: t}) for p in coeff_polys]`` exactly.
+    """
+    return functools.partial(_coefficients_at, *_term_table(coeff_polys, frozen, loop_var))
+
+
+def _residual_ok(desc, x, bound) -> bool:
+    """Whether |f(x)| <= bound, with f(x) by Horner's rule on the descending
+    coefficients `desc`: the residual check on the basepoint roots."""
+    fx = 0j
+    for c in desc:
+        fx = fx * x + c
+    return abs(fx) <= bound
+
+
+# The whole step loop as straight-line text.  Its arguments are the heads h*,
+# tail factors f* and exponents e* of a `_term_table`, the marked points z*, the
+# start roots r* and the loop.  Each pass computes the loop point t, the powers
+# p* = t ** e* and the coefficients c* as `_coefficients_at` does, corrects every
+# root by Newton's method with Horner's rule unrolled, tests the new roots x* for
+# separation and movement, and adds the winding a{i}_{k} of root i about marked
+# point k.  The floating-point operations are those of the plain loop, on the
+# same operands in the same order; only integers derived from the kernel's key
+# are in the text.
+_LOOP_TEMPLATE = """\
+def run({heads}{tails}{exponents}{marks}{roots}center, radius, w, tol, steps):
+{windings_init}    theta = max_residual = 0.0
+    base_step = step = 1.0 / steps
+    n_steps = halvings = 0
+    while theta < 1.0 - 1e-15:
+        target = theta + min(step, 1.0 - theta)
+        t = center + radius * exp(w * target)
+{coefficients}        scale = max({abs_cs}, lead := abs(c{degree}))
+        if lead <= 1e-12 * (scale if scale > 1.0 else 1.0):
+            if not isfinite(scale):
+                raise OverflowError(f"a coefficient is not finite at theta={{target}}")
+            raise TrackingError(f"leading coefficient vanishes at theta={{target}}")
+        {dcs}
+        bound = tol * scale
+{corrections}{tests}{windings}{accept}        theta = target
+        n_steps += 1
+        if step < base_step:
+            step = min(base_step, step * 2)
+    return [{roots}], [{winding_rows}], n_steps, halvings, max_residual
 """
 
+# a rejected step is halved and tried again
+_REJECT = """\
+            step /= 2
+            halvings += 1
+            if step < 1e-13:
+                raise TrackingError("step underflow: loop passes too near a singularity")
+            continue
+"""
+
+# at most 20 Newton corrections; a vanishing derivative leaves e > bound
 _CORRECTION_TEMPLATE = """\
-    x = r{i}
-    for _ in range(20):
-        fx = {f}
-        e = abs(fx)
-        if e <= bound:
-            break
-        dfx = {df}
-        if dfx == 0:
-            return None
-        x = x - fx / dfx
-    else:
-        e = abs({f})
+        x = r{i}
+        for _ in range(20):
+            fx = {f}
+            e = abs(fx)
+            if e <= bound or (dfx := {df}) == 0:
+                break
+            x = x - fx / dfx
+        else:
+            e = abs({f})
         if not e <= bound:
-            return None
-    x{i} = x
-    if e > residual:
-        residual = e
+{reject}        x{i} = x
+        err{i} = e
 """
 
 # a step is accepted when every root converges, the new roots stay apart and
 # none moves more than 0.4 of their separation
 _TESTS_TEMPLATE = """\
-    sep = {sep}
-    if sep < 10 * tol:
-        return None
-    if max({moves}) > 0.4 * sep:
-        return None
+        sep = {sep}
+        if sep < 10 * tol or max({moves}) > 0.4 * sep:
+{reject}"""
+
+# the first root and marked point, in order, whose difference is the zero divisor
+_WINDINGS_TEMPLATE = """\
+        try:
+{phases}        except ZeroDivisionError:
+            z = next(z for r in [{roots}] for z in [{marks}] if r - z == 0)
+            raise TrackingError(f"a root lies on the marked point {{z}}: its winding"
+                                " around that point is undefined") from None
 """
 
 
@@ -236,33 +245,55 @@ def _horner(names) -> str:
     return text
 
 
-@functools.cache
-def _step_kernel(degree: int):
-    """The corrector step for families of `degree`: ``step(cs, theta, roots,
-    tol)`` takes the ascending coefficients at the loop point of `theta` and
-    gives the corrected roots and their largest residual, or None when the
-    step is rejected."""
-    powers = range(degree + 1)
-    ranks = range(degree)
-    pairs = [(i, j) for i in ranks for j in range(i + 1, degree)]
+def _listed(prefix, n) -> str:
+    return "".join(f"{prefix}{i}, " for i in range(n))
+
+
+@functools.lru_cache(maxsize=256)
+def _loop_kernel(degree: int, layout: tuple, n_marks: int):
+    """The step loop for families of `degree` whose `_term_table` has the
+    `layout` (per coefficient, the slot and number of tail factors of each
+    term), with `n_marks` marked points; it gives the end roots, the winding
+    angles, the steps, the halvings and the largest residual."""
+    powers, ranks, marks = range(degree + 1), range(degree), range(n_marks)
+    n_slots = 1 + max((k for terms in layout for k, _ in terms if k is not None), default=-1)
+    heads, tails, coefficients = itertools.count(), itertools.count(), []
+    for j, terms in enumerate(layout):
+        total = "0j"
+        for k, n_tail in terms:
+            total += f" + h{next(heads)}" + ("" if k is None else f" * p{k}") + "".join(
+                f" * f{next(tails)}" for _ in range(n_tail))
+        coefficients.append(f"        c{j} = {total}\n")
     f = _horner(f"c{k}" for k in reversed(powers))
     df = _horner(f"d{k}" for k in reversed(powers[1:]))
-    corrections = "".join(_CORRECTION_TEMPLATE.format(i=i, f=f, df=df) for i in ranks)
-    seps = [f"abs(x{i} - x{j})" for i, j in pairs]
-    tests = _TESTS_TEMPLATE.format(
-        sep=seps[0] if len(seps) == 1 else f"min({', '.join(seps)})",
-        moves=", ".join(f"abs(x{i} - r{i})" for i in ranks)) if pairs else ""
-    source = _STEP_TEMPLATE.format(
-        cs=", ".join(f"c{k}" for k in powers),
-        abs_cs=", ".join(f"abs(c{k})" for k in powers),
+    seps = [f"abs(x{i} - x{j})" for i in ranks for j in range(i + 1, degree)]
+    roots, zs = _listed("r", degree), _listed("z", n_marks)
+    source = _LOOP_TEMPLATE.format(
+        heads=_listed("h", next(heads)), tails=_listed("f", next(tails)),
+        exponents=_listed("e", n_slots), marks=zs, roots=roots,
+        windings_init="".join(f"    a{i}_{k} = 0.0\n" for i in ranks for k in marks),
+        coefficients="".join(f"        p{k} = t ** e{k}\n" for k in range(n_slots))
+        + "".join(coefficients),
+        abs_cs=", ".join(f"abs(c{k})" for k in ranks),
         degree=degree,
         dcs="; ".join(f"d{k} = {k} * c{k}" for k in powers[1:]),
-        roots=", ".join(f"r{i}" for i in ranks),
-        corrections=corrections, tests=tests,
-        new_roots=", ".join(f"x{i}" for i in ranks))
-    namespace = {"TrackingError": TrackingError, "isfinite": math.isfinite}
-    exec(compile(source, f"<corrector step of degree {degree}>", "exec"), namespace)
-    return namespace["step"]
+        corrections="".join(_CORRECTION_TEMPLATE.format(i=i, f=f, df=df, reject=_REJECT)
+                            for i in ranks),
+        tests=_TESTS_TEMPLATE.format(
+            sep=seps[0] if len(seps) == 1 else f"min({', '.join(seps)})",
+            moves=", ".join(f"abs(x{i} - r{i})" for i in ranks), reject=_REJECT)
+        if seps else "",
+        windings=_WINDINGS_TEMPLATE.format(
+            phases="".join(f"            a{i}_{k} += phase((x{i} - z{k}) / (r{i} - z{k}))\n"
+                           for i in ranks for k in marks), roots=roots, marks=zs)
+        if n_marks else "",
+        accept="".join(f"        if err{i} > max_residual:\n            max_residual = err{i}\n"
+                       f"        r{i} = x{i}\n" for i in ranks),
+        winding_rows=", ".join(f"[{_listed(f'a{i}_', n_marks)}]" for i in ranks))
+    namespace = {"TrackingError": TrackingError, "isfinite": math.isfinite,
+                 "exp": cmath.exp, "phase": cmath.phase}
+    exec(compile(source, f"<loop kernel of degree {degree}>", "exec"), namespace)
+    return namespace["run"]
 
 
 def track(sys: ParametricRootSystem, marked=(), tol: float = 1e-10) -> TrackResult:
@@ -291,9 +322,9 @@ def _track(sys, marked, tol) -> TrackResult:
         if abs(params[loop.parameter] - expected_base) > 1e-9 * max(1.0, abs(expected_base)):
             raise TrackingError("basepoint value disagrees with the loop at theta=0")
     params[loop.parameter] = expected_base
-    coeffs_at = compile_coefficients(coeff_polys, params, loop.parameter)
+    table, exponents = _term_table(coeff_polys, params, loop.parameter)
 
-    cs0 = coeffs_at(expected_base)
+    cs0 = _coefficients_at(table, exponents, expected_base)
     scale0 = max(map(abs, cs0))
     if abs(cs0[-1]) <= 1e-12 * max(1.0, scale0):
         if not math.isfinite(scale0):
@@ -304,76 +335,40 @@ def _track(sys, marked, tol) -> TrackResult:
     start = [complex(r) for r in np.roots(desc0)]
     degree = len(start)
     for r in start:
-        if _newton(desc0, (), r, 1e-6 * scale0, max_iter=0) is None:
+        if not _residual_ok(desc0, r, 1e-6 * scale0):
             raise TrackingError("basepoint roots failed the residual check")
-    lc = cs0[-1]
-    disc = lc ** (2 * degree - 2)
+    disc = cs0[-1] ** (2 * degree - 2)
     pairs = [(i, j) for i in range(degree) for j in range(i + 1, degree)]
     for i, j in pairs:
         disc *= (start[i] - start[j]) ** 2
     if abs(disc) / scale0 ** (2 * degree - 2) <= DISC_THRESHOLD:
         raise TrackingError("basepoint lies too close to the Landau variety")
-
-    roots = list(start)
-    windings = [[0.0] * len(marked) for _ in range(degree)]
-    theta = 0.0
-    base_step = 1.0 / loop.steps
-    step = base_step
-    n_steps = 0
-    halvings = 0
-    max_residual = 0.0
     min_sep = min(abs(start[i] - start[j]) for i, j in pairs) if pairs else float("inf")
-    # the point at theta is center + radius·exp(w·theta), with the same
-    # products in the same order as `Loop.point`
-    center, radius = loop.center, loop.radius
-    w = 2j * cmath.pi * loop.orientation * loop.turns
-    step_to = _step_kernel(degree)
 
-    while theta < 1.0 - 1e-15:
-        h = min(step, 1.0 - theta)
-        target = theta + h
-        stepped = step_to(coeffs_at(center + radius * cmath.exp(w * target)), target,
-                          roots, tol)
-        if stepped is None:
-            step /= 2
-            halvings += 1
-            if step < 1e-13:
-                raise TrackingError("step underflow: loop passes too near a singularity")
-            continue
-        new_roots, step_residual = stepped
-        if step_residual > max_residual:
-            max_residual = step_residual
-        if marked:
-            try:
-                for i, val in enumerate(new_roots):
-                    for k, z in enumerate(marked):
-                        windings[i][k] += cmath.phase((val - z) / (roots[i] - z))
-            except ZeroDivisionError:
-                raise TrackingError(f"a root lies on the marked point {z}: its winding"
-                                    " around that point is undefined") from None
-        roots = new_roots
-        theta = target
-        n_steps += 1
-        if step < base_step:
-            step = min(base_step, step * 2)
+    # the loop point is center + radius·exp(w·theta), with the same products in
+    # the same order as `Loop.point`
+    layout = tuple(tuple((k, len(tail)) for _, k, tail in terms) for terms in table)
+    roots, windings, n_steps, halvings, max_residual = _loop_kernel(
+        degree, layout, len(marked))(
+        *[head for terms in table for head, _, _ in terms],
+        *[factor for terms in table for _, _, tail in terms for factor in tail],
+        *exponents, *marked, *start, loop.center, loop.radius,
+        2j * cmath.pi * loop.orientation * loop.turns, tol, loop.steps)
 
     # match final roots back to the start configuration
     permutation = []
-    for i, r in enumerate(roots):
-        dists = sorted(range(degree), key=lambda j: abs(r - start[j]))
-        j = dists[0]
+    for r in roots:
+        j = min(range(degree), key=lambda j: abs(r - start[j]))
         if degree > 1 and abs(r - start[j]) > 0.49 * min_sep:
             raise TrackingError("root matching is ambiguous; refine the loop")
         permutation.append(j)
     if len(set(permutation)) != degree:
         raise TrackingError("root collision: two tracked roots matched one start root")
 
-    int_windings = [
-        [round(angle / (2 * cmath.pi)) for angle in per_root] for per_root in windings
-    ]
     return TrackResult(
         permutation=tuple(permutation),
-        windings=int_windings,
+        windings=[[round(angle / (2 * cmath.pi)) for angle in per_root]
+                  for per_root in windings],
         steps=n_steps,
         max_residual=max_residual,
         start_roots=start,

@@ -690,6 +690,19 @@ def test_chart_errors_name_the_option_variable_and_value(capsys):
          "--track-fix binds 'x1', which --track-chart already binds"),
         (analyze + ["--track-loop", "x2:center=9,r=1", "--track-fix", "m1sq=1,m2sq=4,psq=3"],
          "--track-loop varies 'x2', the variable that --track-var tracks"),
+        # the tracked variable must be an edge variable that the chart leaves free
+        (["track", "bubble", "--chart", "x1=1", "--var", "zz", "--loop", "psq:center=9,r=1",
+          "--fix", "m1sq=1,m2sq=4"],
+         "--var 'zz' is not one of the edge variables ['x1', 'x2']"),
+        (["track", "bubble", "--chart", "x1=1,x2=1", "--var", "x2", "--loop",
+          "psq:center=9,r=1", "--fix", "m1sq=1,m2sq=4"],
+         "--chart binds 'x2', the variable that --var tracks"),
+        (["analyze", "bubble", "--track-chart", "x1=1", "--track-var", "psq", "--track-loop",
+          "m1sq:center=9,r=1", "--track-fix", "m2sq=4"],
+         "--track-var 'psq' is not one of the edge variables ['x1', 'x2']"),
+        (["analyze", "bubble", "--track-chart", "x2=1", "--track-var", "x2", "--track-loop",
+          "psq:center=9,r=1", "--track-fix", "m1sq=1,m2sq=4"],
+         "--track-chart binds 'x2', the variable that --track-var tracks"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)

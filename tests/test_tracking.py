@@ -15,8 +15,9 @@ from landauvar.tracking import (
     ParametricRootSystem,
     TrackingError,
     TrackResult,
-    _newton,
-    _step_kernel,
+    _loop_kernel,
+    _residual_ok,
+    _term_table,
     compile_coefficients,
     track,
 )
@@ -156,12 +157,11 @@ def test_track_refuses_a_tolerance_that_is_not_finite_and_positive():
             track(sys, tol=tol)
 
 
-def test_newton_without_iterations_is_the_residual_check():
-    # the basepoint check: _newton with max_iter=0 fails exactly when
-    # |f(r)| exceeds the bound
+def test_basepoint_residual_check():
+    # the basepoint check fails exactly when |f(r)| exceeds the bound
     desc = [1, -3, 2]  # (x - 1)(x - 2), f(1.5) = -0.25
-    assert _newton(desc, (), 1.5, 0.25, max_iter=0) == (1.5, 0.25)
-    assert _newton(desc, (), 1.5, 0.2499, max_iter=0) is None
+    assert _residual_ok(desc, 1.5, 0.25) is True
+    assert _residual_ok(desc, 1.5, 0.2499) is False
 
 
 def test_track_results_are_pinned():
@@ -273,8 +273,9 @@ def test_root_on_a_marked_point_is_refused():
     # with m1sq = 0, x2 = 0 is a root of the bubble family at every psq
     sys = ParametricRootSystem(bubble_family(), "x2", {"m1sq": 0, "m2sq": 4},
                                Loop("psq", 9, 1))
-    with pytest.raises(TrackingError, match=r"a root lies on the marked point 0j"):
-        track(sys, marked=[0])
+    for marked in ([0], [1, 0]):
+        with pytest.raises(TrackingError, match=r"a root lies on the marked point 0j:"):
+            track(sys, marked=marked)
     assert track(sys, marked=[1]).permutation == (0, 1)
 
 
@@ -288,6 +289,28 @@ def test_non_finite_marked_point_is_refused():
 
 
 # -- the step loop against the straightforward one it replaced -----------------------
+
+
+def _newton(coeffs, dcoeffs, x0, bound, max_iter=20):
+    """Newton corrector on descending coefficient lists; succeeds once
+    |f(x)| <= bound, giving (x, |f(x)|), else None.  With max_iter=0 it is the
+    basepoint residual check."""
+    x = x0
+    for i in range(max_iter + 1):
+        fx = 0j
+        for c in coeffs:
+            fx = fx * x + c
+        residual = abs(fx)
+        if residual <= bound:
+            return x, residual
+        if i == max_iter:
+            return None
+        dfx = 0j
+        for c in dcoeffs:
+            dfx = dfx * x + c
+        if dfx == 0:
+            return None
+        x = x - fx / dfx
 
 
 def reference_track(sys, marked=(), tol=1e-10, disc_threshold=1e-8) -> TrackResult:
@@ -334,6 +357,7 @@ def reference_track(sys, marked=(), tol=1e-10, disc_threshold=1e-8) -> TrackResu
     base_step = 1.0 / loop.steps
     step = base_step
     n_steps = 0
+    halvings = 0
     max_residual = 0.0
     min_sep = min(
         abs(a - b) for i, a in enumerate(start) for b in start[i + 1:]
@@ -368,6 +392,7 @@ def reference_track(sys, marked=(), tol=1e-10, disc_threshold=1e-8) -> TrackResu
                     ok = False
         if not ok:
             step /= 2
+            halvings += 1
             if step < 1e-13:
                 raise TrackingError("step underflow: loop passes too near a singularity")
             continue
@@ -401,6 +426,7 @@ def reference_track(sys, marked=(), tol=1e-10, disc_threshold=1e-8) -> TrackResu
         max_residual=max_residual,
         start_roots=start,
         end_roots=roots,
+        halvings=halvings,
     )
 
 
@@ -453,35 +479,51 @@ def test_track_equals_the_reference_loop(name, sys, marked):
         assert "halvings" not in got.describe()
 
 
+def one_step_loop(f, roots, w):
+    """The loop kernel of f(x; t), which has no frozen variables, run from
+    `roots` over one step: t goes from 1 to exp(w), so any halving rejects
+    that step.  Gives the kernel's halvings."""
+    table, exponents = _term_table(f.coefficients_in("x"), {}, "t")
+    layout = tuple(tuple((k, len(tail)) for _, k, tail in terms) for terms in table)
+    heads = [head for terms in table for head, _, _ in terms]
+    run = _loop_kernel(len(roots), layout, 0)
+    return run(*heads, *exponents, *roots, 0j, 1.0, w, 1e-10, 1)[3]
+
+
 def test_rejected_steps_are_halved_for_the_reason_named():
     cases = {name: sys for name, sys, _ in ORACLE_CASES}
-    for name in ("move-rejected", "newton-rejected"):
-        assert track(cases[name], [0]).halvings > 0, name
     # the first full step of x^2 - t around t = 0: with 3 steps both roots
     # converge but move by half their separation; with 2 steps Newton fails
     for name, converges in (("move-rejected", True), ("newton-rejected", False)):
         sys = cases[name]
+        assert track(sys, [0]).halvings == reference_track(sys, [0]).halvings > 0, name
         at = compile_coefficients(sys.coefficient_polys(), {}, "t")
-        theta = 1 / sys.loop.steps
-        cs = at(sys.loop.point(theta))
-        desc, ddesc = cs[::-1], [2 * cs[2], cs[1]]
         start = [complex(r) for r in np.roots(at(sys.loop.point(0.0))[::-1])]
-        assert _step_kernel(2)(cs, theta, start, 1e-10) is None, name
+        w = 2j * cmath.pi / sys.loop.steps
+        assert one_step_loop(sys.f, start, w) > 0, name
+        cs = at(cmath.exp(w))
+        desc, ddesc = cs[::-1], [2 * cs[2], cs[1]]
         corrected = [_newton(desc, ddesc, r, 1e-10 * max(map(abs, cs))) for r in start]
         assert all(c is not None for c in corrected) == converges, name
-    # x^2 + 1 from x = 1 or -1: the first Newton iterate is 0, where f' vanishes
-    cs, start = [1 + 0j, 0j, 1 + 0j], [1 + 0j, -1 + 0j]
-    assert _newton(cs, [2 + 0j, 0j], 1 + 0j, 1e-10) is None
-    assert _step_kernel(2)(cs, 0.5, start, 1e-10) is None
+    # x^2 + 1 from x = 1 or -1: the first Newton iterate is 0, where f' vanishes,
+    # so every step is rejected until it underflows
+    assert _newton([1 + 0j, 0j, 1 + 0j], [2 + 0j, 0j], 1 + 0j, 1e-10) is None
+    with pytest.raises(TrackingError, match="^step underflow"):
+        one_step_loop(parse("x^2 + 1"), [1 + 0j, -1 + 0j], 1j)
 
 
-def test_families_of_one_degree_share_one_kernel():
-    _step_kernel.cache_clear()
-    for text in ("x^2 - t", "3*x^2 + x*t - 2", "x^3 - 3*x + t"):
-        track(ParametricRootSystem(parse(text), "x", {}, Loop("t", 2, 0.5)))
-    info = _step_kernel.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
-    assert _step_kernel(2) is _step_kernel(2) is not _step_kernel(3)
+def test_families_of_one_degree_and_layout_share_one_kernel():
+    _loop_kernel.cache_clear()
+    frozen = {"a": 2, "z": 3}  # a sorts before the loop variable t, z after it
+    for text, new in [("x^2 - t", True), ("3*x^2 + 2*t^3", False), ("x^2 - a*t", False),
+                      ("x^2 - t*z", True), ("3*x^2 + x*t - 2", True), ("x^3 - 3*x + t", True)]:
+        before = _loop_kernel.cache_info().misses
+        track(ParametricRootSystem(parse(text), "x", frozen, Loop("t", 2, 0.5)))
+        assert _loop_kernel.cache_info().misses == before + new, text
+    before = _loop_kernel.cache_info()
+    track(ParametricRootSystem(parse("x^2 - t"), "x", frozen, Loop("t", 2, 0.5)), marked=[0])
+    assert _loop_kernel.cache_info().misses == before.misses + 1  # a marked point more
+    assert (before.misses, before.hits) == (4, 2)
 
 
 @st.composite
@@ -511,4 +553,25 @@ def test_track_equals_the_reference_on_integer_families(sys):
         return [getattr(result, attr) for attr in ("permutation", "windings", "steps",
                                                      "max_residual", "start_roots",
                                                      "end_roots")]
+    assert outcome(track) == outcome(reference_track)
+
+
+@given(families().filter(lambda family: len(family[0].coefficients_in("x")) > 1),
+       st.lists(st.sampled_from([0.5 + 0.25j, -1.25 + 0.75j, 2 - 1.5j]),
+                            max_size=2, unique=True),
+       st.builds(Loop, st.just("m"), st.builds(complex, st.integers(-2, 2), st.integers(-1, 1)),
+                 st.sampled_from([0.5, 1.0, 2.0]), st.sampled_from([1, -1]),
+                 st.integers(4, 40), st.integers(1, 2)))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_track_equals_the_reference_with_frozen_variables(family, marked, loop):
+    # frozen variables on both sides of the loop variable m give heads and tail
+    # factors; every field, halvings included, or the error text must agree
+    f, frozen = family
+    sys = ParametricRootSystem(f, "x", frozen, loop)
+
+    def outcome(tracker):
+        try:
+            return vars(tracker(sys, marked))
+        except TrackingError as exc:
+            return str(exc)
     assert outcome(track) == outcome(reference_track)

@@ -17,7 +17,7 @@ from landauvar.landau import (
     oneloop_landau,
     split_component,
 )
-from landauvar.poly import Polynomial, determinant, divides, parse
+from landauvar.poly import Polynomial, determinant, divides, parse, resultant
 
 
 def test_gram_matrix_bubble():
@@ -234,6 +234,76 @@ def test_sunrise_eliminant_vanishes_on_factor_points(sunrise_eliminant):
             for b in (1, -1):
                 psq = (m1 + a * m2 + b * m3) ** 2
                 assert eval_at(psq, m1, m2, m3).is_zero(), (a, b)
+
+
+def _resultant_inputs(f, fibers) -> list:
+    """Each polynomial that `eliminate_critical_values` takes a resultant of,
+    with the variable it eliminates."""
+    x = fibers[0]
+    inputs = [(f, x), (f.derivative(x), x)]
+    if len(fibers) == 2:
+        y = fibers[1]
+        inputs.append((f.derivative(y), x))
+        inputs += [(resultant(f, f.derivative(v), x), y) for v in (x, y)]
+    return inputs
+
+
+def assert_elimination_specialises(f, fibers, chart, eliminant, seed, points=2):
+    """The elimination oracle: for each parameter of `eliminant` in turn, fix
+    every other one at seeded rational points where no leading coefficient
+    vanishes; the specialised eliminant must equal, up to a nonzero constant,
+    the eliminant of the specialised F."""
+    rng = random.Random(seed)
+    # fixing a point that keeps every degree below specialises each Sylvester
+    # matrix, and so each resultant, entry by entry
+    inputs = _resultant_inputs(f.substitute(chart), [v for v in fibers if v not in chart])
+    params = eliminant.variables
+    assert params and set(params) <= set(f.variables) - set(fibers)
+    for kept in params:
+        fixed = [v for v in params if v != kept]
+        checked = 0
+        for _ in range(50 * points):
+            point = {v: Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 5))
+                     for v in fixed}
+            if any(p.substitute(point).degree_in(v) != p.degree_in(v) for p, v in inputs):
+                continue
+            special = eliminant.substitute(point)
+            again = eliminate_critical_values(f.substitute(point), fibers, chart)
+            assert special.variables == (kept,)
+            mono = next(iter(again.terms))
+            ratio = special.terms.get(mono, 0) / again.terms[mono]
+            assert ratio != 0 and special == again * ratio, (kept, point)
+            checked += 1
+            if checked == points:
+                break
+        assert checked == points, kept
+
+
+def test_sunrise_elimination_specialises(sunrise_family, sunrise_eliminant):
+    assert_elimination_specialises(sunrise_family, ["x1", "x2", "x3"], {"x3": 1},
+                                   sunrise_eliminant, seed=12)
+
+
+def test_sunrise_elimination_with_one_mass_fixed_specialises():
+    from landauvar.graphs import symanzik_F
+
+    f = symanzik_F(sunrise_graph()).substitute({"m2sq": 4})
+    eliminant = eliminate_critical_values(f, ["x1", "x2", "x3"], {"x3": 1})
+    assert eliminant.variables == ("m1sq", "m3sq", "psq")
+    assert_elimination_specialises(f, ["x1", "x2", "x3"], {"x3": 1}, eliminant, seed=13)
+
+
+@pytest.mark.parametrize("graph, chart, seed", [
+    (bubble_graph, {"x1": 1}, 14),
+    (triangle_graph, {"x3": 1}, 15),
+])
+def test_oneloop_eliminations_specialise(graph, chart, seed):
+    from landauvar.graphs import symanzik_F
+
+    g = graph()
+    f, fibers = symanzik_F(g), [e.var for e in g.edges]
+    eliminant = eliminate_critical_values(f, fibers, chart)
+    assert_elimination_specialises(f, fibers, chart, eliminant, seed=seed)
 
 
 def test_sunrise_threshold_nodes_are_critical():

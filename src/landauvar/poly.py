@@ -3,8 +3,9 @@
 Coefficients are `fractions.Fraction`, so every identity asserted elsewhere in
 the package (Symanzik fixtures, determinant factorizations, sign bookkeeping)
 holds exactly, with no tolerance management.  Monomials are stored sparsely;
-printing uses a graded lexicographic order over the sorted variable names so
-that equal polynomials always render identically.
+printing sorts them in graded lexicographic order over the sorted variable
+names, so equal polynomials always render identically.  Sums of coefficients
+start from the first term, never from a zero `Fraction`.
 """
 
 from __future__ import annotations
@@ -56,9 +57,7 @@ class Polynomial:
                 for v, e in mono:
                     if e < 0 or not isinstance(e, int):
                         raise PolynomialError(f"bad exponent {e} for {v}")
-                canonical[mono] = canonical.get(mono, Fraction(0)) + coeff
-                if canonical[mono] == 0:
-                    del canonical[mono]
+                _accumulate(canonical, mono, coeff)
         object.__setattr__(self, "terms", canonical)
         object.__setattr__(self, "_hash", None)
 
@@ -147,11 +146,7 @@ class Polynomial:
             return NotImplemented
         out = dict(self.terms)
         for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
-            if s == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = s
+            _accumulate(out, mono, c)
         return _raw(out)
 
     __radd__ = __add__
@@ -185,11 +180,14 @@ class Polynomial:
                     key = tuple(sorted(d.items()))
                 else:
                     key = m1
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
+                c = c1 * c2  # `_accumulate`, inline in the hottest loop
+                s = out.get(key)
+                if s is None:
+                    out[key] = c
+                elif s := s + c:
                     out[key] = s
+                else:
+                    del out[key]
         return _raw(out)
 
     __rmul__ = __mul__
@@ -236,42 +234,46 @@ class Polynomial:
                 del d[var]
             else:
                 d[var] = e - 1
-            key = tuple(sorted(d.items()))
-            s = out.get(key, Fraction(0)) + c * e
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            _accumulate(out, tuple(sorted(d.items())), c * e)
         return _raw(out)
 
     def substitute(self, bindings: Mapping[str, "Polynomial | Rat"]) -> "Polynomial":
-        """Exact substitution of polynomials (or rationals) for variables."""
+        """Exact substitution of polynomials (or rationals) for variables, in one
+        pass over the terms: rational and constant values are folded into the
+        coefficient through cached powers, and only other values multiplied."""
         if not bindings:
             return self
-        values = {}
+        scalars, values = {}, {}
         for v, val in bindings.items():
-            values[v] = val if isinstance(val, Polynomial) else Polynomial.const(val)
-        result = Polynomial()
-        # cache powers of each substituted value
-        powers: dict = {v: {0: Polynomial.const(1)} for v in values}
+            if not isinstance(val, Polynomial):
+                scalars[v] = _as_fraction(val)
+            elif val.is_constant():
+                scalars[v] = val.terms.get((), Fraction(0))
+            else:
+                values[v] = [val]  # its powers 1, 2, ..., as far as needed
+        cache: dict = {}  # (variable, exponent) -> power of a scalar
+        out: dict = {}
         for mono, c in self.terms.items():
-            term = Polynomial.const(c)
-            rest = {}
-            for v, e in mono:
-                if v in values:
-                    cache = powers[v]
-                    if e not in cache:
-                        p = cache[max(cache)]
-                        for _ in range(max(cache), e):
-                            p = p * values[v]
-                            cache[max(cache) + 1] = p
-                    term = term * cache[e]
+            rest, factors = [], []
+            for pair in mono:
+                v, e = pair
+                if v in scalars:
+                    if pair not in cache:
+                        cache[pair] = scalars[v] ** e
+                    c *= cache[pair]
+                elif v in values:
+                    powers = values[v]
+                    while len(powers) < e:
+                        powers.append(powers[-1] * powers[0])
+                    factors.append(powers[e - 1])
                 else:
-                    rest[v] = e
-            if rest:
-                term = term * Polynomial.monomial(1, rest)
-            result = result + term
-        return result
+                    rest.append(pair)
+            term = {tuple(rest): c} if c else {}
+            for factor in factors:
+                term = (_raw(term) * factor).terms
+            for key, coeff in term.items():
+                _accumulate(out, key, coeff)
+        return _raw(out)
 
     def evaluate(self, assignment: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every occurring variable must be assigned."""
@@ -290,37 +292,43 @@ class Polynomial:
         d = self.degree_in(var)
         coeffs = [dict() for _ in range(d + 1)]
         for mono, c in self.terms.items():
-            rest = dict(mono)
-            e = rest.pop(var, 0)
-            key = tuple(sorted(rest.items()))
-            coeffs[e][key] = coeffs[e].get(key, Fraction(0)) + c
-        return [_raw({m: c for m, c in layer.items() if c != 0}) for layer in coeffs]
+            # each term has its own (power of var, rest) pair: nothing to add up
+            e = next((e for v, e in mono if v == var), 0)
+            coeffs[e][tuple(pair for pair in mono if pair[0] != var)] = c
+        return [_raw(layer) for layer in coeffs]
 
     # -- monomial order and rendering ----------------------------------------
 
-    def sorted_terms(self) -> list:
-        terms = self.terms
-        key = _grlex_key(self.variables)
-        return [(mono, terms[mono]) for mono in sorted(terms, key=key, reverse=True)]
-
     def __str__(self):
+        """The terms in descending graded lexicographic order over the sorted
+        variable names.  The sort key is one int per monomial, a degree field
+        above one field per variable, each as wide as the largest exponent; so
+        each (variable, exponent) pair adds a fixed int to it.  Coefficients
+        are written from their numerator and denominator, as `str(Fraction)`."""
         if not self.terms:
             return "0"
+        pairs = {pair for mono in self.terms for pair in mono}
+        names = sorted({v for v, _ in pairs})
+        w = max((e for _, e in pairs), default=0).bit_length()
+        shift = {v: w * (len(names) - k) for k, v in enumerate(names, 1)}
+        weight = {(v, e): (e << shift[v]) + (e << w * len(names)) for v, e in pairs}.__getitem__
+        factor = {(v, e): f"{v}^{e}" if e > 1 else v for v, e in pairs}.__getitem__
         parts = []
-        for mono, coeff in self.sorted_terms():
-            factors = [f"{v}^{e}" if e > 1 else v for v, e in mono]
-            body = "*".join(factors)
-            mag = abs(coeff)
+        for mono, coeff in sorted(self.terms.items(), key=lambda t: sum(map(weight, t[0])),
+                                  reverse=True):
+            body = "*".join(map(factor, mono))
+            n, d = coeff.numerator, coeff.denominator
+            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
             if not body:
-                text = str(mag)
-            elif mag == 1:
+                text = mag
+            elif mag == "1":
                 text = body
             else:
                 text = f"{mag}*{body}"
             if not parts:
-                parts.append(text if coeff > 0 else f"-{text}")
+                parts.append(text if n > 0 else f"-{text}")
             else:
-                parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+                parts.append(f"+ {text}" if n > 0 else f"- {text}")
         return " ".join(parts)
 
     def __repr__(self):
@@ -330,7 +338,7 @@ class Polynomial:
 def _grlex_key(varorder: tuple):
     """Graded lexicographic sort key on monomials in the variables
     `varorder`: total degree first, then the list of exponents along
-    `varorder`.  It orders printed terms and the remainder in `divides`."""
+    `varorder`.  It orders the remainder in `divides`."""
     index = {v: i for i, v in enumerate(varorder)}
     zeros = [0] * len(varorder)
 
@@ -341,6 +349,17 @@ def _grlex_key(varorder: tuple):
         return sum(exps), exps
 
     return key
+
+
+def _accumulate(out: dict, key, c: Fraction) -> None:
+    """Add the nonzero coefficient c to out[key], dropping a sum that cancels."""
+    s = out.get(key)
+    if s is None:
+        out[key] = c
+    elif s := s + c:
+        out[key] = s
+    else:
+        del out[key]
 
 
 def _raw(terms: dict) -> Polynomial:
@@ -594,9 +613,10 @@ def determinant(m: PolyMatrix) -> Polynomial:
     if m.rows != m.cols:
         raise PolynomialError("determinant of non-square matrix")
     n = m.rows
-    names = sorted({v for row in m.entries for e in row for v in e.variables})
+    names = sorted({v for row in m.entries for e in row for mono in e.terms for v, _ in mono})
     shift = {v: k for k, v in enumerate(names)}
-    w = sum(max(e.total_degree() for e in row) for row in m.entries).bit_length()
+    w = sum(max((sum(p for _, p in mono) for e in row for mono in e.terms), default=0)
+            for row in m.entries).bit_length()
     scale = 1
     rows, masks = [], []
     for row in m.entries:

@@ -14,7 +14,7 @@ from landauvar.poly import (
     resultant,
 )
 
-x, y, t = Polynomial.var("x"), Polynomial.var("y"), Polynomial.var("t")
+x, y, z, t = (Polynomial.var(name) for name in ("x", "y", "z", "t"))
 
 
 def test_bubble_f_assembly():
@@ -285,6 +285,137 @@ def test_determinant_4x4_with_zero_pivots():
 def test_substitute_roundtrip_fresh_variables(p):
     fresh = Polynomial.var("u_fresh")
     assert p.substitute({"x": fresh}).substitute({"u_fresh": x}) == p
+
+
+# -- the earlier substitute and printing, kept as oracles for the one-pass and
+# packed-key versions ---------------------------------------------------------------
+
+
+def reference_substitute(p, bindings):
+    """Substitution as a product of Polynomials for every term and power."""
+    if not bindings:
+        return p
+    values = {v: val if isinstance(val, Polynomial) else Polynomial.const(val)
+              for v, val in bindings.items()}
+    result = Polynomial()
+    powers = {v: {0: Polynomial.const(1)} for v in values}
+    for mono, c in p.terms.items():
+        term = Polynomial.const(c)
+        rest = {}
+        for v, e in mono:
+            if v in values:
+                cache = powers[v]
+                if e not in cache:
+                    q = cache[max(cache)]
+                    for _ in range(max(cache), e):
+                        q = q * values[v]
+                        cache[max(cache) + 1] = q
+                term = term * cache[e]
+            else:
+                rest[v] = e
+        if rest:
+            term = term * Polynomial.monomial(1, rest)
+        result = result + term
+    return result
+
+
+def reference_str(p):
+    """Printing from Fraction arithmetic, sorted by (degree, exponent list)."""
+    if not p.terms:
+        return "0"
+    names = p.variables
+
+    def key(mono):
+        exps = dict(mono)
+        row = [exps.get(v, 0) for v in names]
+        return sum(row), row
+
+    parts = []
+    for mono in sorted(p.terms, key=key, reverse=True):
+        coeff = p.terms[mono]
+        body = "*".join(f"{v}^{e}" if e > 1 else v for v, e in mono)
+        mag = abs(coeff)
+        if not body:
+            text = str(mag)
+        elif mag == 1:
+            text = body
+        else:
+            text = f"{mag}*{body}"
+        if not parts:
+            parts.append(text if coeff > 0 else f"-{text}")
+        else:
+            parts.append(f"+ {text}" if coeff > 0 else f"- {text}")
+    return " ".join(parts)
+
+
+def assert_fraction_terms(p):
+    assert all(type(c) is Fraction for c in p.terms.values()), p.terms
+
+
+fractions_ = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+substitution_values = st.one_of(
+    st.integers(-3, 3),
+    fractions_,
+    fractions_.map(Polynomial.const),
+    st.just(Polynomial.zero()),
+    polynomials(max_terms=3, max_exp=2),
+    # a value that cancels terms of the polynomial, and one in a fresh variable
+    st.sampled_from([x - y, y - x, y + z - x, -x, Polynomial.var("u") * x]),
+)
+
+
+@given(polynomials(max_terms=6, max_exp=4),
+       st.dictionaries(st.sampled_from(["x", "y", "z", "w_absent"]), substitution_values,
+                       max_size=4))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_substitute_equals_the_product_of_polynomials(p, bindings):
+    got, expect = p.substitute(bindings), reference_substitute(p, bindings)
+    # equal terms in equal order: the order of `terms` is the order `track`
+    # sums floating-point coefficients in
+    assert list(got.terms.items()) == list(expect.terms.items())
+    assert_fraction_terms(got)
+
+
+def test_substitute_folds_zero_and_cancelling_values():
+    p = parse("x^2*y + 3*x*y^2 - 2*y^3 + z")
+    assert p.substitute({"y": 0}) == z
+    assert p.substitute({"x": y}) == parse("2*y^3 + z")
+    assert p.substitute({"x": Polynomial.const(Fraction(-1, 2)), "z": 0}) == parse(
+        "1/4*y - 3/2*y^2 - 2*y^3")
+    assert p.substitute({"absent": 5}) == p
+    assert_fraction_terms(p.substitute({"x": 2, "y": Polynomial.const(3), "z": Fraction(1, 3)}))
+
+
+def test_str_reads_numerator_and_denominator():
+    cases = {
+        "x^8*y + x^7*y^2": x ** 8 * y + x ** 7 * y ** 2,
+        "x^8*y - x^7*y^2 + x^7": x ** 8 * y - x ** 7 * y ** 2 + x ** 7,
+        "-x^7*y^2 + x^8": x ** 8 - x ** 7 * y ** 2,
+        "-3/4*x^2 + 5*x*y - 1/7*y - 1": (
+            Fraction(-3, 4) * x * x + 5 * x * y - Fraction(1, 7) * y - 1),
+        "-x + 1/2": -x + Fraction(1, 2),
+        "-2/3": Polynomial.const(Fraction(-2, 3)),
+        "7": Polynomial.const(7),
+        "y^16 + y^15*z - x": y ** 16 + y ** 15 * z - x,
+        # a field one bit too narrow would carry z^8 into y's field and tie
+        # x*z^8 with y^9, or carry z^9 past y^10
+        "x*z^8 + y^9": y ** 9 + x * z ** 8,
+        "x*z^9 - y^10": -y ** 10 + x * z ** 9,
+    }
+    for text, p in cases.items():
+        assert str(p) == reference_str(p) == text
+        assert parse(text) == p
+        assert_fraction_terms(p)
+
+
+@given(polynomials(max_terms=8, max_exp=9),
+       st.lists(fractions_.filter(bool), min_size=8, max_size=8))
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+def test_str_equals_the_fraction_printing(p, scales):
+    # rescale the terms by rationals so that fractional and negative
+    # coefficients meet exponents on both sides of a field-width boundary
+    q = Polynomial({m: c * k for (m, c), k in zip(p.terms.items(), scales)})
+    assert str(q) == reference_str(q)
 
 
 @st.composite

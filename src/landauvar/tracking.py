@@ -31,7 +31,8 @@ class TrackingError(ValueError):
 
 # `track` takes at least `steps` corrector steps (steps=100000 takes about 0.5 s
 # on a 2-vCPU x86-64 VM, and past about 1e16 steps theta stops advancing), so
-# more steps are refused
+# more steps are refused; so are more step halvings, which also bounds the
+# accepted steps by steps + halvings, as each doubling undoes one halving
 LOOP_STEP_BUDGET = 100_000
 
 # the basepoint must sit off the Landau variety: its discriminant, divided by
@@ -167,15 +168,15 @@ def _residual_ok(desc, x, bound) -> bool:
 
 # The whole step loop as straight-line text.  Its arguments are the heads h*,
 # tail factors f* and exponents e* of a `_term_table`, the marked points z*, the
-# start roots r* and the loop.  Each pass computes the loop point t, the powers
-# p* = t ** e* and the coefficients c* as `_coefficients_at` does, corrects every
-# root by Newton's method with Horner's rule unrolled, tests the new roots x* for
-# separation and movement, and adds the winding a{i}_{k} of root i about marked
-# point k.  The floating-point operations are those of the plain loop, on the
-# same operands in the same order; only integers derived from the kernel's key
-# are in the text.
+# start roots r*, the loop and the budget of step halvings.  Each pass computes
+# the loop point t, the powers p* = t ** e* and the coefficients c* as
+# `_coefficients_at` does, corrects every root by Newton's method with Horner's
+# rule unrolled, tests the new roots x* for separation and movement, and adds
+# the winding a{i}_{k} of root i about marked point k.  The floating-point
+# operations are those of the plain loop, on the same operands in the same
+# order; only integers derived from the kernel's key are in the text.
 _LOOP_TEMPLATE = """\
-def run({heads}{tails}{exponents}{marks}{roots}center, radius, w, tol, steps):
+def run({heads}{tails}{exponents}{marks}{roots}center, radius, w, tol, steps, budget):
 {windings_init}    theta = max_residual = 0.0
     base_step = step = 1.0 / steps
     n_steps = halvings = 0
@@ -196,12 +197,15 @@ def run({heads}{tails}{exponents}{marks}{roots}center, radius, w, tol, steps):
     return [{roots}], [{winding_rows}], n_steps, halvings, max_residual
 """
 
-# a rejected step is halved and tried again
+# a rejected step is halved and tried again, up to `budget` halvings in all
 _REJECT = """\
             step /= 2
             halvings += 1
             if step < 1e-13:
                 raise TrackingError("step underflow: loop passes too near a singularity")
+            if halvings > budget:
+                raise TrackingError(f"step halvings={halvings} are over the budget of"
+                                    f" {budget}: loop passes too near a singularity")
             continue
 """
 
@@ -353,7 +357,7 @@ def _track(sys, marked, tol) -> TrackResult:
         *[head for terms in table for head, _, _ in terms],
         *[factor for terms in table for _, _, tail in terms for factor in tail],
         *exponents, *marked, *start, loop.center, loop.radius,
-        2j * cmath.pi * loop.orientation * loop.turns, tol, loop.steps)
+        2j * cmath.pi * loop.orientation * loop.turns, tol, loop.steps, LOOP_STEP_BUDGET)
 
     # match final roots back to the start configuration
     permutation = []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landauvar.graphs import bubble_graph, symanzik_F
+from landauvar import tracking
 from landauvar.poly import Polynomial, PolynomialError, parse
 from landauvar.tracking import (
     Loop,
@@ -487,7 +488,7 @@ def one_step_loop(f, roots, w):
     layout = tuple(tuple((k, len(tail)) for _, k, tail in terms) for terms in table)
     heads = [head for terms in table for head, _, _ in terms]
     run = _loop_kernel(len(roots), layout, 0)
-    return run(*heads, *exponents, *roots, 0j, 1.0, w, 1e-10, 1)[3]
+    return run(*heads, *exponents, *roots, 0j, 1.0, w, 1e-10, 1, 100)[3]
 
 
 def test_rejected_steps_are_halved_for_the_reason_named():
@@ -510,6 +511,17 @@ def test_rejected_steps_are_halved_for_the_reason_named():
     assert _newton([1 + 0j, 0j, 1 + 0j], [2 + 0j, 0j], 1 + 0j, 1e-10) is None
     with pytest.raises(TrackingError, match="^step underflow"):
         one_step_loop(parse("x^2 + 1"), [1 + 0j, -1 + 0j], 1j)
+
+
+def test_step_halvings_are_refused_over_the_budget(monkeypatch):
+    # this loop creeps at steps just above the underflow floor: at the full
+    # budget it takes about 0.2 million halvings before the step underflows
+    f = parse("-8/7*k^3*m^3*x^4*y^2 + 1/6*k^3*m^3*y^3 - 4*k^3*m^2*y^3 + 3*k^3*m^2*x^2"
+              " - 6/5*m*x^3*y^3 + 8/3*m*x^4 + 3/2*x^3*y + 3*x^2")
+    sys = ParametricRootSystem(f, "x", {"k": -1.5725 + 1.904j, "y": 1}, Loop("m", -1j, 1, 1, 51))
+    monkeypatch.setattr(tracking, "LOOP_STEP_BUDGET", 1000)
+    with pytest.raises(TrackingError, match=r"^step halvings=1001 are over the budget of 1000:"):
+        track(sys, tol=1e-8)
 
 
 def test_families_of_one_degree_and_layout_share_one_kernel():

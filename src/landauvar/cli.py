@@ -106,12 +106,15 @@ def _graph_summary(g: graphs.FeynmanGraph) -> dict:
     }
 
 
-def _split_word(text: str) -> tuple:
-    if text.startswith("word="):
-        text = text[len("word="):]
-    if text.startswith("w="):
-        text = text[len("w="):]
-    return tuple(part for part in text.split(",") if part)
+def _split_word(text: str, flag: str) -> tuple:
+    """A word ``id1,id2,...`` after an optional ``word=`` or ``w=``; ``word=``
+    alone is the empty word."""
+    letters = text.removeprefix("word=").removeprefix("w=")
+    word = tuple(letters.split(",")) if letters else ()
+    if "" in word:
+        raise ValueError(f"{flag} {text}: a word is letters joined by commas, and no"
+                         " letter may be empty")
+    return word
 
 
 def _components_for(args) -> list:
@@ -194,11 +197,13 @@ def _parse_index_set(text: str, flag: str) -> frozenset:
     """An index set given as digits (``12``) or a comma list (``1,12``)."""
     text = (text or "").strip()
     try:
-        return frozenset(int(part) for part in (text.split(",") if "," in text else text)
-                         if part)
+        indices = [int(part) for part in (text.split(",") if "," in text else text) if part]
     except ValueError:
         raise ValueError(f"{flag} {text}: the value must be digits, such as 12, or a"
                          " comma list of integers, such as 1,12") from None
+    if len(set(indices)) < len(indices):
+        raise ValueError(f"{flag} {text}: an index is repeated; give each index once")
+    return frozenset(indices)
 
 
 # the keys of a loop spec; `r` and `radius` name the same field
@@ -255,7 +260,7 @@ def _verdicts(rel, comps, texts) -> list:
     """The oracle's verdict on each word written as ``word=id1,id2,...``."""
     out = []
     for text in texts:
-        word = _split_word(text)
+        word = _split_word(text, "--check")
         verdict = hierarchy.word_vanishes(rel, comps, word)
         out.append({
             "word": list(word),
@@ -349,7 +354,7 @@ def _cmd_variation(args) -> dict:
     if args.action == "table":
         return variation.model_to_json(model)
     if args.action == "compose":
-        word = _split_word(args.word)
+        word = _split_word(args.word, "word")
         matrix = variation.compose(model, word)
         return {
             "word": list(word),

@@ -118,6 +118,38 @@ def test_homrank_index_set_errors_name_the_option_and_value(capsys, flag, value)
             " list of integers, such as 1,12") in err
 
 
+@pytest.mark.parametrize("flag, value", [("--I", "1,1"), ("--J", "11"), ("--K", "2,12,2")])
+def test_homrank_refuses_a_repeated_index(capsys, flag, value):
+    argv = ["homrank", "--n", "3", "--m", "3", flag, value, "--degree", "1"]
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert_clean_error(code, err)
+    assert f"error: {flag} {value}: an index is repeated; give each index once" in err
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["hierarchy", "--model", "bubble", "--check"], "--check", "word=l1,,l1"),
+    (["hierarchy", "--model", "bubble", "--check"], "--check", ",l1"),
+    (["analyze", "bubble", "--check"], "--check", "lF/1,"),
+    (["variation", "compose", "bubble"], "word", "w=l1,"),
+    (["variation", "compose", "bubble"], "word", "w=,"),
+])
+def test_words_with_an_empty_letter_are_refused(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv, value)
+    assert out == ""
+    assert_clean_error(code, err)
+    assert (f"error: {flag} {value}: a word is letters joined by commas, and no letter"
+            " may be empty") in err
+
+
+def test_the_empty_word_is_still_a_word(capsys):
+    code, out, _ = run_cli(capsys, "hierarchy", "--model", "bubble", "--check", "word=",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)[0]["word"] == []
+    code, out, _ = run_cli(capsys, "variation", "compose", "bubble", "w=", "--format", "json")
+    assert code == 0 and json.loads(out)["word"] == []
+
+
 def test_signword(capsys):
     code, out, _ = run_cli(capsys, "signword", "d1 p2 d3:r=2", "--format", "json")
     assert code == 0

@@ -197,7 +197,7 @@ def _parse_index_set(text: str, flag: str) -> frozenset:
     """An index set given as digits (``12``) or a comma list (``1,12``)."""
     text = (text or "").strip()
     try:
-        indices = [int(part) for part in (text.split(",") if "," in text else text) if part]
+        indices = [int(part) for part in (text.split(",") if "," in text else text)]
     except ValueError:
         raise ValueError(f"{flag} {text}: the value must be digits, such as 12, or a"
                          " comma list of integers, such as 1,12") from None

@@ -108,7 +108,8 @@ def test_homrank(capsys):
     assert code == 0 and out.strip() == "1"
 
 
-@pytest.mark.parametrize("flag, value", [("--I", "x"), ("--J", "1,x"), ("--K", "1 2")])
+@pytest.mark.parametrize("flag, value", [("--I", "x"), ("--J", "1,x"), ("--K", "1 2"),
+                                         ("--I", "1,,2"), ("--J", "2,")])
 def test_homrank_index_set_errors_name_the_option_and_value(capsys, flag, value):
     argv = ["homrank", "--n", "2", "--m", "3", flag, value, "--degree", "1"]
     code, out, err = run_cli(capsys, *argv)

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landauvar.graphs import bubble_graph, symanzik_F
 from landauvar import tracking
+from landauvar.graphs import bubble_graph, symanzik_F
 from landauvar.poly import Polynomial, PolynomialError, parse
 from landauvar.tracking import (
     Loop,
@@ -514,8 +514,8 @@ def test_rejected_steps_are_halved_for_the_reason_named():
 
 
 def test_step_halvings_are_refused_over_the_budget(monkeypatch):
-    # this loop creeps at steps just above the underflow floor: at the full
-    # budget it takes about 0.2 million halvings before the step underflows
+    # this loop creeps at steps just above the underflow floor: unbounded, it
+    # takes about 175000 halvings, and seconds, before the step underflows
     f = parse("-8/7*k^3*m^3*x^4*y^2 + 1/6*k^3*m^3*y^3 - 4*k^3*m^2*y^3 + 3*k^3*m^2*x^2"
               " - 6/5*m*x^3*y^3 + 8/3*m*x^4 + 3/2*x^3*y + 3*x^2")
     sys = ParametricRootSystem(f, "x", {"k": -1.5725 + 1.904j, "y": 1}, Loop("m", -1j, 1, 1, 51))

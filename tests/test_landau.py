@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from landauvar.graphs import bubble_graph, sunrise_graph, triangle_graph, load_graph
+from landauvar.graphs import bubble_graph, sunrise_graph, symanzik_F, triangle_graph, load_graph
 from landauvar.landau import (
     EliminationDegenerateError,
     LandauComponent,
@@ -284,24 +284,14 @@ def test_sunrise_elimination_specialises(sunrise_family, sunrise_eliminant):
                                    sunrise_eliminant, seed=12)
 
 
-def test_sunrise_elimination_with_one_mass_fixed_specialises():
-    from landauvar.graphs import symanzik_F
-
-    f = symanzik_F(sunrise_graph()).substitute({"m2sq": 4})
-    eliminant = eliminate_critical_values(f, ["x1", "x2", "x3"], {"x3": 1})
-    assert eliminant.variables == ("m1sq", "m3sq", "psq")
-    assert_elimination_specialises(f, ["x1", "x2", "x3"], {"x3": 1}, eliminant, seed=13)
-
-
-@pytest.mark.parametrize("graph, chart, seed", [
-    (bubble_graph, {"x1": 1}, 14),
-    (triangle_graph, {"x3": 1}, 15),
+@pytest.mark.parametrize("graph, fixed, chart, seed", [
+    (sunrise_graph, {"m2sq": 4}, {"x3": 1}, 13),
+    (bubble_graph, {}, {"x1": 1}, 14),
+    (triangle_graph, {}, {"x3": 1}, 15),
 ])
-def test_oneloop_eliminations_specialise(graph, chart, seed):
-    from landauvar.graphs import symanzik_F
-
+def test_eliminations_specialise(graph, fixed, chart, seed):
     g = graph()
-    f, fibers = symanzik_F(g), [e.var for e in g.edges]
+    f, fibers = symanzik_F(g).substitute(fixed), [e.var for e in g.edges]
     eliminant = eliminate_critical_values(f, fibers, chart)
     assert_elimination_specialises(f, fibers, chart, eliminant, seed=seed)
 

@@ -380,6 +380,58 @@ def test_determinant_outputs_print_the_recorded_bytes(tmp_path, capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == DETERMINANT_DIGESTS[argv]
 
 
+# Outputs of the hand-written component lists: the fixtures, the builtin
+# models and the Aomoto components.  Any change to a field, a set or the
+# component order changes these bytes.
+FIXTURE_DIGESTS = {
+    ("landau", "fixture", "icecream-partial", "--format", "json"):
+        "61d1be193da06a5cdf92abed27d54d4d0efa46e3002bb102156aff8d90a06903",
+    ("hierarchy", "--fixture", "icecream-partial", "--dot"):
+        "0887b373708c931396e6883284b5abad68c2ad89581c7e4b7910534afd005021",
+    ("hierarchy", "--fixture", "icecream-partial", "--format", "json"):
+        "a43f266a92d520395f2cde282d600b1d5a790ccdbda73531620bc2f75e3c9d12",
+    ("landau", "fixture", "massless-triangle", "--format", "json"):
+        "0cfb8c85ecdcf7c87a4df113de1d654ce6c6652ea76f3776577909ffebfc0137",
+    ("hierarchy", "--fixture", "massless-triangle", "--dot"):
+        "d32d73321c3e23984f8d8a1ff95a88dc6868642e4e28097457844ab5185e8292",
+    ("hierarchy", "--fixture", "massless-triangle", "--format", "json"):
+        "282c595beac94e3dca6a1afc19046e882e2730212c4d9146bd36b2beba5d1165",
+    ("landau", "fixture", "sunrise", "--format", "json"):
+        "23778fa7a1829603f14e8d2b55ecab02e9d9cd6a541de58d38317cf066718e2f",
+    ("hierarchy", "--fixture", "sunrise", "--dot"):
+        "7f07af27205a59509b795b55aa8e6cf12897676644d0d7e6f91d62fbfba92782",
+    ("hierarchy", "--fixture", "sunrise", "--format", "json"):
+        "d5a7749d95b32a7a999307dc24ffdf28b5ec9c47961f615dbe845d5a85f28318",
+    ("hierarchy", "--model", "bubble", "--format", "json"):
+        "75df8359d069dd0ce09725a916b4cad870cc6c31644a8deee2e8264f41b09ded",
+    ("variation", "table", "bubble", "--format", "json"):
+        "488cc87fb3653cdb1cf49976bec7bc313f73c9ef8370e447038248568758871b",
+    ("hierarchy", "--model", "dilog", "--format", "json"):
+        "7c36e657eb38ed1a33ccfd1f4009593722a51b35e1ef007030cfaa58407d803a",
+    ("variation", "table", "dilog", "--format", "json"):
+        "88855dd576316efa43a220af9d952ff9691bf09d5761640de6a71c7797658dac",
+    ("hierarchy", "--model", "logarithm", "--format", "json"):
+        "15c3fe3078ab2a166ecd71a9fc4f184451102dcdfda456a536d059a481e2804e",
+    ("variation", "table", "logarithm", "--format", "json"):
+        "4c29152da9fddc4ffd9dfd1ebb4468c51c6d4b3a662debfb24ff40d6260e4065",
+    ("hierarchy", "--model", "massless-triangle", "--format", "json"):
+        "282c595beac94e3dca6a1afc19046e882e2730212c4d9146bd36b2beba5d1165",
+    ("variation", "table", "massless-triangle", "--format", "json"):
+        "50272ab773b3016017b1cdc95e5ce425a7f7ec773f877b9d75c78420c16c14dc",
+    ("aomoto", "components", "--n", "3", "--format", "json"):
+        "fa6fe6761204cb37047e9333af75a623465bf2d015f8191e62ea0a3f1044fbd0",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(FIXTURE_DIGESTS))
+def test_component_lists_print_the_recorded_bytes(capsys, argv):
+    import hashlib
+
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DIGESTS[argv]
+
+
 # -- the JSON writer -----------------------------------------------------------------
 
 # strings with non-ASCII characters, a lone surrogate and characters that need escapes

@@ -44,21 +44,11 @@ def aomoto_components(n: int) -> list:
     universe = list(range(n + 1))
     comps = []
     for size_i in range(0, n + 2):
-        size_j = n + 1 - size_i
-        if size_j > n + 1:
-            continue
         for I in combinations(universe, size_i):
-            for J in combinations(universe, size_j):
-                comps.append(LandauComponent(
-                    id=component_id(I, J),
-                    defining=Polynomial.var(letter_id(I, J)),
-                    type_J=frozenset(f"Q{i}" for i in I),
-                    type_K=frozenset(f"R{j}" for j in J),
-                    simple_J=frozenset(f"Q{i}" for i in I),
-                    simple_K=frozenset(f"R{j}" for j in J),
-                    pinch=LINEAR,
-                    parity=-1,
-                    variation_known_zero=(size_i == 0 or size_j == 0),
+            for J in combinations(universe, n + 1 - size_i):
+                comps.append(LandauComponent.of(
+                    component_id(I, J), Polynomial.var(letter_id(I, J)), LINEAR,
+                    [f"Q{i}" for i in I], [f"R{j}" for j in J], known_zero=not I or not J,
                 ))
     return comps
 

@@ -31,6 +31,10 @@ class EliminationDegenerateError(LandauError):
     """Raised when the iterated resultant collapses to the zero polynomial."""
 
 
+def _ids(ids) -> frozenset:
+    return frozenset(ids.split() if isinstance(ids, str) else ids)
+
+
 @dataclass(frozen=True)
 class LandauComponent:
     """One codimension-one singularity of the parameter family.
@@ -68,6 +72,20 @@ class LandauComponent:
             raise LandauError(
                 f"{self.id}: variation_known_zero requires a pure-type linear pinch"
             )
+
+    @classmethod
+    def of(cls, cid, defining, pinch, J, K="", simple_J="", parity=None,
+           known_zero=False) -> LandauComponent:
+        """A component whose hypersurface ids are given space-separated, or as
+        an iterable where they come from a graph's edge ids.  A simple pinch's simple type is its type, and a
+        linear pinch has parity -1; a general pinch has simple type
+        (`simple_J`, {})."""
+        J, K = _ids(J), _ids(K)
+        if pinch == GENERAL:
+            return cls(cid, defining, J, K, _ids(simple_J), frozenset(), pinch, parity,
+                       known_zero)
+        return cls(cid, defining, J, K, J, K, pinch, -1 if pinch == LINEAR else parity,
+                   known_zero)
 
     @property
     def is_simple_pinch(self) -> bool:
@@ -186,9 +204,8 @@ def _simple_pinch(cid, matrix, drop, j_ids, k_ids, linear, parity) -> LandauComp
     defining = determinant(matrix.submatrix(drop, drop))
     if defining.is_zero():
         raise LandauError(f"degenerate determinant for {cid}")
-    return LandauComponent(cid, defining, j_ids, k_ids, j_ids, k_ids,
-                           LINEAR if linear else QUADRATIC, -1 if linear else parity,
-                           linear and not k_ids)
+    return LandauComponent.of(cid, defining, LINEAR if linear else QUADRATIC, j_ids, k_ids,
+                              parity=parity, known_zero=linear and not k_ids)
 
 
 def oneloop_landau(g: FeynmanGraph) -> list:
@@ -213,14 +230,14 @@ def oneloop_landau(g: FeynmanGraph) -> list:
         suffix = "" if not I else "/" + "".join(sorted(I))
         k_ids = frozenset(f"B{e}" for e in I)
         # first type: critical points of the quadric A_2 restricted to B^I
-        components.append(_simple_pinch(f"lF{suffix}", mats.M, drop, frozenset({"A2"}),
-                                        k_ids, len(I) == n, n - 1 - len(I)))
+        components.append(_simple_pinch(f"lF{suffix}", mats.M, drop, "A2", k_ids,
+                                        len(I) == n, n - 1 - len(I)))
         # second type: critical points of A_1 cap A_2 over B^I; empty for a
         # single remaining edge; S' keeps its bordering row 0
         if len(I) < n:
             components.append(_simple_pinch(
                 f"lFU{suffix}", mats.Sprime, [d + 1 for d in drop],
-                frozenset({"A1", "A2"}), k_ids, len(I) == n - 1, n - len(I)))
+                "A1 A2", k_ids, len(I) == n - 1, n - len(I)))
     return components
 
 
@@ -343,117 +360,49 @@ def icecream_ellA12_printed() -> Polynomial:
     )
 
 
+def _kallen(a: Polynomial, b: Polynomial, c: Polynomial) -> Polynomial:
+    """The Kallen function a^2 + b^2 + c^2 - 2ab - 2ac - 2bc."""
+    return a ** 2 + b ** 2 + c ** 2 - 2 * a * b - 2 * a * c - 2 * b * c
+
+
 def _triangle_fixture() -> list:
-    comps = []
     p = {i: Polynomial.var(f"p{i}sq") for i in (1, 2, 3)}
-    for i in (1, 2, 3):
-        j, kk = sorted({1, 2, 3} - {i})
-        comps.append(LandauComponent(
-            id=f"l{i}",
-            defining=p[i],
-            type_J=frozenset({"A1", "A2"}),
-            type_K=frozenset({f"B{i}", f"B{min(i,j)}{max(i,j)}", f"B{min(i,kk)}{max(i,kk)}"}),
-            simple_J=frozenset({"A2"}),
-            simple_K=frozenset(),
-            pinch=GENERAL,
-        ))
-    delta = (
-        p[1] ** 2 + p[2] ** 2 + p[3] ** 2
-        - 2 * p[1] * p[2] - 2 * p[1] * p[3] - 2 * p[2] * p[3]
-    )
-    comps.append(LandauComponent(
-        id="ldelta",
-        defining=delta,
-        type_J=frozenset({"A1", "A2"}),
-        type_K=frozenset(),
-        simple_J=frozenset({"A1", "A2"}),
-        simple_K=frozenset(),
-        pinch=QUADRATIC,
-        parity=0,
-    ))
+    comps = [LandauComponent.of(f"l{i}", p[i], GENERAL, "A1 A2", K, "A2")
+             for i, K in ((1, "B1 B12 B13"), (2, "B2 B12 B23"), (3, "B3 B13 B23"))]
+    comps.append(LandauComponent.of("ldelta", _kallen(p[1], p[2], p[3]), QUADRATIC,
+                                    "A1 A2", parity=0))
     return comps
 
 
 def _sunrise_fixture() -> list:
-    comps = []
     psq = Polynomial.var("psq")
     m = {i: Polynomial.var(f"m{i}") for i in (1, 2, 3)}
-    comps.append(LandauComponent(
-        id="lp",
-        defining=psq,
-        type_J=frozenset({"A1", "A2", "A12", "A13", "A23"}),
-        type_K=frozenset(),
-        simple_J=frozenset({"A2"}),
-        simple_K=frozenset(),
-        pinch=GENERAL,
-    ))
-    for i in (1, 2, 3):
-        j, kk = sorted({1, 2, 3} - {i})
-        comps.append(LandauComponent(
-            id=f"l{i}",
-            defining=m[i] * m[i],
-            type_J=frozenset({"A1", "A2", f"A{j}{kk}"}),
-            type_K=frozenset({f"B{j}", f"B{kk}", f"B{j}{kk}"}),
-            simple_J=frozenset({"A2"}),
-            simple_K=frozenset(),
-            pinch=GENERAL,
+    comps = [LandauComponent.of("lp", psq, GENERAL, "A1 A2 A12 A13 A23", simple_J="A2")]
+    for i, j, k in ((1, 2, 3), (2, 1, 3), (3, 1, 2)):
+        comps.append(LandauComponent.of(f"l{i}", m[i] * m[i], GENERAL, f"A1 A2 A{j}{k}",
+                                        f"B{j} B{k} B{j}{k}", "A2"))
+    for alpha, beta in itertools.product((1, -1), repeat=2):
+        name = f"l{'+' if alpha > 0 else '-'}{'+' if beta > 0 else '-'}"
+        comps.append(LandauComponent.of(
+            name, psq - (m[1] + alpha * m[2] + beta * m[3]) ** 2, QUADRATIC, "A2",
+            parity=1,  # fiber dim 2, node of the cubic on the stratum A2
         ))
-    for alpha in (1, -1):
-        for beta in (1, -1):
-            name = f"l{'+' if alpha > 0 else '-'}{'+' if beta > 0 else '-'}"
-            comps.append(LandauComponent(
-                id=name,
-                defining=psq - (m[1] + alpha * m[2] + beta * m[3]) ** 2,
-                type_J=frozenset({"A2"}),
-                type_K=frozenset(),
-                simple_J=frozenset({"A2"}),
-                simple_K=frozenset(),
-                pinch=QUADRATIC,
-                parity=1,  # fiber dim 2, node of the cubic on the stratum A2
-            ))
     return comps
 
 
 def _icecream_fixture() -> list:
-    p1sq = Polynomial.var("p1sq")
-    p2sq, p3sq = Polynomial.var("p2sq"), Polynomial.var("p3sq")
-    m3sq, m4sq = Polynomial.var("m3sq"), Polynomial.var("m4sq")
-    delta = (
-        p1sq ** 2 + p2sq ** 2 + p3sq ** 2
-        - 2 * p1sq * p2sq - 2 * p1sq * p3sq - 2 * p2sq * p3sq
-    )
+    p1sq, p2sq, p3sq = (Polynomial.var(f"p{i}sq") for i in (1, 2, 3))
     return [
-        LandauComponent(
-            id="lA12",
-            defining=icecream_ellA12_printed(),
-            type_J=frozenset({"A2", "A12"}),
-            type_K=frozenset(),
-            simple_J=frozenset({"A2", "A12"}),
-            simple_K=frozenset(),
-            pinch=QUADRATIC,
-            parity=1,  # fiber dim 3, stratum A2 cap A12
-        ),
-        LandauComponent(
-            id="lB12",
-            defining=(m3sq + m4sq - p1sq) ** 2 - 4 * m3sq * m4sq,
-            type_J=frozenset({"A2", "A12"}),
-            type_K=frozenset({"B1", "B2", "B12"}),
-            simple_J=frozenset({"A2"}),
-            simple_K=frozenset(),
-            pinch=GENERAL,
-        ),
-        LandauComponent(
-            id="ldelta",
-            defining=delta,
-            # the critical line passes through the collision point of the
-            # triple intersection on the exceptional divisor, so A12 is in
-            # the type; only A2 is indispensable
-            type_J=frozenset({"A1", "A2", "A12"}),
-            type_K=frozenset(),
-            simple_J=frozenset({"A2"}),
-            simple_K=frozenset(),
-            pinch=GENERAL,
-        ),
+        LandauComponent.of("lA12", icecream_ellA12_printed(), QUADRATIC, "A2 A12",
+                           parity=1),  # fiber dim 3, stratum A2 cap A12
+        LandauComponent.of("lB12", _kallen(p1sq, Polynomial.var("m3sq"),
+                                           Polynomial.var("m4sq")),
+                           GENERAL, "A2 A12", "B1 B2 B12", "A2"),
+        # the critical line passes through the collision point of the triple
+        # intersection on the exceptional divisor, so A12 is in the type; only
+        # A2 is indispensable
+        LandauComponent.of("ldelta", _kallen(p1sq, p2sq, p3sq), GENERAL, "A1 A2 A12",
+                           simple_J="A2"),
     ]
 
 

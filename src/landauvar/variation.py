@@ -526,16 +526,17 @@ def _rank_one_ops(n: int, comps, vanishing: dict, rows: dict) -> dict:
             for c in comps}
 
 
+def _sets(**labels) -> dict:
+    """Basis label -> the hypersurface ids given space-separated."""
+    return {label: frozenset(ids.split()) for label, ids in labels.items()}
+
+
 def _logarithm_model() -> VariationModel:
     t = Polynomial.var("t")
     comps = (
-        LandauComponent("l0", t, frozenset({"A1", "A2"}), frozenset(),
-                        frozenset({"A1", "A2"}), frozenset(), LINEAR, -1, True),
-        LandauComponent("l1", t - 1, frozenset({"A1"}), frozenset({"B2"}),
-                        frozenset({"A1"}), frozenset({"B2"}), LINEAR, -1),
-        LandauComponent("linf", Polynomial.var("t_inv"), frozenset({"A1"}),
-                        frozenset({"B1"}), frozenset({"A1"}), frozenset({"B1"}),
-                        LINEAR, -1),
+        LandauComponent.of("l0", t, LINEAR, "A1 A2", known_zero=True),
+        LandauComponent.of("l1", t - 1, LINEAR, "A1", "B2"),
+        LandauComponent.of("linf", Polynomial.var("t_inv"), LINEAR, "A1", "B1"),
     )
     vanishing = {"l1": ((0, 1),), "linf": ((0, 1),)}
     rows = {"l0": (0, 0), "l1": (-1, 0), "linf": (-1, 0)}
@@ -543,8 +544,8 @@ def _logarithm_model() -> VariationModel:
         name="logarithm", n=1, basis=("sigma", "nu"), components=comps,
         ops=_rank_one_ops(1, comps, vanishing, rows), vanishing=vanishing,
         intersection_rows=rows,
-        boundary_K={"sigma": frozenset({"B1", "B2"}), "nu": frozenset()},
-        coboundary_J={"sigma": frozenset(), "nu": frozenset({"A1"})},
+        boundary_K=_sets(sigma="B1 B2", nu=""),
+        coboundary_J=_sets(sigma="", nu="A1"),
     )
 
 
@@ -552,16 +553,11 @@ def _bubble_model() -> VariationModel:
     m1, m2 = Polynomial.var("m1"), Polynomial.var("m2")
     psq = Polynomial.var("psq")
     comps = (
-        LandauComponent("l1", m1 * m1, frozenset({"A2"}), frozenset({"B2"}),
-                        frozenset({"A2"}), frozenset({"B2"}), LINEAR, -1),
-        LandauComponent("l2", m2 * m2, frozenset({"A2"}), frozenset({"B1"}),
-                        frozenset({"A2"}), frozenset({"B1"}), LINEAR, -1),
-        LandauComponent("lD+", psq - (m1 + m2) ** 2, frozenset({"A2"}), frozenset(),
-                        frozenset({"A2"}), frozenset(), QUADRATIC, 0),
-        LandauComponent("lD-", psq - (m1 - m2) ** 2, frozenset({"A2"}), frozenset(),
-                        frozenset({"A2"}), frozenset(), QUADRATIC, 0),
-        LandauComponent("lp", psq, frozenset({"A1", "A2"}), frozenset(),
-                        frozenset({"A1", "A2"}), frozenset(), LINEAR, -1, True),
+        LandauComponent.of("l1", m1 * m1, LINEAR, "A2", "B2"),
+        LandauComponent.of("l2", m2 * m2, LINEAR, "A2", "B1"),
+        LandauComponent.of("lD+", psq - (m1 + m2) ** 2, QUADRATIC, "A2", parity=0),
+        LandauComponent.of("lD-", psq - (m1 - m2) ** 2, QUADRATIC, "A2", parity=0),
+        LandauComponent.of("lp", psq, LINEAR, "A1 A2", known_zero=True),
     )
     nu_delta = (0, -1, 1)  # nu2 - nu1
     vanishing = {"l1": ((0, 1, 0),), "l2": ((0, 0, 1),), "lD+": (nu_delta,),
@@ -572,31 +568,18 @@ def _bubble_model() -> VariationModel:
         name="bubble", n=1, basis=("sigma", "nu1", "nu2"), components=comps,
         ops=_rank_one_ops(1, comps, vanishing, rows), vanishing=vanishing,
         intersection_rows=rows,
-        boundary_K={
-            "sigma": frozenset({"B1", "B2"}),
-            "nu1": frozenset(),
-            "nu2": frozenset(),
-        },
-        coboundary_J={
-            "sigma": frozenset(),
-            "nu1": frozenset({"A2"}),
-            "nu2": frozenset({"A2"}),
-        },
+        boundary_K=_sets(sigma="B1 B2", nu1="", nu2=""),
+        coboundary_J=_sets(sigma="", nu1="A2", nu2="A2"),
     )
 
 
 def _dilog_model() -> VariationModel:
     t = Polynomial.var("t")
-    all_a = frozenset({"A1", "A2", "A3", "A4", "A5"})
     comps = (
-        LandauComponent("l0", t, all_a, frozenset({"B3", "B4"}),
-                        frozenset({"A3"}), frozenset(), GENERAL),
-        LandauComponent("l1", t - 1, frozenset({"A3"}), frozenset({"B3", "B4"}),
-                        frozenset({"A3"}), frozenset({"B3", "B4"}), LINEAR, -1),
-        LandauComponent("linf", Polynomial.var("t_inv"),
-                        frozenset({"A3", "A4", "A5"}),
-                        frozenset({"B1", "B2", "B3", "B4"}),
-                        frozenset({"A3"}), frozenset(), GENERAL),
+        LandauComponent.of("l0", t, GENERAL, "A1 A2 A3 A4 A5", "B3 B4", "A3"),
+        LandauComponent.of("l1", t - 1, LINEAR, "A3", "B3 B4"),
+        LandauComponent.of("linf", Polynomial.var("t_inv"), GENERAL, "A3 A4 A5",
+                           "B1 B2 B3 B4", "A3"),
     )
     ops = {
         "l0": matrix_from_images([(0, 0, 0), (0, 0, 1), (0, 0, 0)]),
@@ -609,16 +592,8 @@ def _dilog_model() -> VariationModel:
         name="dilog", n=2, basis=("sigma", "nu_p1", "nu_p0"), ops=ops,
         components=comps,
         vanishing={"l1": ((0, 1, 0),), "l0": ((0, 0, 1),)},
-        boundary_K={
-            "sigma": frozenset({"B1", "B2", "B3", "B4"}),
-            "nu_p1": frozenset({"B3", "B4"}),
-            "nu_p0": frozenset(),
-        },
-        coboundary_J={
-            "sigma": frozenset(),
-            "nu_p1": frozenset({"A3"}),
-            "nu_p0": frozenset({"A3"}),
-        },
+        boundary_K=_sets(sigma="B1 B2 B3 B4", nu_p1="B3 B4", nu_p0=""),
+        coboundary_J=_sets(sigma="", nu_p1="A3", nu_p0="A3"),
         conventions={"var_infinity": "inverse of the composite loop around 0 then 1"},
     )
 
@@ -657,20 +632,9 @@ def _triangle_model() -> VariationModel:
             "l2": ((0, 0, 1, 0, 0), (0, 0, 0, 0, 1)),
             "l3": ((0, 0, 0, 1, 0), (0, 0, 0, 0, 1)),
         },
-        boundary_K={
-            "sigma": frozenset({"B1", "B2", "B3", "B12", "B13", "B23"}),
-            "nu1": frozenset({"B12", "B13"}),
-            "nu2": frozenset({"B12", "B23"}),
-            "nu3": frozenset({"B13", "B23"}),
-            "mu": frozenset(),
-        },
-        coboundary_J={
-            "sigma": frozenset(),
-            "nu1": frozenset({"A2"}),
-            "nu2": frozenset({"A2"}),
-            "nu3": frozenset({"A2"}),
-            "mu": frozenset({"A2"}),
-        },
+        boundary_K=_sets(sigma="B1 B2 B3 B12 B13 B23", nu1="B12 B13", nu2="B12 B23",
+                         nu3="B13 B23", mu=""),
+        coboundary_J=_sets(sigma="", nu1="A2", nu2="A2", nu3="A2", mu="A2"),
         conventions={"epsilon": "cyclic (+1 on (1,2),(2,3),(3,1))"},
     )
 

@@ -83,6 +83,11 @@ class FeynmanGraph:
         for v, _ in self.legs:
             if v not in vset:
                 raise GraphError(f"leg attached to unknown vertex {v}")
+        momenta = [p for _, p in self.legs]
+        repeated = [p for i, p in enumerate(momenta) if p in momenta[:i]]
+        if repeated:
+            raise GraphError(
+                f"malformed graph document: leg momentum {repeated[0]} is given twice")
         classes = components(self.vertices, (e.ends for e in self.edges))
         if len(set(classes.values())) != 1:
             raise GraphError("graph must be connected")

@@ -58,6 +58,8 @@ class LandauComponent:
     def __post_init__(self):
         if self.pinch not in (LINEAR, QUADRATIC, GENERAL):
             raise LandauError(f"bad pinch kind {self.pinch!r}")
+        if self.parity is not None and type(self.parity) is not int:  # bool too
+            raise LandauError(f"{self.id}: parity must be an integer, got {self.parity!r}")
         if not self.simple_J <= self.type_J or not self.simple_K <= self.type_K:
             raise LandauError(f"{self.id}: simple type must refine the type")
         if self.pinch == LINEAR and self.parity != -1:

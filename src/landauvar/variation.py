@@ -140,8 +140,22 @@ class VariationModel:
     conventions: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ModelError(f"model name must be a string, got {self.name!r}")
+        if type(self.n) is not int or self.n < 0:  # refuses bool too
+            raise ModelError(f"n must be a nonnegative integer, got {self.n!r}")
+        for what, names in (("basis label", list(self.basis)),
+                            ("component id", [c.id for c in self.components])):
+            repeated = [x for i, x in enumerate(names) if x in names[:i]]
+            if repeated:
+                raise ModelError(f"{what} {repeated[0]} is given twice")
         size = len(self.basis)
         comp_ids = {c.id for c in self.components}
+        for what, keys in (("vanishing", self.vanishing),
+                           ("intersection_rows", self.intersection_rows)):
+            stray = sorted(set(keys) - comp_ids)
+            if stray:
+                raise ModelError(f"{what} names no component: {stray[0]}")
         if set(self.ops) != comp_ids:
             raise ModelError("ops must cover exactly the model components")
         for cid, m in self.ops.items():

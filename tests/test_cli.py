@@ -850,8 +850,10 @@ def set_field(doc, where, value):
     (["edges", 0, "ends"], ["v1", "v2", "v1"],
      "edge 1 ends must be a list of 2 vertices, got ['v1', 'v2', 'v1']"),
     (["edges", 1, "ends"], ["v1"], "edge 2 ends must be a list of 2 vertices, got ['v1']"),
+    (["legs", 1, "momentum"], "p1", "leg momentum p1 is given twice"),
 ], ids=["channel-symbol", "channels-list", "edge-id", "endpoint", "mass", "var",
-        "leg-vertex", "momentum", "vertex", "vertices-string", "three-ends", "one-end"])
+        "leg-vertex", "momentum", "vertex", "vertices-string", "three-ends", "one-end",
+        "repeated-momentum"])
 def test_graph_document_with_a_mistyped_field_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"
@@ -916,9 +918,22 @@ def triangle_model_document():
     (["basis", 0], [], "basis must be a list of strings, got [[], 'nu1'"),
     (["components", 0, "type_J"], [None], "l1 type_J must be a list of strings"),
     (["boundary_K", "sigma"], [1, "B1"], "boundary_K of sigma must be a list of strings"),
+    (["components", 3, "parity"], 0.5, "ldelta: parity must be an integer, got 0.5"),
+    (["components", 3, "parity"], True, "ldelta: parity must be an integer, got True"),
+    (["n"], True, "n must be a nonnegative integer, got True"),
+    (["n"], 1.5, "n must be a nonnegative integer, got 1.5"),
+    (["n"], -1, "n must be a nonnegative integer, got -1"),
+    (["vanishing", "l4"], [["0", "1", "0", "0", "0"]], "vanishing names no component: l4"),
+    (["intersection_rows", "lx"], ["0"] * 5, "intersection_rows names no component: lx"),
+    (["basis", 1], "sigma", "basis label sigma is given twice"),
+    (["components"], triangle_model_document()["components"] * 2,
+     "component id l1 is given twice"),
+    (["name"], 7, "model name must be a string, got 7"),
 ], ids=["null-span", "null-row", "zero-denominator-op", "zero-denominator-span",
         "zero-denominator-row", "zero-denominator-defining", "conventions-list",
-        "basis-label", "type-set", "boundary-set"])
+        "basis-label", "type-set", "boundary-set", "fractional-parity", "bool-parity",
+        "bool-n", "fractional-n", "negative-n", "stray-vanishing", "stray-row",
+        "repeated-label", "repeated-component", "name-number"])
 def test_model_document_with_a_bad_entry_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"

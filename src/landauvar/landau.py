@@ -79,9 +79,9 @@ class LandauComponent:
     def of(cls, cid, defining, pinch, J, K="", simple_J="", parity=None,
            known_zero=False) -> LandauComponent:
         """A component whose hypersurface ids are given space-separated, or as
-        an iterable where they come from a graph's edge ids.  A simple pinch's simple type is its type, and a
-        linear pinch has parity -1; a general pinch has simple type
-        (`simple_J`, {})."""
+        an iterable where they come from a graph's edge ids.  A simple pinch's
+        simple type is its type, and a linear pinch has parity -1; a general
+        pinch has simple type (`simple_J`, {})."""
         J, K = _ids(J), _ids(K)
         if pinch == GENERAL:
             return cls(cid, defining, J, K, _ids(simple_J), frozenset(), pinch, parity,

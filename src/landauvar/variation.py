@@ -144,7 +144,7 @@ class VariationModel:
             raise ModelError(f"model name must be a string, got {self.name!r}")
         if type(self.n) is not int or self.n < 0:  # refuses bool too
             raise ModelError(f"n must be a nonnegative integer, got {self.n!r}")
-        for what, names in (("basis label", list(self.basis)),
+        for what, names in (("basis label", self.basis),
                             ("component id", [c.id for c in self.components])):
             repeated = [x for i, x in enumerate(names) if x in names[:i]]
             if repeated:

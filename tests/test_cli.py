@@ -3,6 +3,7 @@ import copy
 import io
 import itertools
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
@@ -430,6 +431,90 @@ def test_component_lists_print_the_recorded_bytes(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == FIXTURE_DIGESTS[argv]
+
+
+# Outputs of the exact matrix layer: the audit and one composed word on each
+# builtin model and on two seeded copies over a permuted basis rescaled by
+# rationals (`rescaled-bubble`, `rescaled-dilog`), whose composed entries are
+# fractions.  Any change to a verdict, a count or a printed entry changes these.
+AUDIT_WORDS = {"logarithm": "w=l1", "bubble": "w=l2,lD+", "dilog": "w=l1,l0",
+               "massless-triangle": "w=l2,l1"}
+RESCALED_SEEDS = {"rescaled-bubble": ("bubble", 3), "rescaled-dilog": ("dilog", 7)}
+AUDIT_DIGESTS = {
+    ("logarithm", "audit", "json"):
+        "46c6eb777ef7a799d1457f9f84d9e0f94a75716f5b350cb161eaa6b25938aaa6",
+    ("logarithm", "audit", "text"):
+        "483821d692f1d8eb168ce72a666d1714a741912c516a8f23da6a7d514f7410b3",
+    ("logarithm", "compose", "json"):
+        "06e241d8806ab89ebe27d3eac5401990d0156f9248b060f8badefaca1644c12f",
+    ("logarithm", "compose", "text"):
+        "da12206a474b8040e919612d453a655af52881a0a847b577ae4081b2f57ab1be",
+    ("bubble", "audit", "json"):
+        "de52a8995102fb58887fa5f8a9ddeddfbdcec3b232536ca0f5d9a89cb72a7123",
+    ("bubble", "audit", "text"):
+        "8940fefde5c3a5a66265f8e468e484c3b85496e82b1e402a8c6193b432b36f92",
+    ("bubble", "compose", "json"):
+        "a44cec43f93ad9cac03864dc43fe843a29892f9580e3081cc632bcb214260f11",
+    ("bubble", "compose", "text"):
+        "ce9285c6ed9cf9161461cbb05a57a4af1d89286f4985046da6758b731225baeb",
+    ("dilog", "audit", "json"):
+        "a1f8ca9985a2cafa8f70df578fe1abe6906da51d20c57176c6f1f38bb8ea36e1",
+    ("dilog", "audit", "text"):
+        "1ce4dae6df0f3fe69ccb512bd14b33c39be19e5c9b669f14a5295cd75e6dec49",
+    ("dilog", "compose", "json"):
+        "b89d6a4debb21cf43c22a09a92682d1babb445ca179fbe31de8dcd30401cc28f",
+    ("dilog", "compose", "text"):
+        "e9fb0cc72bd410dae63fc8e8a24f4b3a877f100c78d56efafc737645d9067dfe",
+    ("massless-triangle", "audit", "json"):
+        "074c6faa2393a10e606184d387ad2d1c83a5c8f91341429b69e5f5bc0d1e5793",
+    ("massless-triangle", "audit", "text"):
+        "39777c6dd73b9b01d1997d4c54bb7e3c8653557e30f24c4ca70d986108c9bc60",
+    ("massless-triangle", "compose", "json"):
+        "7607f30f3cbc4f1c94b6660e16f0dd60a3dfdaeb03f7845d362b2b582ce9fe02",
+    ("massless-triangle", "compose", "text"):
+        "3844dcf797a9dafce1b5155881bf4e0f8ef0ff19f58e4358159e41b8557069f5",
+    ("rescaled-bubble", "audit", "json"):
+        "de52a8995102fb58887fa5f8a9ddeddfbdcec3b232536ca0f5d9a89cb72a7123",
+    ("rescaled-bubble", "audit", "text"):
+        "8940fefde5c3a5a66265f8e468e484c3b85496e82b1e402a8c6193b432b36f92",
+    ("rescaled-bubble", "compose", "json"):
+        "974bd72647f98cbdf3003abb27ac6723718974e95128ecc5ab8b1b66cfbb687a",
+    ("rescaled-bubble", "compose", "text"):
+        "97063e04678d277b6166b9df714c0c5b6b166454d70349e79b5532c86cf7a933",
+    ("rescaled-dilog", "audit", "json"):
+        "a1f8ca9985a2cafa8f70df578fe1abe6906da51d20c57176c6f1f38bb8ea36e1",
+    ("rescaled-dilog", "audit", "text"):
+        "1ce4dae6df0f3fe69ccb512bd14b33c39be19e5c9b669f14a5295cd75e6dec49",
+    ("rescaled-dilog", "compose", "json"):
+        "05256a8dfc1ab24f8bb54580ba30759ac1757a26ea84f769d52d52ec769000dd",
+    ("rescaled-dilog", "compose", "text"):
+        "af182e152682171a0ad5faf9c89e862a3101b28f928785609607540f1a9385ff",
+}
+
+
+def rescaled_model_document(name):
+    from test_variation import transformed
+
+    from landauvar.variation import builtin_model, model_to_json
+
+    model, seed = RESCALED_SEEDS[name]
+    return model_to_json(transformed(builtin_model(model), random.Random(seed)))
+
+
+@pytest.mark.parametrize("source, action, fmt", sorted(AUDIT_DIGESTS))
+def test_audit_and_compose_print_the_recorded_bytes(tmp_path, capsys, source, action,
+                                                    fmt):
+    import hashlib
+
+    model, path = RESCALED_SEEDS.get(source, (source,))[0], source
+    if source in RESCALED_SEEDS:
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(rescaled_model_document(source)))
+    argv = (["audit", str(path), "--max-len", "5"] if action == "audit"
+            else ["compose", str(path), AUDIT_WORDS[model]])
+    code, out, _ = run_cli(capsys, "variation", *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGESTS[source, action, fmt]
 
 
 # -- the JSON writer -----------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A model carries one square matrix per Landau component, acting on a fixed
 basis of relative homology classes (columns are images of basis elements).
-Entries are exact rationals, or None where the geometry does not pin an
-entry down; composition fails loudly when an unknown entry actually matters.
+Entries are exact rationals, held as ints when integral and as Fractions
+otherwise, or None where the geometry does not pin an entry down; composition
+fails loudly when an unknown entry actually matters.
 The rank-one assembly rule builds an operator from a vanishing cycle and a
 row of intersection numbers, and the audit helpers cross-check a model
 against the hierarchy oracle.
@@ -12,6 +13,8 @@ against the hierarchy oracle.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import count
@@ -33,17 +36,38 @@ class UnknownEntryError(ModelError):
 # -- exact matrices with optional unknown entries --------------------------------
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def _exact(x) -> bool:
+    """An int (not a bool) or a Fraction."""
+    return type(x) is int or isinstance(x, Fraction)
+
+
 def _rat(x):
-    if x is None or isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+    """An entry as an int when its value is integral, else as a Fraction;
+    None stays None.  Text goes through `Fraction`, except plain decimal
+    integers, which `int` reads to the same value."""
     if isinstance(x, str):
+        if _INTEGER.fullmatch(x):
+            return int(x)
         try:
-            return Fraction(x)
+            x = Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
+    if x is None or type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     raise ModelError(f"not an exact rational entry: {x!r}")
+
+
+def _integral(m) -> tuple:
+    """`m` times the lcm of its known entries' denominators: an int matrix
+    whose zero and unknown (None) entries sit where those of `m` do."""
+    scale = math.lcm(*(x.denominator for row in m for x in row if x is not None))
+    return tuple(tuple(None if x is None else x.numerator * (scale // x.denominator)
+                       for x in row) for row in m)
 
 
 def matrix_from_images(images) -> tuple:
@@ -151,16 +175,23 @@ class VariationModel:
                 raise ModelError(f"{what} {repeated[0]} is given twice")
         size = len(self.basis)
         comp_ids = {c.id for c in self.components}
-        for what, keys in (("vanishing", self.vanishing),
-                           ("intersection_rows", self.intersection_rows)):
-            stray = sorted(set(keys) - comp_ids)
+        for what, keys, known, noun in (
+                ("vanishing", self.vanishing, comp_ids, "component"),
+                ("intersection_rows", self.intersection_rows, comp_ids, "component"),
+                ("boundary_K", self.boundary_K, set(self.basis), "basis label"),
+                ("coboundary_J", self.coboundary_J, set(self.basis), "basis label")):
+            stray = sorted(set(keys) - known)
             if stray:
-                raise ModelError(f"{what} names no component: {stray[0]}")
+                raise ModelError(f"{what} names no {noun}: {stray[0]}")
         if set(self.ops) != comp_ids:
             raise ModelError("ops must cover exactly the model components")
         for cid, m in self.ops.items():
             if len(m) != size or any(len(row) != size for row in m):
                 raise ModelError(f"operator for {cid} is not {size}x{size}")
+            inexact = [x for row in m for x in row if x is not None and not _exact(x)]
+            if inexact:
+                raise ModelError(f"operator for {cid} has an entry that is not an"
+                                 f" exact rational: {inexact[0]!r}")
         for comp in self.components:
             if comp.variation_known_zero and not _known_zero(self.ops[comp.id]):
                 raise ModelError(f"{comp.id} is flagged zero but its matrix is not")
@@ -176,6 +207,10 @@ class VariationModel:
                                  f" of {size}")
             if any(x is None for x in v):
                 raise ModelError(f"{what} of {cid} has an unknown (null) entry")
+            inexact = [x for x in v if not _exact(x)]
+            if inexact:
+                raise ModelError(f"{what} of {cid} has an entry that is not an exact"
+                                 f" rational: {inexact[0]!r}")
         self._check_images()
 
     def _check_images(self):
@@ -210,7 +245,7 @@ class VariationModel:
 
     def basis_vector(self, label: str) -> tuple:
         idx = self.basis.index(label)
-        return tuple(Fraction(1 if i == idx else 0) for i in range(len(self.basis)))
+        return tuple(1 if i == idx else 0 for i in range(len(self.basis)))
 
 
 def _known_zero(m) -> bool:
@@ -219,26 +254,29 @@ def _known_zero(m) -> bool:
 
 
 def _reduce(vector, pivots) -> list:
-    """`vector` minus its components along the echelon rows `pivots`."""
-    work = list(vector)
+    """`vector` minus its components along the echelon rows `pivots`, up to
+    a nonzero integer factor: zero exactly when `vector` lies in their span."""
+    work = list(_integral((vector,))[0])
     for col, prow in pivots:
         factor = work[col]
         if factor:
-            work = [w - factor * p for w, p in zip(work, prow)]
+            lead = prow[col]
+            work = [lead * w - factor * p for w, p in zip(work, prow)]
     return work
 
 
 def _echelon(vectors) -> list:
-    """Exact row reduction over Q: (pivot column, row) pairs spanning the same
-    space as `vectors`, each row 1 at its pivot and 0 at earlier pivots."""
+    """Fraction-free row reduction (Bareiss 1968): integer (pivot column, row)
+    pairs spanning the same rational space as `vectors`, each row 0 at earlier
+    pivots and divided by the gcd of its entries."""
     pivots = []
     for v in vectors:
         work = _reduce(v, pivots)
         lead = next((i for i, w in enumerate(work) if w != 0), None)
         if lead is None:
             continue
-        inv = Fraction(1) / work[lead]
-        pivots.append((lead, [w * inv for w in work]))
+        content = math.gcd(*work)
+        pivots.append((lead, [w // content for w in work]))
     return pivots
 
 
@@ -298,10 +336,11 @@ def nilpotency_index(model: VariationModel, subset, cutoff: int = 10):
         model.component(cid)
         if has_unknown(model.ops[cid]):
             raise UnknownEntryError(f"operator for {cid} has unknown entries")
+    # a positive multiple of each operator moves the same subspaces
+    ops = [_integral(model.ops[cid]) for cid in ids]
     space = identity_matrix(len(model.basis))
     for k in range(1, cutoff + 1):
-        space = [row for _, row in _echelon(
-            mat_vec(model.ops[cid], v) for cid in ids for v in space)]
+        space = [row for _, row in _echelon(mat_vec(op, v) for op in ops for v in space)]
         if not space:
             return k
     return None
@@ -365,6 +404,9 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
         raise ModelError(f"an audit to {max_len} letters would keep {bits} bits of exact"
                          f" word counts, over the budget of {AUDIT_COUNT_BITS_BUDGET}")
     forced_ext = rule.forced_extensions(max_len)
+    # a positive multiple of each operator keeps every product's zero and
+    # unknown entries where they are, so the walk runs in ints
+    ops = {cid: _integral(m) for cid, m in model.ops.items()}
     built = count(1)
 
     def mul(a, b):
@@ -385,7 +427,7 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
                 if not has_unknown(product):
                     if not is_zero_matrix(product):
                         violations.append(word)
-                elif _span_certificate(model, word, mul) is None:
+                elif _span_certificate(model, ops, word, mul) is None:
                     unverified.append(word)
             if _known_zero(product):
                 checked += forced_ext[rem][None if forced else word[-1]]
@@ -396,23 +438,24 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
         for cid in reversed(rule.letters):
             child_forced = forced or rule.step(last, cid) is not None
             if child_forced or forced_ext[rem - 1][cid]:
-                stack.append((word + (cid,), mul(model.ops[cid], product),
+                stack.append((word + (cid,), mul(ops[cid], product),
                               child_forced))
     return AuditReport(model.name, max_len, checked, sorted(violations),
                        sorted(unverified))
 
 
-def _span_certificate(model: VariationModel, word, mul):
+def _span_certificate(model: VariationModel, ops: dict, word, mul):
     """The first letter of `word`, its last excepted, that is a simple pinch
     whose declared image span the rest of the word annihilates, or None.  The
-    tails are built once, from the right, by at most len(word) - 2 `mul`s."""
+    tails are built once from the operators `ops` (the model's, or positive
+    multiples of them), from the right, by at most len(word) - 2 `mul`s."""
     pinches = [i for i, cid in enumerate(word[:-1])
                if model.component(cid).is_simple_pinch and model.vanishing.get(cid)]
     if not pinches:
         return None
-    tails = {len(word) - 2: model.ops[word[-1]]}  # tails[i]: product of word[i+1:]
+    tails = {len(word) - 2: ops[word[-1]]}  # tails[i]: product of word[i+1:]
     for i in range(len(word) - 3, pinches[0] - 1, -1):
-        tails[i] = mul(tails[i + 1], model.ops[word[i + 1]])
+        tails[i] = mul(tails[i + 1], ops[word[i + 1]])
     for i in pinches:
         if all(x == 0 for v in model.vanishing[word[i]] for x in mat_vec(tails[i], v)):
             return word[i]
@@ -427,7 +470,7 @@ def _certify_by_model(model: VariationModel, word):
     if not has_unknown(product):
         zero = is_zero_matrix(product)
         return zero, "matrix product is zero" if zero else "matrix product is nonzero"
-    cid = _span_certificate(model, word, mat_mul)
+    cid = _span_certificate(model, model.ops, word, mat_mul)
     if cid is not None:
         return True, f"tail of word annihilates the image span of {cid}"
     return None, "undecidable from the model data"

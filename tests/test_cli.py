@@ -693,6 +693,28 @@ def test_audit_budget_counts_unknown_entry_words(tmp_path, capsys, monkeypatch):
     assert f"more than the budget of {budget} matrix products" in err
 
 
+def test_audit_multiplies_only_integer_matrices(tmp_path, capsys, monkeypatch):
+    # the rescaled bubble's operators have fractional entries; the walk and
+    # the image-span tails multiply their cleared integer multiples
+    from landauvar import variation
+
+    doc = rescaled_model_document("rescaled-bubble")
+    unknown = copy.deepcopy(doc)
+    unknown["ops"]["l1"] = [[None] * 3 for _ in range(3)]
+    entries = []
+    real = variation.mat_mul
+    monkeypatch.setattr(variation, "mat_mul", lambda a, b: entries.extend(
+        type(x) for m in (a, b) for row in m for x in row) or real(a, b))
+    for name, data in (("rescaled", doc), ("l1-unknown", unknown)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run_cli(capsys, "variation", "audit", str(path), "--max-len", "5",
+                               "--format", "json")
+        assert code == 0 and json.loads(out)["words_checked"]
+    assert any("/" in x for row in doc["ops"]["lD+"] for x in row)
+    assert entries and set(entries) <= {int, type(None)}, set(entries)
+
+
 def test_audit_of_a_walk_without_products_is_admitted_at_any_length(capsys):
     # the massless triangle's relation is complete: it forces no word, so its
     # walk builds no product however long the words
@@ -1014,11 +1036,17 @@ def triangle_model_document():
     (["components"], triangle_model_document()["components"] * 2,
      "component id l1 is given twice"),
     (["name"], 7, "model name must be a string, got 7"),
+    (["boundary_K", "sgima"], ["B1"], "boundary_K names no basis label: sgima"),
+    (["coboundary_J", "nu9"], ["A2"], "coboundary_J names no basis label: nu9"),
+    (["ops", "l1", 0, 0], True, "not an exact rational entry: True"),
+    (["intersection_rows", "l1"], [0.5, "0", "0", "0", "0"],
+     "not an exact rational entry: 0.5"),
 ], ids=["null-span", "null-row", "zero-denominator-op", "zero-denominator-span",
         "zero-denominator-row", "zero-denominator-defining", "conventions-list",
         "basis-label", "type-set", "boundary-set", "fractional-parity", "bool-parity",
         "bool-n", "fractional-n", "negative-n", "stray-vanishing", "stray-row",
-        "repeated-label", "repeated-component", "name-number"])
+        "repeated-label", "repeated-component", "name-number",
+        "stray-boundary", "stray-coboundary", "bool-op-entry", "float-row-entry"])
 def test_model_document_with_a_bad_entry_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"

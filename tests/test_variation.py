@@ -16,6 +16,9 @@ from landauvar.variation import (
     UnknownEntryError,
     VariationModel,
     _certify_by_model,
+    _in_span,
+    _integral,
+    _rat,
     _span_certificate,
     apply_word,
     builtin_model,
@@ -308,6 +311,50 @@ def test_matrix_helpers():
     assert m == ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(0)))
 
 
+@pytest.mark.parametrize("text", ["007", "-0", "+3", " 3 ", "1_000", "\u0661\u0662", "6/4",
+                                  "3/1", "-", "", "1/0", "0.5"])
+def test_rat_reads_text_as_fraction_does(text):
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ModelError, match="not an exact rational entry"):
+            _rat(text)
+        return
+    value = _rat(text)
+    assert value == expected
+    assert (type(value) is int) == (expected.denominator == 1), (text, value)
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True, False, complex(1, 0), [1]])
+def test_rat_refuses_inexact_entries(value):
+    with pytest.raises(ModelError, match="not an exact rational entry"):
+        _rat(value)
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("ops", 0.5, "operator for l1 has an entry that is not an exact rational: 0.5"),
+    ("ops", True, "operator for l1 has an entry that is not an exact rational: True"),
+    ("vanishing", 1.0,
+     "vanishing vector of l1 has an entry that is not an exact rational: 1.0"),
+    ("intersection_rows", False,
+     "intersection row of l1 has an entry that is not an exact rational: False"),
+])
+def test_model_refuses_entries_that_are_not_exact_rationals(where, value, message):
+    m = builtin_model("bubble")
+    fields = dict(name="x", n=m.n, basis=m.basis, components=m.components,
+                  ops=dict(m.ops), vanishing=dict(m.vanishing),
+                  intersection_rows=dict(m.intersection_rows))
+    if where == "ops":
+        fields["ops"]["l1"] = tuple(tuple(value if x == 0 else x for x in row)
+                                    for row in m.ops["l1"])
+    elif where == "vanishing":
+        fields["vanishing"]["l1"] = ((0, value, 0),)
+    else:
+        fields["intersection_rows"]["l1"] = (1, value, 0)
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        VariationModel(**fields)
+
+
 # -- the audit against per-word enumeration ------------------------------------------
 
 
@@ -440,17 +487,29 @@ def rebuilt_span_certificate(model, word):
 
 
 def test_span_certificate_shares_its_tails():
+    # the tails are built from the cleared operators, as the audit builds
+    # them, and the oracle multiplies the rational ones
     bubble = model_to_json(builtin_model("bubble"))
     bubble["ops"]["l1"] = [[None] * 3 for _ in range(3)]
-    for m in (builtin_model("massless-triangle"), model_from_json(bubble)):
+    bubble = model_from_json(bubble)
+    for m in (builtin_model("massless-triangle"), bubble,
+              transformed(bubble, random.Random(4))):
+        ops = {cid: _integral(op) for cid, op in m.ops.items()}
         ids = sorted(m.ops)
         for length in range(1, 5):
             for word in itertools.product(ids, repeat=length):
                 built = []
-                cid = _span_certificate(m, word,
+                cid = _span_certificate(m, ops, word,
                                         lambda a, b: built.append(1) or mat_mul(a, b))
                 assert cid == rebuilt_span_certificate(m, word), word
                 assert len(built) <= max(length - 2, 0)
+
+
+def test_integral_clears_denominators_and_keeps_unknowns():
+    m = ((Fraction(1, 2), None, 0), (Fraction(-2, 3), 4, Fraction(5, 4)), (0, 0, None))
+    assert _integral(m) == ((6, None, 0), (-8, 48, 15), (0, 0, None))
+    assert _integral(((None,),)) == ((None,),)
+    assert _integral(identity_matrix(2)) == identity_matrix(2)
 
 
 def test_audit_counts_every_forced_word_of_length_eight():
@@ -523,6 +582,94 @@ def test_nilpotency_matches_enumeration(ops, cutoff):
     )
     assert nilpotency_index(model, sorted(ops), cutoff) == \
         enumerated_nilpotency(ops, cutoff)
+
+
+# -- the fraction-free span tests against rational row reduction ----------------------
+
+
+def reference_reduce(vector, pivots):
+    """`vector` minus its components along the echelon rows `pivots`, over Q."""
+    work = list(vector)
+    for col, prow in pivots:
+        factor = work[col]
+        if factor:
+            work = [w - factor * p for w, p in zip(work, prow)]
+    return work
+
+
+def reference_echelon(vectors):
+    """Rational row reduction: (pivot column, row) pairs spanning the same
+    space as `vectors`, each row 1 at its pivot and 0 at earlier pivots."""
+    pivots = []
+    for v in vectors:
+        work = reference_reduce(v, pivots)
+        lead = next((i for i, w in enumerate(work) if w != 0), None)
+        if lead is None:
+            continue
+        inv = Fraction(1) / work[lead]
+        pivots.append((lead, [w * inv for w in work]))
+    return pivots
+
+
+def reference_nilpotency(ops, cutoff):
+    """Subspace iteration over Q with rational operators and rows."""
+    space = identity_matrix(len(next(iter(ops.values()))))
+    for k in range(1, cutoff + 1):
+        space = [row for _, row in reference_echelon(
+            mat_vec(ops[cid], v) for cid in sorted(ops) for v in space)]
+        if not space:
+            return k
+    return None
+
+
+rationals = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 7))
+
+
+@st.composite
+def spans_and_vectors(draw):
+    """A list of vectors with zero and repeated members, and a vector that is
+    often a rational combination of them."""
+    size = draw(st.integers(1, 4))
+    vector = st.tuples(*[rationals] * size)
+    span = draw(st.lists(vector, max_size=4))
+    span += [(Fraction(0),) * size] * draw(st.integers(0, 1))
+    span += draw(st.lists(st.sampled_from(span), max_size=2)) if span else []
+    span = draw(st.permutations(span))
+    if span and draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=len(span), max_size=len(span)))
+        query = tuple(sum(c * v[i] for c, v in zip(coeffs, span)) for i in range(size))
+    else:
+        query = draw(vector)
+    return span, query
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(spans_and_vectors())
+def test_in_span_matches_rational_reduction(case):
+    span, vector = case
+    assert _in_span(vector, span) == \
+        (not any(reference_reduce(vector, reference_echelon(span))))
+
+
+@st.composite
+def rational_ops(draw):
+    """Operators with rational entries and many zeros, nilpotent or not."""
+    size = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    return {f"a{k}": tuple(tuple(draw(entry) for _ in range(size)) for _ in range(size))
+            for k in range(draw(st.integers(1, 3)))}
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.one_of(conjugated_nilpotent_ops(), rational_ops()), st.integers(1, 5))
+def test_nilpotency_matches_rational_reduction(ops, cutoff):
+    size = len(next(iter(ops.values())))
+    model = VariationModel(
+        name="random", n=1, basis=tuple(f"b{i}" for i in range(size)), ops=ops,
+        components=tuple(letter(cid) for cid in sorted(ops)),
+    )
+    assert nilpotency_index(model, sorted(ops), cutoff) == \
+        reference_nilpotency(ops, cutoff)
 
 
 def test_nilpotency_refuses_unknown_entries():

@@ -154,9 +154,6 @@ class ChainValue:
     sign: int
     weight: int
 
-    def __str__(self):
-        return ("+" if self.sign > 0 else "-") + f"(2*pi*i)^{self.weight}"
-
 
 def maximal_chain_value(n: int, sigma, tau) -> ChainValue:
     """Value of the full n-fold iterated variation for one permutation pair,

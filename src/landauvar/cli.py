@@ -52,15 +52,13 @@ def _text_chunks(data, indent=0):
                 yield from _text_chunks(value, indent + 1)
             else:
                 yield f"{pad}{key}: {value}\n"
-    elif isinstance(data, list):
+    else:  # a list: no handler returns any other kind of document
         for value in data:
             if isinstance(value, (dict, list)):
                 yield from _text_chunks(value, indent)
                 yield "\n"
             else:
                 yield f"{pad}{value}\n"
-    else:
-        yield f"{pad}{data}\n"
 
 
 def _load_graph_arg(source: str) -> graphs.FeynmanGraph:

@@ -165,9 +165,7 @@ class FeynmanGraph:
         m = [[Fraction(x) for x in row[1:]] for row in lap[1:]]
         det = Fraction(1)
         for c in range(n):
-            pivot = next((r for r in range(c, n) if m[r][c] != 0), None)
-            if pivot is None:
-                return 0
+            pivot = next(r for r in range(c, n) if m[r][c] != 0)
             if pivot != c:
                 m[c], m[pivot] = m[pivot], m[c]
                 det = -det

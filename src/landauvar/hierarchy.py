@@ -56,9 +56,6 @@ class Verdict:
     forced_zero: bool
     reason: str | None = None
 
-    def __str__(self):
-        return f"forced_zero ({self.reason})" if self.forced_zero else "unconstrained"
-
 
 def compatible(target: LandauComponent, source: LandauComponent) -> bool:
     """True iff the variation around `target` may follow the one around
@@ -161,21 +158,19 @@ def word_vanishes(rel: HierarchyRelation, components, word) -> Verdict:
     return Verdict(False)
 
 
-def to_dot(rel: HierarchyRelation, components=None) -> str:
+def to_dot(rel: HierarchyRelation, components) -> str:
     """DOT digraph with type sets in the node labels; deterministic order."""
-    by_id = {c.id: c for c in components} if components else {}
+    by_id = {c.id: c for c in components}
+    escape = str.maketrans({'"': '\\"'})  # a DOT string writes a double quote \"
     lines = ["digraph hierarchy {"]
     for node in rel.nodes:
-        comp = by_id.get(node)
-        if comp is not None:
-            label = (
-                f"{node}\\nJ={{{','.join(sorted(comp.type_J))}}}"
-                f" K={{{','.join(sorted(comp.type_K))}}}"
-            )
-        else:
-            label = node
-        lines.append(f'    "{node}" [label="{label}"];')
+        comp = by_id[node]
+        label = (
+            f"{node}\\nJ={{{','.join(sorted(comp.type_J))}}}"
+            f" K={{{','.join(sorted(comp.type_K))}}}"
+        )
+        lines.append(f'    "{node.translate(escape)}" [label="{label.translate(escape)}"];')
     for s, t in rel.sorted_edges():
-        lines.append(f'    "{s}" -> "{t}";')
+        lines.append(f'    "{s.translate(escape)}" -> "{t.translate(escape)}";')
     lines.append("}")
     return "\n".join(lines)

@@ -123,32 +123,20 @@ def _cycle_order(g: FeynmanGraph):
     between consecutive edges e_k and e_{k+1} (cyclically)."""
     if g.loop_number != 1:
         raise LandauError("graph is not one-loop")
-    if len(g.edges) == 1:
-        e = g.edges[0]
-        if not e.is_self_loop():
-            raise LandauError("single-edge one-loop graph must be a self-loop")
-        return (e,), (e.ends[0],)
     degree = {v: 0 for v in g.vertices}
     for e in g.edges:
         degree[e.ends[0]] += 1
         degree[e.ends[1]] += 1
-    if any(d != 2 for d in degree.values()) or len(g.edges) != len(g.vertices):
+    if any(d != 2 for d in degree.values()):  # else, connected and one-loop, g is a cycle
         raise LandauError("one-loop graph must be a single cycle")
     order = [g.edges[0]]
     current = g.edges[0].ends[1]
     between = [current]
-    used = {g.edges[0].id}
     while len(order) < len(g.edges):
-        candidates = [e for e in g.edges if e.id not in used and current in e.ends]
-        if not candidates:
-            raise LandauError("one-loop graph must be a single cycle")
-        e = candidates[0]
+        e = next(e for e in g.edges if e not in order and current in e.ends)
         order.append(e)
-        used.add(e.id)
         current = e.ends[1] if e.ends[0] == current else e.ends[0]
         between.append(current)
-    if current != g.edges[0].ends[0]:
-        raise LandauError("one-loop graph must be a single cycle")
     return tuple(order), tuple(between)
 
 

@@ -88,19 +88,20 @@ def local_rank(cfg: PinchConfig, degree: int, variant: str = "open") -> int:
     boundary added, obtained by swapping J and K and reflecting the degree at
     n - |I|.
     """
+    nI = cfg.n - len(cfg.I)
+    J, K = cfg.J, cfg.K
     if variant == "closed":
-        flipped = PinchConfig(cfg.n, cfg.m, cfg.I, cfg.K, cfg.J)
-        return local_rank(flipped, 2 * (cfg.n - len(cfg.I)) - degree, "open")
-    if variant != "open":
+        J, K = K, J
+        degree = 2 * nI - degree
+    elif variant != "open":
         raise UnsupportedConfiguration(f"unknown variant {variant!r}")
     if degree < 0:
         return 0
-    nI = cfg.n - len(cfg.I)
-    if cfg.K:
+    if K:
         if not cfg.covers_all:
             return 0
         return 1 if degree == nI else 0
-    sizeJ = len(cfg.J)
+    sizeJ = len(J)
     if not cfg.covers_all:
         return comb(sizeJ, degree) if degree <= sizeJ else 0
     # K empty and I,J cover everything: vanishing-sphere part plus the

@@ -227,9 +227,10 @@ class VariationModel:
                     raise ModelError(f"{comp.id}: operator is not the Picard-Lefschetz"
                                      " map pl_sign(n) * cycle * intersection row")
                 continue
+            pivots = _echelon(span)
             for j in range(len(self.basis)):
                 col = tuple(m[i][j] for i in range(len(self.basis)))
-                if not _in_span(col, span):
+                if any(_reduce(col, pivots)):
                     raise ModelError(
                         f"{comp.id}: image of {self.basis[j]} leaves the declared span"
                     )
@@ -278,11 +279,6 @@ def _echelon(vectors) -> list:
         content = math.gcd(*work)
         pivots.append((lead, [w // content for w in work]))
     return pivots
-
-
-def _in_span(vector, span) -> bool:
-    """Exact membership of `vector` in the rational span of `span` vectors."""
-    return not any(_reduce(vector, _echelon(span)))
 
 
 # -- operator assembly and composition --------------------------------------------

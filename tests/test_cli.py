@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -972,6 +973,62 @@ def test_graph_document_with_a_mistyped_field_is_a_clean_error(
         assert f"malformed graph document: {message}" in err, argv
 
 
+@pytest.mark.parametrize("where, value, message", [
+    (["vertices"], [], "graph needs at least one vertex"),
+    (["edges", 1, "id"], "1", "edge ids must be pairwise distinct"),
+    (["legs", 0, "vertex"], "v9", "leg attached to unknown vertex v9"),
+], ids=["no-vertex", "repeated-edge-id", "unknown-leg-vertex"])
+def test_graph_document_off_the_graph_rules_is_a_clean_error(
+        tmp_path, capsys, where, value, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(set_field(bubble_document(), where, value)))
+    for argv in graph_commands(str(path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert f"error: {message}" in err, argv
+
+
+def test_one_loop_graph_with_a_pendant_edge_is_a_clean_error(tmp_path, capsys):
+    doc = bubble_document()
+    doc["vertices"].append("v3")
+    doc["edges"].append({"id": "3", "ends": ["v2", "v3"], "mass": "m3", "var": "x3"})
+    path = tmp_path / "pendant.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["landau", "oneloop", str(path)], ["hierarchy", "--graph", str(path)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == ""
+        assert_clean_error(code, err)
+        assert "error: one-loop graph must be a single cycle" in err, argv
+
+
+def test_hierarchy_dot_escapes_double_quotes(tmp_path, capsys):
+    doc = bubble_document()
+    doc["edges"][0]["id"] = 'a"b'
+    path = tmp_path / "quote.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "hierarchy", "--graph", str(path), "--dot")
+    assert code == 0
+    assert '    "lF/a\\"b" [label="lF/a\\"b\\nJ={A2} K={Ba\\"b}"];\n' in out
+    assert '    "lF/a\\"b" -> "lF+";\n' in out
+    # each statement is quoted strings with every inner double quote escaped
+    string = r'"(?:[^"\\]|\\.)*"'
+    statement = re.compile(rf" {{4}}{string}(?: -> {string}| \[label={string}\]);")
+    body = out.strip().splitlines()[1:-1]
+    assert body and all(statement.fullmatch(line) for line in body)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["aomoto", "symbol", "--n", "0"], "weight must be at least 1"),
+    (["variation", "compose", "bubble", "w=zz"], "unknown component id 'zz'"),
+], ids=["zero-weight", "unknown-letter"])
+def test_zero_weight_and_unknown_letter_are_clean_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert_clean_error(code, err)
+    assert f"error: {message}" in err
+
+
 def test_non_finite_tracking_input_is_a_clean_error(capsys):
     track = ["track", "bubble", "--chart", "x1=1", "--var", "x2"]
     analyze = ["analyze", "bubble", "--track-chart", "x1=1", "--track-var", "x2"]
@@ -1041,12 +1098,15 @@ def triangle_model_document():
     (["ops", "l1", 0, 0], True, "not an exact rational entry: True"),
     (["intersection_rows", "l1"], [0.5, "0", "0", "0", "0"],
      "not an exact rational entry: 0.5"),
+    (["ops"], {cid: m for cid, m in triangle_model_document()["ops"].items() if cid != "l1"},
+     "ops must cover exactly the model components"),
 ], ids=["null-span", "null-row", "zero-denominator-op", "zero-denominator-span",
         "zero-denominator-row", "zero-denominator-defining", "conventions-list",
         "basis-label", "type-set", "boundary-set", "fractional-parity", "bool-parity",
         "bool-n", "fractional-n", "negative-n", "stray-vanishing", "stray-row",
         "repeated-label", "repeated-component", "name-number",
-        "stray-boundary", "stray-coboundary", "bool-op-entry", "float-row-entry"])
+        "stray-boundary", "stray-coboundary", "bool-op-entry", "float-row-entry",
+        "missing-op"])
 def test_model_document_with_a_bad_entry_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"
@@ -1114,6 +1174,7 @@ def test_bad_loop_orientation_steps_and_tolerance_are_clean_errors(capsys):
         (["--loop", "psq:center=9,r=1,turns=1000,steps=1001"],
          "got steps=1001, turns=1000"),
         (["--loop", "psq:center=x,r=0.1"], "loop center=x: the value must be a number"),
+        (["--loop", "psq"], "loop spec must look like psq:center=9,r=0.1"),
         (["--loop", "psq:center=9,r=0.1", "--tol", "nan"],
          "tolerance tol=nan must be finite and positive"),
         (["--loop", "psq:center=9,r=0.1", "--tol", "0"],

@@ -240,11 +240,16 @@ def _resultant_inputs(f, fibers) -> list:
     """Each polynomial that `eliminate_critical_values` takes a resultant of,
     with the variable it eliminates."""
     x = fibers[0]
+
+    def eliminated(b):
+        # like `elim`, a derivative already free of x passes through unchanged
+        return b if b.degree_in(x) == 0 else resultant(f, b, x)
+
     inputs = [(f, x), (f.derivative(x), x)]
     if len(fibers) == 2:
         y = fibers[1]
         inputs.append((f.derivative(y), x))
-        inputs += [(resultant(f, f.derivative(v), x), y) for v in (x, y)]
+        inputs += [(eliminated(f.derivative(v)), y) for v in (x, y)]
     return inputs
 
 
@@ -288,6 +293,8 @@ def test_sunrise_elimination_specialises(sunrise_family, sunrise_eliminant):
     (sunrise_graph, {"m2sq": 4}, {"x3": 1}, 13),
     (bubble_graph, {}, {"x1": 1}, 14),
     (triangle_graph, {}, {"x3": 1}, 15),
+    # F is linear in x1 when m1sq = 0, so dF/dx1 is free of x1
+    (triangle_graph, {"m1sq": 0}, {"x3": 1}, 16),
 ])
 def test_eliminations_specialise(graph, fixed, chart, seed):
     g = graph()

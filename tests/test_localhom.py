@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from landauvar.localhom import (
     LocalHomologyError,
     Operator,
+    PinchConfig,
     UnsupportedConfiguration,
     exchange_sign,
     local_rank,
@@ -75,6 +76,17 @@ def test_duality_involution():
             # applying the transform twice restores the open ranks
             assert local_rank(flipped, 2 * (cfg.n - len(cfg.I)) - d, "closed") == \
                 local_rank(cfg, d, "open")
+
+
+def test_closed_variant_builds_no_config(monkeypatch):
+    cfg = pinch_config(3, 3, (1,), (2,), (3,))
+    ranks = [local_rank(cfg, d, "closed") for d in range(6)]
+
+    def refuse(self):
+        raise AssertionError("a PinchConfig was built")
+
+    monkeypatch.setattr(PinchConfig, "__post_init__", refuse)
+    assert [local_rank(cfg, d, "closed") for d in range(6)] == ranks == [0, 0, 1, 0, 0, 0]
 
 
 def test_sum_rule_binomial():

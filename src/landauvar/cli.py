@@ -61,12 +61,21 @@ def _text_chunks(data, indent=0):
                 yield f"{pad}{value}\n"
 
 
+def _read_json(path: str):
+    """The JSON document in the file `path`; `json.load` recurses once per
+    level, so one nested past the interpreter's recursion limit is refused."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON document is nested too deeply") from None
+
+
 def _load_graph_arg(source: str) -> graphs.FeynmanGraph:
     if source in graphs.BUILTIN_GRAPHS:
         g = graphs.BUILTIN_GRAPHS[source]()
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            g = graphs.load_graph(json.load(fh))
+        g = graphs.load_graph(_read_json(source))
     _check_symanzik_budget(g)
     return g
 
@@ -239,8 +248,7 @@ def _load_model_arg(source: str) -> variation.VariationModel:
         return variation.builtin_model(source)
     except variation.ModelError:
         pass
-    with open(source, "r", encoding="utf-8") as fh:
-        return variation.model_from_json(json.load(fh))
+    return variation.model_from_json(_read_json(source))
 
 
 # -- stages of graph -> F -> components -> hierarchy -> verdicts / audit / track ----

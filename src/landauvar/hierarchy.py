@@ -161,15 +161,16 @@ def word_vanishes(rel: HierarchyRelation, components, word) -> Verdict:
 def to_dot(rel: HierarchyRelation, components) -> str:
     """DOT digraph with type sets in the node labels; deterministic order."""
     by_id = {c.id: c for c in components}
-    escape = str.maketrans({'"': '\\"'})  # a DOT string writes a double quote \"
+    # a DOT string writes a backslash \\ and a double quote \"
+    escape = str.maketrans({"\\": "\\\\", '"': '\\"'})
     lines = ["digraph hierarchy {"]
     for node in rel.nodes:
         comp = by_id[node]
-        label = (
-            f"{node}\\nJ={{{','.join(sorted(comp.type_J))}}}"
-            f" K={{{','.join(sorted(comp.type_K))}}}"
-        )
-        lines.append(f'    "{node.translate(escape)}" [label="{label.translate(escape)}"];')
+        text = (node, f"J={{{','.join(sorted(comp.type_J))}}}"
+                      f" K={{{','.join(sorted(comp.type_K))}}}")
+        # the label's line break, DOT's \n, goes in after its parts are escaped
+        label = "\\n".join(part.translate(escape) for part in text)
+        lines.append(f'    "{node.translate(escape)}" [label="{label}"];')
     for s, t in rel.sorted_edges():
         lines.append(f'    "{s.translate(escape)}" -> "{t.translate(escape)}";')
     lines.append("}")

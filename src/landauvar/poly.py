@@ -373,6 +373,9 @@ _VAR_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[()+\-*/^]))"
 )
+# `parse` recurses through four frames per open parenthesis; deeper nesting
+# than this is refused before the recursion limit is reached
+PARSE_NESTING_LIMIT = 100
 
 
 def parse(text: str) -> Polynomial:
@@ -393,6 +396,11 @@ def parse(text: str) -> Polynomial:
         tokens.append(m)
         pos = m.end()
     toks = [(m.lastgroup, m.group(m.lastgroup)) for m in tokens]
+    depth = 0
+    for _, val in toks:
+        depth += (val == "(") - (val == ")")
+        if depth > PARSE_NESTING_LIMIT:
+            raise PolynomialError("expression is nested too deeply")
     idx = 0
 
     def peek():

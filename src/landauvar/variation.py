@@ -63,11 +63,11 @@ def _rat(x):
 
 
 def _integral(m) -> tuple:
-    """`m` times the lcm of its known entries' denominators: an int matrix
-    whose zero and unknown (None) entries sit where those of `m` do."""
+    """(scale, scale * m), scale the lcm of the known entries' denominators: ints
+    whose zero and unknown (None) entries, in any product too, sit where m's do."""
     scale = math.lcm(*(x.denominator for row in m for x in row if x is not None))
-    return tuple(tuple(None if x is None else x.numerator * (scale // x.denominator)
-                       for x in row) for row in m)
+    return scale, tuple(tuple(None if x is None else x.numerator * (scale // x.denominator)
+                              for x in row) for row in m)
 
 
 def matrix_from_images(images) -> tuple:
@@ -174,16 +174,16 @@ class VariationModel:
             if repeated:
                 raise ModelError(f"{what} {repeated[0]} is given twice")
         size = len(self.basis)
-        comp_ids = {c.id for c in self.components}
+        self._by_id = {c.id: c for c in self.components}
         for what, keys, known, noun in (
-                ("vanishing", self.vanishing, comp_ids, "component"),
-                ("intersection_rows", self.intersection_rows, comp_ids, "component"),
+                ("vanishing", self.vanishing, self._by_id, "component"),
+                ("intersection_rows", self.intersection_rows, self._by_id, "component"),
                 ("boundary_K", self.boundary_K, set(self.basis), "basis label"),
                 ("coboundary_J", self.coboundary_J, set(self.basis), "basis label")):
-            stray = sorted(set(keys) - known)
+            stray = sorted(set(keys).difference(known))
             if stray:
                 raise ModelError(f"{what} names no {noun}: {stray[0]}")
-        if set(self.ops) != comp_ids:
+        if self.ops.keys() != self._by_id.keys():
             raise ModelError("ops must cover exactly the model components")
         for cid, m in self.ops.items():
             if len(m) != size or any(len(row) != size for row in m):
@@ -212,6 +212,10 @@ class VariationModel:
                 raise ModelError(f"{what} of {cid} has an entry that is not an exact"
                                  f" rational: {inexact[0]!r}")
         self._check_images()
+        # derived once, as `_by_id` is above: the audits read them for every word
+        self._pinches = {c.id for c in self.components
+                         if c.is_simple_pinch and self.vanishing.get(c.id)}
+        self._cleared = {cid: _integral(m) for cid, m in self.ops.items()}
 
     def _check_images(self):
         """A simple pinch with one vanishing cycle and a row has the rank-one
@@ -236,10 +240,10 @@ class VariationModel:
                     )
 
     def component(self, cid: str) -> LandauComponent:
-        for c in self.components:
-            if c.id == cid:
-                return c
-        raise ModelError(f"unknown component id {cid!r}")
+        try:
+            return self._by_id[cid]
+        except KeyError:
+            raise ModelError(f"unknown component id {cid!r}") from None
 
     def relation(self) -> HierarchyRelation:
         return hierarchy_graph(self.components)
@@ -257,7 +261,7 @@ def _known_zero(m) -> bool:
 def _reduce(vector, pivots) -> list:
     """`vector` minus its components along the echelon rows `pivots`, up to
     a nonzero integer factor: zero exactly when `vector` lies in their span."""
-    work = list(_integral((vector,))[0])
+    work = list(_integral((vector,))[1][0])
     for col, prow in pivots:
         factor = work[col]
         if factor:
@@ -295,24 +299,23 @@ def pl_operator(n: int, vanishing_cycle, dual_row) -> tuple:
 
 
 def _word_product(model: VariationModel, word) -> tuple:
-    """Product along `word`, unknown entries left in place."""
-    result = identity_matrix(len(model.basis))
+    """(scale, product) of the cleared operators along `word`, unknowns kept."""
+    scale, result = 1, identity_matrix(len(model.basis))
     for cid in word:
-        if cid not in model.ops:
-            raise ModelError(f"unknown component id {cid!r}")
-        result = mat_mul(model.ops[cid], result)
-    return result
+        s, op = model._cleared[model.component(cid).id]
+        scale, result = scale * s, mat_mul(op, result)
+    return scale, result
 
 
 def compose(model: VariationModel, word) -> tuple:
     """Matrix of the iterated variation along `word` (application order:
     word[0] acts first, so the product stacks right-to-left)."""
-    result = _word_product(model, word)
+    scale, result = _word_product(model, word)
     if has_unknown(result):
         raise UnknownEntryError(
             f"word {list(word)} touches entries the model leaves unknown"
         )
-    return result
+    return tuple(tuple(_rat(Fraction(x, scale)) for x in row) for row in result)
 
 
 def apply_word(model: VariationModel, word, basis_label: str) -> tuple:
@@ -329,11 +332,10 @@ def nilpotency_index(model: VariationModel, subset, cutoff: int = 10):
     """
     ids = sorted(subset)
     for cid in ids:
-        model.component(cid)
-        if has_unknown(model.ops[cid]):
+        if has_unknown(model.ops[model.component(cid).id]):
             raise UnknownEntryError(f"operator for {cid} has unknown entries")
     # a positive multiple of each operator moves the same subspaces
-    ops = [_integral(model.ops[cid]) for cid in ids]
+    ops = [model._cleared[cid][1] for cid in ids]
     space = identity_matrix(len(model.basis))
     for k in range(1, cutoff + 1):
         space = [row for _, row in _echelon(mat_vec(op, v) for op in ops for v in space)]
@@ -400,9 +402,7 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
         raise ModelError(f"an audit to {max_len} letters would keep {bits} bits of exact"
                          f" word counts, over the budget of {AUDIT_COUNT_BITS_BUDGET}")
     forced_ext = rule.forced_extensions(max_len)
-    # a positive multiple of each operator keeps every product's zero and
-    # unknown entries where they are, so the walk runs in ints
-    ops = {cid: _integral(m) for cid, m in model.ops.items()}
+    ops = {cid: m for cid, (_, m) in model._cleared.items()}
     built = count(1)
 
     def mul(a, b):
@@ -423,7 +423,7 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
                 if not has_unknown(product):
                     if not is_zero_matrix(product):
                         violations.append(word)
-                elif _span_certificate(model, ops, word, mul) is None:
+                elif _span_certificate(model, word, mul) is None:
                     unverified.append(word)
             if _known_zero(product):
                 checked += forced_ext[rem][None if forced else word[-1]]
@@ -440,18 +440,17 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
                        sorted(unverified))
 
 
-def _span_certificate(model: VariationModel, ops: dict, word, mul):
+def _span_certificate(model: VariationModel, word, mul):
     """The first letter of `word`, its last excepted, that is a simple pinch
     whose declared image span the rest of the word annihilates, or None.  The
-    tails are built once from the operators `ops` (the model's, or positive
-    multiples of them), from the right, by at most len(word) - 2 `mul`s."""
-    pinches = [i for i, cid in enumerate(word[:-1])
-               if model.component(cid).is_simple_pinch and model.vanishing.get(cid)]
+    tails are built once from the cleared operators, by at most len(word) - 2
+    `mul`s from the right: tails[i] is the product of word[i+1:]."""
+    pinches = [i for i, cid in enumerate(word[:-1]) if cid in model._pinches]
     if not pinches:
         return None
-    tails = {len(word) - 2: ops[word[-1]]}  # tails[i]: product of word[i+1:]
+    tails = {len(word) - 2: model._cleared[word[-1]][1]}
     for i in range(len(word) - 3, pinches[0] - 1, -1):
-        tails[i] = mul(tails[i + 1], ops[word[i + 1]])
+        tails[i] = mul(tails[i + 1], model._cleared[word[i + 1]][1])
     for i in pinches:
         if all(x == 0 for v in model.vanishing[word[i]] for x in mat_vec(tails[i], v)):
             return word[i]
@@ -462,11 +461,11 @@ def _certify_by_model(model: VariationModel, word):
     """Model-side evidence only (no oracle): True when the word provably
     composes to zero, False when it provably does not, None when the unknown
     entries leave it open."""
-    product = _word_product(model, word)
+    product = _word_product(model, word)[1]
     if not has_unknown(product):
         zero = is_zero_matrix(product)
         return zero, "matrix product is zero" if zero else "matrix product is nonzero"
-    cid = _span_certificate(model, model.ops, word, mat_mul)
+    cid = _span_certificate(model, word, mat_mul)
     if cid is not None:
         return True, f"tail of word annihilates the image span of {cid}"
     return None, "undecidable from the model data"

@@ -263,6 +263,16 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line" in err or "char" in err
 
 
+@pytest.mark.parametrize("argv", [["variation", "table"], ["symanzik"]])
+def test_deeply_nested_json_is_a_clean_error(tmp_path, capsys, argv):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert out == ""
+    assert_clean_error(code, err)
+    assert f"error: {path}: JSON document is nested too deeply" in err
+
+
 def assert_clean_error(code, err):
     assert code == 1
     assert "Traceback" not in err
@@ -1018,6 +1028,22 @@ def test_hierarchy_dot_escapes_double_quotes(tmp_path, capsys):
     assert body and all(statement.fullmatch(line) for line in body)
 
 
+def test_hierarchy_dot_escapes_backslashes(tmp_path, capsys):
+    doc = bubble_document()
+    doc["edges"][0]["id"] = "a\\"
+    path = tmp_path / "backslash.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "hierarchy", "--graph", str(path), "--dot")
+    assert code == 0
+    # the backslash is written \\ and the label's line break stays \n
+    assert r'    "lF/a\\" [label="lF/a\\\nJ={A2} K={Ba\\}"];' + "\n" in out
+    assert r'    "lF/a\\" -> "lF+";' + "\n" in out
+    string = r'"(?:[^"\\]|\\.)*"'
+    statement = re.compile(rf" {{4}}{string}(?: -> {string}| \[label={string}\]);")
+    body = out.strip().splitlines()[1:-1]
+    assert body and all(statement.fullmatch(line) for line in body)
+
+
 @pytest.mark.parametrize("argv, message", [
     (["aomoto", "symbol", "--n", "0"], "weight must be at least 1"),
     (["variation", "compose", "bubble", "w=zz"], "unknown component id 'zz'"),
@@ -1100,13 +1126,15 @@ def triangle_model_document():
      "not an exact rational entry: 0.5"),
     (["ops"], {cid: m for cid, m in triangle_model_document()["ops"].items() if cid != "l1"},
      "ops must cover exactly the model components"),
+    (["components", 1, "defining"], "(" * 3000 + "p2sq" + ")" * 3000,
+     "expression is nested too deeply"),
 ], ids=["null-span", "null-row", "zero-denominator-op", "zero-denominator-span",
         "zero-denominator-row", "zero-denominator-defining", "conventions-list",
         "basis-label", "type-set", "boundary-set", "fractional-parity", "bool-parity",
         "bool-n", "fractional-n", "negative-n", "stray-vanishing", "stray-row",
         "repeated-label", "repeated-component", "name-number",
         "stray-boundary", "stray-coboundary", "bool-op-entry", "float-row-entry",
-        "missing-op"])
+        "missing-op", "deep-defining"])
 def test_model_document_with_a_bad_entry_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landauvar.poly import (
+    PARSE_NESTING_LIMIT,
     Polynomial,
     PolyMatrix,
     PolynomialError,
@@ -133,6 +134,14 @@ def test_parse_errors():
         parse("x ** 2")
     with pytest.raises(PolynomialError):
         parse("(x")
+
+
+def test_parse_refuses_nesting_past_the_limit():
+    deepest = PARSE_NESTING_LIMIT
+    assert parse("(" * deepest + "x" + ")" * deepest) == x
+    assert parse("(x)*" * 3000 + "1") == x ** 3000
+    with pytest.raises(PolynomialError, match="^expression is nested too deeply$"):
+        parse("(" * (deepest + 1) + "x" + ")" * (deepest + 1))
 
 
 # -- randomized algebraic properties ------------------------------------------------

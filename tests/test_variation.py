@@ -25,6 +25,7 @@ from landauvar.variation import (
     builtin_model,
     check_against_hierarchy,
     compose,
+    has_unknown,
     identity_matrix,
     is_zero_matrix,
     mat_mul,
@@ -495,12 +496,11 @@ def test_span_certificate_shares_its_tails():
     bubble = model_from_json(bubble)
     for m in (builtin_model("massless-triangle"), bubble,
               transformed(bubble, random.Random(4))):
-        ops = {cid: _integral(op) for cid, op in m.ops.items()}
         ids = sorted(m.ops)
         for length in range(1, 5):
             for word in itertools.product(ids, repeat=length):
                 built = []
-                cid = _span_certificate(m, ops, word,
+                cid = _span_certificate(m, word,
                                         lambda a, b: built.append(1) or mat_mul(a, b))
                 assert cid == rebuilt_span_certificate(m, word), word
                 assert len(built) <= max(length - 2, 0)
@@ -508,15 +508,74 @@ def test_span_certificate_shares_its_tails():
 
 def test_integral_clears_denominators_and_keeps_unknowns():
     m = ((Fraction(1, 2), None, 0), (Fraction(-2, 3), 4, Fraction(5, 4)), (0, 0, None))
-    assert _integral(m) == ((6, None, 0), (-8, 48, 15), (0, 0, None))
-    assert _integral(((None,),)) == ((None,),)
-    assert _integral(identity_matrix(2)) == identity_matrix(2)
+    assert _integral(m)[1] == ((6, None, 0), (-8, 48, 15), (0, 0, None))
+    assert _integral(((None,),))[1] == ((None,),)
+    assert _integral(identity_matrix(2))[1] == identity_matrix(2)
+
+
+def test_audit_walk_looks_up_no_component(monkeypatch):
+    # the image-span certificates of the l1-unknown bubble read the model's
+    # pinch set, not one component per letter
+    doc = model_to_json(builtin_model("bubble"))
+    doc["ops"]["l1"] = [[None] * 3 for _ in range(3)]
+    m = model_from_json(doc)
+    expected = check_against_hierarchy(m, max_len=5).describe()
+    assert expected["unverified"]
+
+    def no_lookup(self, cid):
+        raise AssertionError(f"the audit looked up component {cid!r}")
+
+    monkeypatch.setattr(VariationModel, "component", no_lookup)
+    assert check_against_hierarchy(m, max_len=5).describe() == expected
 
 
 def test_audit_counts_every_forced_word_of_length_eight():
     report = check_against_hierarchy(builtin_model("bubble"), max_len=8)
     assert report.words_checked == 487260
     assert report.ok and not report.unverified
+
+
+# -- compose against the rational product ------------------------------------------
+
+
+def reference_compose(model, word):
+    """Reference composition: `mat_mul` folded over the rational operators."""
+    product = identity_matrix(len(model.basis))
+    for cid in word:
+        product = mat_mul(model.ops[cid], product)
+    return product
+
+
+@pytest.mark.parametrize("name", BUILTIN)
+def test_compose_matches_the_rational_product(name):
+    rng = random.Random(name)
+    for m in [builtin_model(name)] + [transformed(builtin_model(name), rng)
+                                      for _ in range(2)]:
+        for length in range(5):
+            for word in itertools.product(sorted(m.ops), repeat=length):
+                expected = reference_compose(m, word)
+                if has_unknown(expected):
+                    with pytest.raises(UnknownEntryError):
+                        compose(m, word)
+                    continue
+                got = compose(m, word)
+                assert got == expected, word
+                assert [str(x) for row in got for x in row] == \
+                    [str(x) for row in expected for x in row], word
+
+
+def test_compose_multiplies_only_integer_matrices(monkeypatch):
+    m = transformed(builtin_model("bubble"), random.Random(5))
+    assert any(type(x) is Fraction for op in m.ops.values() for row in op for x in row)
+    entries = []
+    real = variation.mat_mul
+    monkeypatch.setattr(variation, "mat_mul", lambda a, b: entries.extend(
+        type(x) for mat in (a, b) for row in mat for x in row) or real(a, b))
+    products = [compose(m, word) for word in itertools.product(sorted(m.ops), repeat=3)]
+    assert products == [reference_compose(m, word)
+                        for word in itertools.product(sorted(m.ops), repeat=3)]
+    assert any(type(x) is Fraction for p in products for row in p for x in row)
+    assert entries and set(entries) <= {int, type(None)}, set(entries)
 
 
 # -- nilpotency against per-word enumeration -----------------------------------------

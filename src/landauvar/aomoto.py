@@ -17,7 +17,7 @@ from operator import getitem
 
 from .hierarchy import HierarchyRelation
 from .landau import LINEAR, LandauComponent
-from .poly import Polynomial
+from .poly import Polynomial, permutation_sign
 
 
 class AomotoError(ValueError):
@@ -73,16 +73,6 @@ def aomoto_edges(n: int) -> HierarchyRelation:
     )
 
 
-def _parity(perm) -> int:
-    inversions = sum(
-        1
-        for a in range(len(perm))
-        for b in range(a + 1, len(perm))
-        if perm[a] > perm[b]
-    )
-    return -1 if inversions % 2 else 1
-
-
 @dataclass(frozen=True)
 class SignedWord:
     """One length-n tensor word of the symbol: letters left to right, the
@@ -136,8 +126,8 @@ def aomoto_symbol(n: int) -> list:
         s = frozenset(indices)
         return sets.setdefault(s, s)
 
-    grows = [(_parity(p), [index_set(p[:k]) for k in ks]) for p in perms]
-    shrinks = [(_parity(p), tuple(index_set(p[k:]) for k in ks)) for p in perms]
+    grows = [(permutation_sign(p), [index_set(p[:k]) for k in ks]) for p in perms]
+    shrinks = [(permutation_sign(p), tuple(index_set(p[k:]) for k in ks)) for p in perms]
     letter = {I: {J: (I, J) for J in sets} for I in sets}  # one tuple per letter
     rows = [(ps, [letter[I] for I in Is]) for ps, Is in grows]
     return [SignedWord(ps * pt, tuple(map(getitem, row, Js)))
@@ -160,4 +150,4 @@ def maximal_chain_value(n: int, sigma, tau) -> ChainValue:
     as a signed power of 2*pi*i, normalized to + at the identity pair."""
     _check_perm(n, sigma)
     _check_perm(n, tau)
-    return ChainValue(_parity(tuple(sigma)) * _parity(tuple(tau)), n)
+    return ChainValue(permutation_sign(sigma) * permutation_sign(tau), n)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial
+from .poly import Polynomial, echo
 
 
 class GraphError(ValueError):
@@ -164,11 +164,9 @@ class FeynmanGraph:
                 lap[b][a] -= 1
         m = [[Fraction(x) for x in row[1:]] for row in lap[1:]]
         det = Fraction(1)
+        # the reduced Laplacian of a connected graph is positive definite, so
+        # elimination without row exchanges meets only positive pivots
         for c in range(n):
-            pivot = next(r for r in range(c, n) if m[r][c] != 0)
-            if pivot != c:
-                m[c], m[pivot] = m[pivot], m[c]
-                det = -det
             det *= m[c][c]
             for r in range(c + 1, n):
                 if m[r][c] != 0:  # zero in most rows of a sparse graph
@@ -234,14 +232,14 @@ def _text(value, field: str, edge=None) -> str:
     if isinstance(value, str):
         return value
     where = field if edge is None else f"edge {edge} {field}"
-    raise GraphError(f"malformed graph document: {where} must be a string, got {value!r}")
+    raise GraphError(f"malformed graph document: {where} must be a string, got {echo(value)}")
 
 
 def _list(value, field: str, length=None) -> list:
     if isinstance(value, list) and length in (None, len(value)):
         return value
     shape = "a list" if length is None else f"a list of {length} vertices"
-    raise GraphError(f"malformed graph document: {field} must be {shape}, got {value!r}")
+    raise GraphError(f"malformed graph document: {field} must be {shape}, got {echo(value)}")
 
 
 def load_graph(data) -> FeynmanGraph:
@@ -267,7 +265,7 @@ def load_graph(data) -> FeynmanGraph:
         channels = data.get("channels", {})
         if not isinstance(channels, dict):
             raise GraphError(
-                f"malformed graph document: channels must be an object, got {channels!r}")
+                f"malformed graph document: channels must be an object, got {echo(channels)}")
         channels = {
             frozenset(key.split("+")): _text(sym, f"channel {key} symbol")
             for key, sym in channels.items()

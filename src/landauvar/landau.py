@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graphs import FeynmanGraph, contract, icecream_graph, symanzik_F
-from .poly import Polynomial, PolyMatrix, determinant, divides, resultant
+from .poly import Polynomial, PolyMatrix, determinant, divides, echo, resultant
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -57,9 +57,9 @@ class LandauComponent:
 
     def __post_init__(self):
         if self.pinch not in (LINEAR, QUADRATIC, GENERAL):
-            raise LandauError(f"bad pinch kind {self.pinch!r}")
+            raise LandauError(f"bad pinch kind {echo(self.pinch)}")
         if self.parity is not None and type(self.parity) is not int:  # bool too
-            raise LandauError(f"{self.id}: parity must be an integer, got {self.parity!r}")
+            raise LandauError(f"{self.id}: parity must be an integer, got {echo(self.parity)}")
         if not self.simple_J <= self.type_J or not self.simple_K <= self.type_K:
             raise LandauError(f"{self.id}: simple type must refine the type")
         if self.pinch == LINEAR and self.parity != -1:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
+from .poly import permutation_sign
+
 DELTA = "delta"      # Leray coboundary, degree r-1
 PARTIAL = "partial"  # partial boundary, degree -1
 PI = "pi"            # transverse intersection, degree -r
@@ -174,24 +176,22 @@ def exchange_sign(a: Operator, b: Operator) -> int:
 
 
 def normalize_word(word) -> tuple:
-    """Bubble-sort into canonical order (coboundaries, boundaries,
-    intersections; each block by surface id), accumulating exchange signs.
-    Same-surface operators are never reordered."""
-    ops = list(word)
-    sign = 1
-
-    def key(op):
-        return (_KIND_ORDER[op.kind], op.surface)
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(ops) - 1):
-            if key(ops[i]) > key(ops[i + 1]):
-                sign *= exchange_sign(ops[i], ops[i + 1])
-                ops[i], ops[i + 1] = ops[i + 1], ops[i]
-                changed = True
-    return sign, tuple(ops)
+    """Stable-sort into canonical order (coboundaries, boundaries, intersections;
+    each block by surface id), signed by `exchange_sign` over the pairs it inverts.
+    Refused where an operator follows one on its surface of a later kind; the
+    error names the surface of the first such operator in the word."""
+    # exchange_sign is -1 exactly for two odd degrees, so the sign is that of
+    # the sort restricted to the odd-degree operators, ranked in word order
+    ops, kinds, odd = tuple(word), {}, {}
+    for i, op in enumerate(ops):
+        if _KIND_ORDER[kinds.get(op.surface, DELTA)] > _KIND_ORDER[op.kind]:
+            raise LocalHomologyError(
+                f"cannot commute operators on the same surface {op.surface!r}")
+        kinds[op.surface] = op.kind
+        if op.degree % 2:
+            odd[i] = len(odd)
+    order = sorted(range(len(ops)), key=lambda i: (_KIND_ORDER[ops[i].kind], ops[i].surface))
+    return permutation_sign([odd[i] for i in order if i in odd]), tuple(ops[i] for i in order)
 
 
 def vanishing_cycle_sign(size_j: int) -> int:

@@ -11,7 +11,6 @@ start from the first term, never from a zero `Fraction`.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -27,12 +26,22 @@ class PolynomialError(ValueError):
     pass
 
 
+# an error message that echoes an input value cuts its repr to this length
+ECHO_LIMIT = 200
+
+
+def echo(value) -> str:
+    """repr(value) for an error message, cut after ECHO_LIMIT characters."""
+    text = repr(value)
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
         return Fraction(c)
-    raise PolynomialError(f"not an exact rational coefficient: {c!r}")
+    raise PolynomialError(f"not an exact rational coefficient: {echo(c)}")
 
 
 class Polynomial:
@@ -200,8 +209,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the square after the last bit would go unused
+                base = base * base
         return result
 
     def __eq__(self, other):
@@ -376,6 +386,12 @@ _TOKEN_RE = re.compile(
 # `parse` recurses through four frames per open parenthesis; deeper nesting
 # than this is refused before the recursion limit is reached
 PARSE_NESTING_LIMIT = 100
+# `base^k` is refused before it is expanded when k, or C(t+k-1, k), the terms
+# that a t-term base can reach, is over its budget: the cost grows with both,
+# and with the size of the coefficients.  Medians of 5 runs in process on a
+# 2-vCPU VM:
+PARSE_EXPONENT_LIMIT = 400  # (a+b)^400 0.32 s, (123456789*a+987654321*b)^400 2.4 s
+PARSE_POWER_TERM_LIMIT = 1000  # (a+b+c)^43, 990 terms, 0.39 s
 
 
 def parse(text: str) -> Polynomial:
@@ -391,7 +407,7 @@ def parse(text: str) -> Polynomial:
         m = _TOKEN_RE.match(text, pos)
         if not m or m.end() == pos:
             if text[pos:].strip():
-                raise PolynomialError(f"cannot tokenize {text[pos:]!r}")
+                raise PolynomialError(f"cannot tokenize {echo(text[pos:])}")
             break
         tokens.append(m)
         pos = m.end()
@@ -450,7 +466,16 @@ def parse(text: str) -> Polynomial:
             k, v = take()
             if k != "int":
                 raise PolynomialError(f"bad exponent {v!r}")
-            return base ** int(v)
+            k = int(v)
+            if k > PARSE_EXPONENT_LIMIT:
+                raise PolynomialError(
+                    f"exponent {k} is over the budget of {PARSE_EXPONENT_LIMIT}")
+            terms = math.comb(len(base.terms) + k - 1, k) if k > 1 else 1  # ^0, ^1 expand nothing
+            if terms > PARSE_POWER_TERM_LIMIT:
+                raise PolynomialError(
+                    f"power ^{k} of {len(base.terms)} terms can reach {terms} terms,"
+                    f" over the budget of {PARSE_POWER_TERM_LIMIT}")
+            return base ** k
         return base
 
     def parse_atom() -> Polynomial:
@@ -588,6 +613,19 @@ class PolyMatrix:
         return f"PolyMatrix[{body}]"
 
 
+def permutation_sign(perm) -> int:
+    """Sign of the permutation i -> perm[i] of 0..n-1: (-1)^(n - cycles), in O(n)."""
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        cycles += not seen[start]
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+    return -1 if (len(perm) - cycles) % 2 else 1
+
+
 def determinant(m: PolyMatrix) -> Polynomial:
     """Exact determinant by Laplace expansion along the rows, memoised over
     the set of columns used so far.
@@ -644,11 +682,9 @@ def determinant(m: PolyMatrix) -> Polynomial:
     # zero row has neither and goes first).  det(M) = sign(order) det(M[order]).
     bands = [((b & -b).bit_length(), b.bit_length()) for b in masks]
     order = sorted(range(n), key=bands.__getitem__)
-    sign = 1
-    if order != list(range(n)):
-        rows = [rows[i] for i in order]
-        masks = [masks[i] for i in order]
-        sign = (-1) ** sum(a > b for a, b in itertools.combinations(order, 2))
+    rows = [rows[i] for i in order]
+    masks = [masks[i] for i in order]
+    sign = permutation_sign(order)
     # need[i]: columns zero in every row below i, which rows 0..i must use
     need = [(1 << n) - 1] * n
     for i in range(n - 2, -1, -1):

@@ -22,7 +22,7 @@ from itertools import count
 from .hierarchy import ForcedZeroRule, HierarchyRelation, hierarchy_graph, word_vanishes
 from .landau import GENERAL, LINEAR, QUADRATIC, LandauComponent
 from .localhom import pl_sign
-from .poly import Polynomial, parse
+from .poly import Polynomial, echo, parse
 
 
 class ModelError(ValueError):
@@ -59,7 +59,7 @@ def _rat(x):
         return x
     if isinstance(x, Fraction):
         return x.numerator if x.denominator == 1 else x
-    raise ModelError(f"not an exact rational entry: {x!r}")
+    raise ModelError(f"not an exact rational entry: {echo(x)}")
 
 
 def _integral(m) -> tuple:
@@ -165,9 +165,9 @@ class VariationModel:
 
     def __post_init__(self):
         if not isinstance(self.name, str):
-            raise ModelError(f"model name must be a string, got {self.name!r}")
+            raise ModelError(f"model name must be a string, got {echo(self.name)}")
         if type(self.n) is not int or self.n < 0:  # refuses bool too
-            raise ModelError(f"n must be a nonnegative integer, got {self.n!r}")
+            raise ModelError(f"n must be a nonnegative integer, got {echo(self.n)}")
         for what, names in (("basis label", self.basis),
                             ("component id", [c.id for c in self.components])):
             repeated = [x for i, x in enumerate(names) if x in names[:i]]
@@ -191,7 +191,7 @@ class VariationModel:
             inexact = [x for row in m for x in row if x is not None and not _exact(x)]
             if inexact:
                 raise ModelError(f"operator for {cid} has an entry that is not an"
-                                 f" exact rational: {inexact[0]!r}")
+                                 f" exact rational: {echo(inexact[0])}")
         for comp in self.components:
             if comp.variation_known_zero and not _known_zero(self.ops[comp.id]):
                 raise ModelError(f"{comp.id} is flagged zero but its matrix is not")
@@ -210,7 +210,7 @@ class VariationModel:
             inexact = [x for x in v if not _exact(x)]
             if inexact:
                 raise ModelError(f"{what} of {cid} has an entry that is not an exact"
-                                 f" rational: {inexact[0]!r}")
+                                 f" rational: {echo(inexact[0])}")
         self._check_images()
         # derived once, as `_by_id` is above: the audits read them for every word
         self._pinches = {c.id for c in self.components
@@ -516,7 +516,7 @@ def model_to_json(model: VariationModel) -> dict:
 def _names(value, what: str) -> list:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ModelError(f"malformed model document: {what} must be a list of"
-                         f" strings, got {value!r}")
+                         f" strings, got {echo(value)}")
     return value
 
 
@@ -539,7 +539,7 @@ def model_from_json(data) -> VariationModel:
         conventions = data.get("conventions", {})
         if not isinstance(conventions, dict):
             raise ModelError("malformed model document: conventions must be an"
-                             f" object, got {conventions!r}")
+                             f" object, got {echo(conventions)}")
         ops = {
             cid: tuple(tuple(_rat(x) for x in row) for row in m)
             for cid, m in data["ops"].items()

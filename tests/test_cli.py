@@ -14,7 +14,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landauvar.cli import main
-from landauvar.poly import parse
+from landauvar.poly import ECHO_LIMIT, parse
+
+
+# a list nested 500 deep, a repr of 1000 characters (from the command line
+# `json.load` reads up to about 980 levels, fewer under the test runner's own
+# frames); an error line that echoes it ends with the cut repr, so a row
+# whose message ends with CUT pins the length of that line
+DEEP_LIST = json.loads("[" * 500 + "]" * 500)
+CUT = "[" * ECHO_LIMIT + "...\n"
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +172,8 @@ def test_signword(capsys):
 @pytest.mark.parametrize("word, message", [
     ("d1:r=x", "operator 'd1:r=x': r=x must be an integer"),
     ("p2 d3:r=2.5", "operator 'd3:r=2.5': r=2.5 must be an integer"),
+    ("d1:x=2", "bad option 'x=2'"),
+    ("d", "operator 'd' needs a surface id"),
 ])
 def test_signword_codimension_errors_name_the_token_and_value(capsys, word, message):
     code, out, err = run_cli(capsys, "signword", word)
@@ -969,9 +979,10 @@ def set_field(doc, where, value):
      "edge 1 ends must be a list of 2 vertices, got ['v1', 'v2', 'v1']"),
     (["edges", 1, "ends"], ["v1"], "edge 2 ends must be a list of 2 vertices, got ['v1']"),
     (["legs", 1, "momentum"], "p1", "leg momentum p1 is given twice"),
+    (["edges", 0, "mass"], DEEP_LIST, "edge 1 mass must be a string, got " + CUT),
 ], ids=["channel-symbol", "channels-list", "edge-id", "endpoint", "mass", "var",
         "leg-vertex", "momentum", "vertex", "vertices-string", "three-ends", "one-end",
-        "repeated-momentum"])
+        "repeated-momentum", "deep-mass"])
 def test_graph_document_with_a_mistyped_field_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"
@@ -1128,13 +1139,21 @@ def triangle_model_document():
      "ops must cover exactly the model components"),
     (["components", 1, "defining"], "(" * 3000 + "p2sq" + ")" * 3000,
      "expression is nested too deeply"),
+    (["components", 1, "defining"], "(p1sq+p2sq+p3sq)^3000",
+     "exponent 3000 is over the budget of 400"),
+    (["components", 0, "pinch"], "cubic", "bad pinch kind 'cubic'"),
+    (["components", 3, "parity"], None, "ldelta: quadratic pinch needs parity n-m >= 0"),
+    (["components", 0, "parity"], 1, "l1: parity undefined for general critical sets"),
+    (["name"], DEEP_LIST, "model name must be a string, got " + CUT),
+    (["ops", "l1", 0, 0], DEEP_LIST, "not an exact rational entry: " + CUT),
 ], ids=["null-span", "null-row", "zero-denominator-op", "zero-denominator-span",
         "zero-denominator-row", "zero-denominator-defining", "conventions-list",
         "basis-label", "type-set", "boundary-set", "fractional-parity", "bool-parity",
         "bool-n", "fractional-n", "negative-n", "stray-vanishing", "stray-row",
         "repeated-label", "repeated-component", "name-number",
         "stray-boundary", "stray-coboundary", "bool-op-entry", "float-row-entry",
-        "missing-op", "deep-defining"])
+        "missing-op", "deep-defining", "deep-power", "cubic-pinch", "null-quadratic-parity",
+        "general-parity", "deep-name", "deep-op-entry"])
 def test_model_document_with_a_bad_entry_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"

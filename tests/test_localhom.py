@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landauvar.localhom import (
+    _KIND_ORDER as KIND_ORDER,
     LocalHomologyError,
     Operator,
     PinchConfig,
@@ -206,6 +207,75 @@ def test_normalize_idempotent_and_consistent(word):
     again_sign, again = normalize_word(canon)
     assert again == canon and again_sign == 1
     assert sign == _pair_sign_oracle(word, canon)
+
+
+def reference_normalize_word(word) -> tuple:
+    """The bubble sort that `normalize_word` replaced: the oracle for its
+    canonical word, its sign and its refusals."""
+    ops = list(word)
+    sign = 1
+
+    def key(op):
+        return (KIND_ORDER[op.kind], op.surface)
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(ops) - 1):
+            if key(ops[i]) > key(ops[i + 1]):
+                sign *= exchange_sign(ops[i], ops[i + 1])
+                ops[i], ops[i + 1] = ops[i + 1], ops[i]
+                changed = True
+    return sign, tuple(ops)
+
+
+@st.composite
+def words_repeating_surfaces(draw):
+    surfaces = draw(st.lists(st.sampled_from(["1", "2", "10", "a"]),
+                             min_size=1, max_size=4, unique=True))
+    return tuple(operator(draw(st.sampled_from("dpw")), draw(st.sampled_from(surfaces)),
+                          draw(st.integers(min_value=1, max_value=4)))
+                 for _ in range(draw(st.integers(min_value=0, max_value=10))))
+
+
+def surfaces_with_an_inverted_pair(word) -> set:
+    return {a.surface for i, a in enumerate(word) for b in word[i + 1:]
+            if a.surface == b.surface and KIND_ORDER[a.kind] > KIND_ORDER[b.kind]}
+
+
+@given(words_repeating_surfaces())
+@settings(max_examples=200, deadline=None)
+def test_normalize_word_matches_the_bubble_sort(word):
+    try:
+        expected = reference_normalize_word(word)
+    except LocalHomologyError as exc:
+        with pytest.raises(LocalHomologyError) as got:
+            normalize_word(word)
+        if len(surfaces_with_an_inverted_pair(word)) == 1:
+            assert str(got.value) == str(exc)
+        return
+    assert not surfaces_with_an_inverted_pair(word)
+    assert normalize_word(word) == expected
+
+
+def test_normalize_word_names_the_first_operator_out_of_kind_order():
+    # da breaks surface a's kind order before db breaks b's; the bubble
+    # sort meets the pair on surface b first
+    word = parse_word("pa pb da db")
+    with pytest.raises(LocalHomologyError, match="surface 'a'"):
+        normalize_word(word)
+    with pytest.raises(LocalHomologyError, match="surface 'b'"):
+        reference_normalize_word(word)
+
+
+@pytest.mark.parametrize("n", [20000, 20002])
+def test_normalize_word_sorts_a_long_word_in_one_pass(n):
+    # distinct surfaces in descending order, all of odd degree: every pair
+    # is inverted and each exchange gives -1
+    word = tuple(operator("p", f"{i:05d}") for i in reversed(range(n)))
+    sign, canon = normalize_word(word)
+    assert sign == (-1) ** (n * (n - 1) // 2)
+    assert canon == word[::-1]
 
 
 def test_simple_signs():

@@ -1,3 +1,6 @@
+import itertools
+import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landauvar.poly import (
+    PARSE_EXPONENT_LIMIT,
     PARSE_NESTING_LIMIT,
+    PARSE_POWER_TERM_LIMIT,
     Polynomial,
     PolyMatrix,
     PolynomialError,
     determinant,
     divides,
     parse,
+    permutation_sign,
     resultant,
 )
 
@@ -144,6 +150,36 @@ def test_parse_refuses_nesting_past_the_limit():
         parse("(" * (deepest + 1) + "x" + ")" * (deepest + 1))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(a+b+c)^50", "power ^50 of 3 terms can reach 1326 terms, over the budget of 1000"),
+    ("(a+b+c)^100", "power ^100 of 3 terms can reach 5151 terms, over the budget of 1000"),
+    ("(a+b)^800", "exponent 800 is over the budget of 400"),
+    ("3^10000000", "exponent 10000000 is over the budget of 400"),
+])
+def test_parse_refuses_a_power_over_the_budget_before_expanding(text, message):
+    start = time.perf_counter()
+    with pytest.raises(PolynomialError, match=f"^{re.escape(message)}$"):
+        parse(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_parse_admits_powers_up_to_the_budget():
+    assert parse("10^307") == Polynomial.const(10 ** 307)
+    assert parse("0^0") == parse("(x+y)^0") == Polynomial.const(1)
+    k = PARSE_EXPONENT_LIMIT
+    assert parse(f"x^{k}") == x ** k
+    with pytest.raises(PolynomialError, match=f"^exponent {k + 1} is over the budget"):
+        parse(f"x^{k + 1}")
+    # a t-term square reaches C(t+1, 2) terms: 990 for t = 44, 1035 for t = 45
+    for t in (44, 45):
+        base = "+".join(f"v{i}" for i in range(t))
+        if t * (t + 1) // 2 <= PARSE_POWER_TERM_LIMIT:
+            assert len(parse(f"({base})^2").terms) == t * (t + 1) // 2
+        else:
+            with pytest.raises(PolynomialError, match=r"^power \^2 of 45 terms can reach"):
+                parse(f"({base})^2")
+
+
 # -- randomized algebraic properties ------------------------------------------------
 
 coeffs = st.integers(min_value=-6, max_value=6)
@@ -241,6 +277,12 @@ def test_divides_gives_the_quotient_of_a_multiple_and_none_otherwise(d, q, r):
 
 def _permutation_sign(perm):
     return (-1) ** sum(1 for i, a in enumerate(perm) for b in perm[i + 1:] if a > b)
+
+
+def test_permutation_sign_counts_inversions():
+    for n in range(7):
+        for perm in itertools.permutations(range(n)):
+            assert permutation_sign(perm) == _permutation_sign(perm), perm
 
 
 def _leibniz_det(m):

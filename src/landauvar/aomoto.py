@@ -36,41 +36,33 @@ def letter_id(I, J) -> str:
     return f"det_t_I{_digits(I)}_J{_digits(J)}"
 
 
+def _index_pairs(n: int) -> list:
+    """The pairs (I, J) of index sets in 0..n with |I| + |J| = n + 1, by |I|
+    and then lexicographically."""
+    if n < 1:
+        raise AomotoError("weight must be at least 1")
+    universe = range(n + 1)
+    return [(I, J) for size_i in range(n + 2) for I in combinations(universe, size_i)
+            for J in combinations(universe, n + 1 - size_i)]
+
+
 def aomoto_components(n: int) -> list:
     """All C(2n+2, n+1) codimension-one components for weight n; the pure
     cases I empty or J empty have identically zero variation."""
-    if n < 1:
-        raise AomotoError("weight must be at least 1")
-    universe = list(range(n + 1))
-    comps = []
-    for size_i in range(0, n + 2):
-        for I in combinations(universe, size_i):
-            for J in combinations(universe, n + 1 - size_i):
-                comps.append(LandauComponent.of(
-                    component_id(I, J), Polynomial.var(letter_id(I, J)), LINEAR,
-                    [f"Q{i}" for i in I], [f"R{j}" for j in J], known_zero=not I or not J,
-                ))
-    return comps
+    return [LandauComponent.of(component_id(I, J), Polynomial.var(letter_id(I, J)), LINEAR,
+                               [f"Q{i}" for i in I], [f"R{j}" for j in J],
+                               known_zero=not I or not J)
+            for I, J in _index_pairs(n)]
 
 
 def aomoto_edges(n: int) -> HierarchyRelation:
     """Arrows l_{IJ} -> l_{I'J'} exactly for strict inclusions I' > I and
     J' < J; no self-edges.  (Coincides with the generic relation on these
     components, since every pinch is linear.)"""
-    comps = aomoto_components(n)
-    data = []
-    for c in comps:
-        I = frozenset(int(q[1:]) for q in c.type_J)
-        J = frozenset(int(r[1:]) for r in c.type_K)
-        data.append((c.id, I, J))
-    edges = set()
-    for cid, I, J in data:
-        for cid2, I2, J2 in data:
-            if I < I2 and J2 < J:
-                edges.add((cid, cid2))
-    return HierarchyRelation(
-        nodes=tuple(sorted(c.id for c in comps)), edges=frozenset(edges)
-    )
+    data = [(component_id(I, J), frozenset(I), frozenset(J)) for I, J in _index_pairs(n)]
+    edges = frozenset((cid, cid2) for cid, I, J in data for cid2, I2, J2 in data
+                      if I < I2 and J2 < J)
+    return HierarchyRelation(nodes=tuple(sorted(cid for cid, _, _ in data)), edges=edges)
 
 
 @dataclass(frozen=True)

@@ -63,10 +63,19 @@ def _text_chunks(data, indent=0):
 
 def _read_json(path: str):
     """The JSON document in the file `path`; `json.load` recurses once per
-    level, so one nested past the interpreter's recursion limit is refused."""
+    level, so one nested past the interpreter's recursion limit is refused,
+    as is an integer with more digits than the interpreter converts."""
+    def parse_int(text):  # JSON admits only digits: `int` fails only past its limit
+        try:
+            return int(text)
+        except ValueError:
+            digits = len(text.lstrip("-"))
+            raise ValueError(f"{path}: JSON integer of {digits} digits is over the interpreter's"
+                             f" limit of {sys.get_int_max_str_digits()}") from None
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except RecursionError:
             raise ValueError(f"{path}: JSON document is nested too deeply") from None
 

@@ -10,7 +10,6 @@ sign on each channel invariant.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,12 +97,6 @@ class FeynmanGraph:
 
     def legs_at(self, vertex) -> tuple:
         return tuple(p for v, p in self.legs if v == vertex)
-
-    def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise GraphError(f"unknown edge {edge_id!r}")
 
     def channel_symbol(self, subset: frozenset):
         """Invariant name for a momentum subset, or None when it vanishes (the
@@ -249,8 +242,6 @@ def load_graph(data) -> FeynmanGraph:
     "legs": [{"vertex","momentum"}, ...], "channels": {"p1": "p1sq", ...}};
     channel keys join momentum labels with '+'.  Every name is a string.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
         vertices = [_text(v, "vertex") for v in _list(data["vertices"], "vertices")]
         edges = []
@@ -278,65 +269,38 @@ def load_graph(data) -> FeynmanGraph:
 # -- builtin graphs ------------------------------------------------------------
 
 
-def bubble_graph() -> FeynmanGraph:
+def _builtin(vertices: str, ends, legs: str, channels: dict) -> FeynmanGraph:
+    """A builtin graph: edge i, counted from 1, joins the vertices ends[i-1]
+    and has id "i", mass mi and variable xi; leg k enters legs[k-1] and
+    carries pk.  Vertex lists are given space-separated."""
     return load_graph({
-        "vertices": ["v1", "v2"],
-        "edges": [
-            {"id": "1", "ends": ["v1", "v2"], "mass": "m1", "var": "x1"},
-            {"id": "2", "ends": ["v2", "v1"], "mass": "m2", "var": "x2"},
-        ],
-        "legs": [{"vertex": "v1", "momentum": "p1"},
-                 {"vertex": "v2", "momentum": "p2"}],
-        "channels": {"p1": "psq"},
+        "vertices": vertices.split(),
+        "edges": [{"id": f"{i}", "ends": pair.split(), "mass": f"m{i}", "var": f"x{i}"}
+                  for i, pair in enumerate(ends, 1)],
+        "legs": [{"vertex": v, "momentum": f"p{k}"} for k, v in enumerate(legs.split(), 1)],
+        "channels": channels,
     })
+
+
+def bubble_graph() -> FeynmanGraph:
+    return _builtin("v1 v2", ["v1 v2", "v2 v1"], "v1 v2", {"p1": "psq"})
 
 
 def triangle_graph() -> FeynmanGraph:
     # edge i sits opposite the vertex with incoming momentum p_i
-    return load_graph({
-        "vertices": ["v1", "v2", "v3"],
-        "edges": [
-            {"id": "1", "ends": ["v2", "v3"], "mass": "m1", "var": "x1"},
-            {"id": "2", "ends": ["v3", "v1"], "mass": "m2", "var": "x2"},
-            {"id": "3", "ends": ["v1", "v2"], "mass": "m3", "var": "x3"},
-        ],
-        "legs": [{"vertex": "v1", "momentum": "p1"},
-                 {"vertex": "v2", "momentum": "p2"},
-                 {"vertex": "v3", "momentum": "p3"}],
-        "channels": {"p1": "p1sq", "p2": "p2sq", "p3": "p3sq"},
-    })
+    return _builtin("v1 v2 v3", ["v2 v3", "v3 v1", "v1 v2"], "v1 v2 v3",
+                    {"p1": "p1sq", "p2": "p2sq", "p3": "p3sq"})
 
 
 def sunrise_graph() -> FeynmanGraph:
-    return load_graph({
-        "vertices": ["v1", "v2"],
-        "edges": [
-            {"id": "1", "ends": ["v1", "v2"], "mass": "m1", "var": "x1"},
-            {"id": "2", "ends": ["v1", "v2"], "mass": "m2", "var": "x2"},
-            {"id": "3", "ends": ["v1", "v2"], "mass": "m3", "var": "x3"},
-        ],
-        "legs": [{"vertex": "v1", "momentum": "p1"},
-                 {"vertex": "v2", "momentum": "p2"}],
-        "channels": {"p1": "psq"},
-    })
+    return _builtin("v1 v2", ["v1 v2"] * 3, "v1 v2", {"p1": "psq"})
 
 
 def icecream_graph() -> FeynmanGraph:
     # p1 enters the lone vertex of the loop gamma = {1,2}; p2 and p3 enter the
     # two vertices shared with the cup {3,4}
-    return load_graph({
-        "vertices": ["v0", "v1", "v2"],
-        "edges": [
-            {"id": "1", "ends": ["v1", "v2"], "mass": "m1", "var": "x1"},
-            {"id": "2", "ends": ["v2", "v1"], "mass": "m2", "var": "x2"},
-            {"id": "3", "ends": ["v0", "v2"], "mass": "m3", "var": "x3"},
-            {"id": "4", "ends": ["v0", "v1"], "mass": "m4", "var": "x4"},
-        ],
-        "legs": [{"vertex": "v0", "momentum": "p1"},
-                 {"vertex": "v1", "momentum": "p2"},
-                 {"vertex": "v2", "momentum": "p3"}],
-        "channels": {"p1": "p1sq", "p2": "p2sq", "p3": "p3sq"},
-    })
+    return _builtin("v0 v1 v2", ["v1 v2", "v2 v1", "v0 v2", "v0 v1"], "v0 v1 v2",
+                    {"p1": "p1sq", "p2": "p2sq", "p3": "p3sq"})
 
 
 BUILTIN_GRAPHS = {

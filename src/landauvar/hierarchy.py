@@ -25,9 +25,6 @@ class HierarchyRelation:
     nodes: tuple
     edges: frozenset  # ordered pairs (source, target): target <= source
 
-    def sorted_edges(self) -> list:
-        return sorted(self.edges)
-
     def successors(self, node: str) -> list:
         return sorted(t for s, t in self.edges if s == node)
 
@@ -48,7 +45,7 @@ class HierarchyRelation:
 
     def describe(self) -> dict:
         return {"nodes": list(self.nodes),
-                "edges": [[s, t] for s, t in self.sorted_edges()]}
+                "edges": [[s, t] for s, t in sorted(self.edges)]}
 
 
 @dataclass(frozen=True)
@@ -171,7 +168,7 @@ def to_dot(rel: HierarchyRelation, components) -> str:
         # the label's line break, DOT's \n, goes in after its parts are escaped
         label = "\\n".join(part.translate(escape) for part in text)
         lines.append(f'    "{node.translate(escape)}" [label="{label}"];')
-    for s, t in rel.sorted_edges():
+    for s, t in sorted(rel.edges):
         lines.append(f'    "{s.translate(escape)}" -> "{t.translate(escape)}";')
     lines.append("}")
     return "\n".join(lines)

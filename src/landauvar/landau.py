@@ -190,10 +190,10 @@ def gram_matrix(g: FeynmanGraph) -> OneLoopMatrices:
 
 def _simple_pinch(cid, matrix, drop, j_ids, k_ids, linear, parity) -> LandauComponent:
     """The one-loop component {det = 0} of `matrix` without the rows and
-    columns `drop`: a simple pinch, so type and simple type coincide."""
+    columns `drop`: a simple pinch, so type and simple type coincide.  The
+    minor is never zero: at s_ij = -m_i^2 - m_j^2 a Gram minor is diagonal,
+    and at s_ij = 2 a bordered Cayley minor on k >= 2 edges is (-1)^k k."""
     defining = determinant(matrix.submatrix(drop, drop))
-    if defining.is_zero():
-        raise LandauError(f"degenerate determinant for {cid}")
     return LandauComponent.of(cid, defining, LINEAR if linear else QUADRATIC, j_ids, k_ids,
                               parity=parity, known_zero=linear and not k_ids)
 
@@ -257,7 +257,7 @@ def bubble_split(components: list, g: FeynmanGraph) -> list:
     if g.loop_number != 1 or len(g.edges) != 2:
         raise LandauError("branch split is built in for two-edge loops only")
     mats = gram_matrix(g)
-    e1, e2 = (g.edge(eid) for eid in mats.edge_order)
+    e1, e2 = g.edges  # the cycle order of a two-edge loop is its edge order
     chan = mats.channel_substitution[mats.s_names[(1, 2)]]
     if chan.is_zero():
         raise LandauError("two-edge loop has no momentum channel")

@@ -25,11 +25,7 @@ PARTIAL = "partial"  # partial boundary, degree -1
 PI = "pi"            # transverse intersection, degree -r
 
 _KIND_ORDER = {DELTA: 0, PARTIAL: 1, PI: 2}
-_KIND_ALIASES = {
-    "d": DELTA, "delta": DELTA,
-    "p": PARTIAL, "partial": PARTIAL, "boundary": PARTIAL,
-    "w": PI, "pi": PI, "varpi": PI, "intersect": PI,
-}
+_KIND_ALIASES = {"d": DELTA, "p": PARTIAL, "w": PI}
 
 
 class LocalHomologyError(ValueError):

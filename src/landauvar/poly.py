@@ -53,7 +53,7 @@ class Polynomial:
     built.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
         canonical = {}
@@ -67,8 +67,7 @@ class Polynomial:
                     if e < 0 or not isinstance(e, int):
                         raise PolynomialError(f"bad exponent {e} for {v}")
                 _accumulate(canonical, mono, coeff)
-        object.__setattr__(self, "terms", canonical)
-        object.__setattr__(self, "_hash", None)
+        self.terms = canonical
 
     # -- constructors ------------------------------------------------------
 
@@ -222,11 +221,7 @@ class Polynomial:
         return self.terms == other.terms
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)
@@ -374,8 +369,8 @@ def _accumulate(out: dict, key, c: Fraction) -> None:
 
 def _raw(terms: dict) -> Polynomial:
     """Internal: wrap an already-canonical term dict without re-validation."""
-    p = Polynomial()
-    object.__setattr__(p, "terms", terms)
+    p = object.__new__(Polynomial)
+    p.terms = terms
     return p
 
 
@@ -392,6 +387,29 @@ PARSE_NESTING_LIMIT = 100
 # 2-vCPU VM:
 PARSE_EXPONENT_LIMIT = 400  # (a+b)^400 0.32 s, (123456789*a+987654321*b)^400 2.4 s
 PARSE_POWER_TERM_LIMIT = 1000  # (a+b+c)^43, 990 terms, 0.39 s
+# every coefficient that `parse` builds has a numerator and a denominator of at
+# most this many bits, so it prints in fewer than the interpreter's 4300 digits;
+# an integer token of up to PARSE_DIGIT_LIMIT digits fits in it
+PARSE_COEFFICIENT_BITS_LIMIT = 14000
+PARSE_DIGIT_LIMIT = int(PARSE_COEFFICIENT_BITS_LIMIT * math.log10(2))  # 4214
+
+
+def _height(p: Polynomial) -> int:
+    """Bits of p's largest numerator plus those of the product of its distinct
+    denominators, a multiple of their lcm L: no numerator or denominator of p
+    has more bits, nor any coefficient of the integer polynomial L*p."""
+    coeffs = p.terms.values()
+    return (max((abs(c.numerator).bit_length() for c in coeffs), default=0)
+            + sum((d - 1).bit_length() for d in {c.denominator for c in coeffs}))
+
+
+def _check_budget(what: str, terms: int, bits: int) -> None:
+    if terms > PARSE_POWER_TERM_LIMIT:
+        raise PolynomialError(
+            f"{what} can reach {terms} terms, over the budget of {PARSE_POWER_TERM_LIMIT}")
+    if bits > PARSE_COEFFICIENT_BITS_LIMIT:
+        raise PolynomialError(f"{what} can reach {bits}-bit coefficients, over the budget"
+                              f" of {PARSE_COEFFICIENT_BITS_LIMIT} bits")
 
 
 def parse(text: str) -> Polynomial:
@@ -413,10 +431,13 @@ def parse(text: str) -> Polynomial:
         pos = m.end()
     toks = [(m.lastgroup, m.group(m.lastgroup)) for m in tokens]
     depth = 0
-    for _, val in toks:
+    for kind, val in toks:
         depth += (val == "(") - (val == ")")
         if depth > PARSE_NESTING_LIMIT:
             raise PolynomialError("expression is nested too deeply")
+        if kind == "int" and len(val) > PARSE_DIGIT_LIMIT:  # before `int` reads it
+            raise PolynomialError(f"integer of {len(val)} digits is over the budget"
+                                  f" of {PARSE_DIGIT_LIMIT} digits")
     idx = 0
 
     def peek():
@@ -445,6 +466,10 @@ def parse(text: str) -> Polynomial:
                 take()
                 t = parse_term()
                 result = result + (t if val == "+" else -t)
+                # a sum can grow a denominator: bound the coefficients it changed
+                _check_budget("sum", 0, max((max(abs(c.numerator), c.denominator).bit_length()
+                                             for c in map(result.terms.get, t.terms) if c),
+                                            default=0))
             else:
                 return result
 
@@ -454,7 +479,12 @@ def parse(text: str) -> Polynomial:
             kind, val = peek()
             if kind == "op" and val == "*":
                 take()
-                result = result * parse_factor()
+                factor = parse_factor()
+                ta, tb = len(result.terms), len(factor.terms)
+                # a coefficient of the product sums at most min(ta, tb) products
+                _check_budget(f"product of {ta} and {tb} terms", ta * tb,
+                              _height(result) + _height(factor) + (min(ta, tb) - 1).bit_length())
+                result = result * factor
             else:
                 return result
 
@@ -470,11 +500,10 @@ def parse(text: str) -> Polynomial:
             if k > PARSE_EXPONENT_LIMIT:
                 raise PolynomialError(
                     f"exponent {k} is over the budget of {PARSE_EXPONENT_LIMIT}")
-            terms = math.comb(len(base.terms) + k - 1, k) if k > 1 else 1  # ^0, ^1 expand nothing
-            if terms > PARSE_POWER_TERM_LIMIT:
-                raise PolynomialError(
-                    f"power ^{k} of {len(base.terms)} terms can reach {terms} terms,"
-                    f" over the budget of {PARSE_POWER_TERM_LIMIT}")
+            t = len(base.terms)
+            if k > 1:  # ^0 and ^1 expand nothing; (L*base)^k's coefficients are <= (t 2^h)^k
+                _check_budget(f"power ^{k} of {t} terms", math.comb(t + k - 1, k),
+                              k * (_height(base) + (t - 1).bit_length()))
             return base ** k
         return base
 

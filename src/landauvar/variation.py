@@ -12,7 +12,6 @@ against the hierarchy oracle.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -22,7 +21,7 @@ from itertools import count
 from .hierarchy import ForcedZeroRule, HierarchyRelation, hierarchy_graph, word_vanishes
 from .landau import GENERAL, LINEAR, QUADRATIC, LandauComponent
 from .localhom import pl_sign
-from .poly import Polynomial, echo, parse
+from .poly import PARSE_DIGIT_LIMIT, Polynomial, echo, parse
 
 
 class ModelError(ValueError):
@@ -37,6 +36,8 @@ class UnknownEntryError(ModelError):
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
+# the decimal exponent of an entry's text, as `Fraction` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def _exact(x) -> bool:
@@ -47,8 +48,13 @@ def _exact(x) -> bool:
 def _rat(x):
     """An entry as an int when its value is integral, else as a Fraction;
     None stays None.  Text goes through `Fraction`, except plain decimal
-    integers, which `int` reads to the same value."""
+    integers, which `int` reads to the same value; either reads it only when
+    its digits and decimal exponent add up to at most PARSE_DIGIT_LIMIT."""
     if isinstance(x, str):
+        exponent = _EXPONENT.search(x)
+        digits = sum(map(str.isdigit, x[:exponent.start()] if exponent else x))
+        if digits + (abs(float(exponent[1])) if exponent else 0) > PARSE_DIGIT_LIMIT:
+            raise ModelError(f"entry {echo(x)} is over the budget of {PARSE_DIGIT_LIMIT} digits")
         if _INTEGER.fullmatch(x):
             return int(x)
         try:
@@ -521,8 +527,6 @@ def _names(value, what: str) -> list:
 
 
 def model_from_json(data) -> VariationModel:
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
         comps = tuple(
             LandauComponent(

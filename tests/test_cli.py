@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -1146,6 +1147,32 @@ def triangle_model_document():
     (["components", 0, "parity"], 1, "l1: parity undefined for general critical sets"),
     (["name"], DEEP_LIST, "model name must be a string, got " + CUT),
     (["ops", "l1", 0, 0], DEEP_LIST, "not an exact rational entry: " + CUT),
+    (["components", 1, "defining"], "(p1sq+p2sq)^40*(p3sq+p2sq)^40",
+     "product of 41 and 41 terms can reach 1681 terms, over the budget of 1000"),
+    (["components", 1, "defining"], "(" + "9" * 100 + "*p2sq+" + "7" * 100 + "*p3sq)^400",
+     "power ^400 of 2 terms can reach 133600-bit coefficients, over the budget of 14000 bits"),
+    (["components", 1, "defining"], f"(1/{'9' * 4000}*p2sq+1/{'9' * 3999}8*p3sq)*p1sq",
+     "product of 2 and 1 terms can reach 26578-bit coefficients, over the budget of 14000 bits"),
+    (["components", 1, "defining"], f"1/{'9' * 4000}*p2sq+1/{'9' * 3999}8*p2sq",
+     "sum can reach 26576-bit coefficients, over the budget of 14000 bits"),
+    (["components", 1, "defining"], "9" * 5001 + "*p2sq",
+     "integer of 5001 digits is over the budget of 4214 digits"),
+    (["components", 1, "defining"], "p2sq^" + "9" * 5001,
+     "integer of 5001 digits is over the budget of 4214 digits"),
+    (["ops", "l1", 0, 0], "9" * 5001,
+     f"entry '{'9' * (ECHO_LIMIT - 1)}... is over the budget of 4214 digits\n"),
+    (["ops", "l1", 0, 0], "9" * 5001 + "/3",
+     f"entry '{'9' * (ECHO_LIMIT - 1)}... is over the budget of 4214 digits\n"),
+    (["ops", "l1", 0, 0], "1e10000000", "entry '1e10000000' is over the budget of 4214 digits"),
+    (["ops", "l1", 0, 0], "1e100000000",
+     "entry '1e100000000' is over the budget of 4214 digits"),
+    (["intersection_rows", "l1"], ["1E-5000", "0", "0", "0", "0"],
+     "entry '1E-5000' is over the budget of 4214 digits"),
+    (["components", 1, "defining"], "p2sq $", "cannot tokenize ' $'"),
+    (["components", 1, "defining"], "p2sq +", "unexpected end of input"),
+    (["components", 1, "defining"], "(p2sq p1sq", "expected ')', got 'p1sq'"),
+    (["components", 1, "defining"], "p2sq^x", "bad exponent 'x'"),
+    (["components", 1, "defining"], "p2sq p1sq", "trailing input at token 'p1sq'"),
 ], ids=["null-span", "null-row", "zero-denominator-op", "zero-denominator-span",
         "zero-denominator-row", "zero-denominator-defining", "conventions-list",
         "basis-label", "type-set", "boundary-set", "fractional-parity", "bool-parity",
@@ -1153,7 +1180,11 @@ def triangle_model_document():
         "repeated-label", "repeated-component", "name-number",
         "stray-boundary", "stray-coboundary", "bool-op-entry", "float-row-entry",
         "missing-op", "deep-defining", "deep-power", "cubic-pinch", "null-quadratic-parity",
-        "general-parity", "deep-name", "deep-op-entry"])
+        "general-parity", "deep-name", "deep-op-entry", "product-of-powers",
+        "power-coefficients", "product-coefficients", "sum-coefficients", "long-literal",
+        "long-exponent", "long-op-entry", "long-op-numerator", "huge-op-exponent",
+        "huger-op-exponent", "tiny-row-entry", "untokenizable", "early-end",
+        "unclosed-parenthesis", "name-exponent", "trailing-input"])
 def test_model_document_with_a_bad_entry_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"
@@ -1164,6 +1195,23 @@ def test_model_document_with_a_bad_entry_is_a_clean_error(
         assert out == ""
         assert_clean_error(code, err)
         assert message in err, argv
+
+
+@pytest.mark.parametrize("document", ["model", "graph"])
+def test_json_integer_over_the_digit_limit_is_a_clean_error(tmp_path, capsys, document):
+    # `json.dumps` cannot write such an integer, so it replaces a placeholder
+    digits = sys.get_int_max_str_digits() + 1
+    if document == "model":
+        doc, argv = set_field(triangle_model_document(), ["n"], "@"), ["variation", "table"]
+    else:
+        doc, argv = {"vertices": ["@"], "edges": []}, ["symanzik"]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(doc).replace('"@"', "-" + "7" * digits))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert out == ""
+    assert_clean_error(code, err)
+    assert err == (f"error: {path}: JSON integer of {digits} digits is over the"
+                   f" interpreter's limit of {digits - 1}\n")
 
 
 def test_model_document_off_the_rank_one_rule_is_a_clean_error(tmp_path, capsys):

@@ -143,6 +143,16 @@ def test_compatible_reduces_to_simple_pinch_rules():
                 )
 
 
+def test_linear_target_veto_needs_the_same_a_type():
+    from landauvar.landau import LINEAR, QUADRATIC, LandauComponent
+    from landauvar.poly import parse
+
+    source = LandauComponent.of("s", parse("s"), QUADRATIC, "A2", "B1 B2", parity=0)
+    # every containment holds, but a linear target must gain an A-hypersurface
+    assert not compatible(LandauComponent.of("t", parse("t"), LINEAR, "A2", "B1"), source)
+    assert compatible(LandauComponent.of("t", parse("t"), LINEAR, "A1 A2", "B1"), source)
+
+
 def test_icecream_delta_may_follow_lA12():
     # the double variation "first lA12, then ldelta" is the one survivor of
     # the exceptional-divisor constraints: the oracle must not force it

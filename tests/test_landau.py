@@ -205,6 +205,31 @@ def test_eliminate_errors():
         eliminate_critical_values(parse("t"), ["x"], {"x": 1})
 
 
+def test_eliminate_two_fiber_branches(monkeypatch):
+    from landauvar import landau
+
+    calls = []
+    real = landau.resultant
+    monkeypatch.setattr(landau, "resultant",
+                        lambda a, b, var: calls.append(var) or real(a, b, var))
+    # the first pairing vanishes, so the alternative one is taken, and vanishes too
+    with pytest.raises(EliminationDegenerateError):
+        eliminate_critical_values(parse("x^2 + y^2"), ["x", "y"])
+    assert calls == ["x", "y", "y"]
+    # F and dF/dy share the root x = 0, so the first pairing vanishes; the
+    # alternative one finds t = 0, where F has its critical point x = 0
+    calls.clear()
+    assert eliminate_critical_values(parse("3*x^2*y + 2*t*x"), ["x", "y"]) == parse("12*t^2")
+    assert calls == ["x", "x", "x"]
+    # both resultants in x are free of y
+    with pytest.raises(LandauError, match="^nothing to eliminate in y$"):
+        eliminate_critical_values(parse("(x*y - 1)^2"), ["x", "y"])
+    # dF/dx = 3 is free of x, and so is the eliminant: no resultant is taken
+    calls.clear()
+    assert eliminate_critical_values(parse("t*y^2 + 3*x"), ["x", "y"]) == 3
+    assert calls == []
+
+
 def test_eliminate_degenerate_reported():
     # a square factor makes every pairing vanish identically
     f = parse("(x - t)^2 * (x - 1)^2")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landauvar.poly import (
+    PARSE_DIGIT_LIMIT,
     PARSE_EXPONENT_LIMIT,
     PARSE_NESTING_LIMIT,
     PARSE_POWER_TERM_LIMIT,
@@ -155,6 +156,11 @@ def test_parse_refuses_nesting_past_the_limit():
     ("(a+b+c)^100", "power ^100 of 3 terms can reach 5151 terms, over the budget of 1000"),
     ("(a+b)^800", "exponent 800 is over the budget of 400"),
     ("3^10000000", "exponent 10000000 is over the budget of 400"),
+    ("(a+b)^200*(c+d)^200", "product of 201 and 201 terms can reach 40401 terms,"
+     " over the budget of 1000"),
+    ("34359738368^400", "power ^400 of 1 terms can reach 14400-bit coefficients, over the budget"
+     " of 14000 bits"),
+    ("3^" + "9" * 5000, "integer of 5000 digits is over the budget of 4214 digits"),
 ])
 def test_parse_refuses_a_power_over_the_budget_before_expanding(text, message):
     start = time.perf_counter()
@@ -178,6 +184,20 @@ def test_parse_admits_powers_up_to_the_budget():
         else:
             with pytest.raises(PolynomialError, match=r"^power \^2 of 45 terms can reach"):
                 parse(f"({base})^2")
+
+
+def test_parse_admits_products_and_coefficients_up_to_the_budget():
+    assert PARSE_DIGIT_LIMIT == 4214 and 10 ** PARSE_DIGIT_LIMIT < 2 ** 14000
+    # a 40-term times a 25-term sum is at the term budget, one more term is over
+    a, b = ("+".join(f"{v}{i}" for i in range(t)) for v, t in (("a", 40), ("b", 25)))
+    assert len(parse(f"({a})*({b})").terms) == PARSE_POWER_TERM_LIMIT
+    with pytest.raises(PolynomialError, match="^product of 40 and 26 terms can reach 1040"):
+        parse(f"({a})*({b}+b25)")
+    # a 35-bit constant to the 400th is at the coefficient budget
+    assert parse("17179869184^400") == Polynomial.const(2 ** 13600)
+    assert parse("9" * PARSE_DIGIT_LIMIT) == Polynomial.const(10 ** PARSE_DIGIT_LIMIT - 1)
+    with pytest.raises(PolynomialError, match="^integer of 4215 digits is over the budget"):
+        parse("9" * (PARSE_DIGIT_LIMIT + 1))
 
 
 # -- randomized algebraic properties ------------------------------------------------

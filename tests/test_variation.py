@@ -314,7 +314,8 @@ def test_matrix_helpers():
 
 
 @pytest.mark.parametrize("text", ["007", "-0", "+3", " 3 ", "1_000", "\u0661\u0662", "6/4",
-                                  "3/1", "-", "", "1/0", "0.5"])
+                                  "3/1", "-", "", "1/0", "0.5", "1e3", "-2.5E-3", "4e1_0",
+                                  "1e4213", "1e", "1e+"])
 def test_rat_reads_text_as_fraction_does(text):
     try:
         expected = Fraction(text)

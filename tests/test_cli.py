@@ -539,6 +539,79 @@ def test_audit_and_compose_print_the_recorded_bytes(tmp_path, capsys, source, ac
     assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGESTS[source, action, fmt]
 
 
+# Outputs of root tracking: `track` on the nine bubble loop kinds of
+# `test_tracking.LOOP_KINDS`, marked at 0, and the track section of one
+# `analyze`.  They print the residual diagnostic, so any change to the value
+# of a floating-point operation in the step loop shows here.
+TRACK_DIGESTS = {
+    ("psq-normal", "json"):
+        "f6fa7396750d2fbbfb080569502a533090f27c343caa987975f2f306c7d355b1",
+    ("psq-normal", "text"):
+        "ab07ee031b053f3b5a29b5a70bec0758bdf70ee4987a739fea9c40a92e5fc558",
+    ("psq-pseudo", "json"):
+        "6e720a86300cf2c6eca06ddecbe2e93c8a9189e75267d9cd54c0cc2c1b0d52c8",
+    ("psq-pseudo", "text"):
+        "69e79aea26a8a90f1093cfd4316a585fd547d401c9675bff5bdbfa3024893e6e",
+    ("psq-both", "json"):
+        "b68a604d3070591ab76e05a83e2c0a2918b01d753315d71920cbd50e0cda4b81",
+    ("psq-both", "text"):
+        "57b0960607d488b3c6abc124a8c3be598056727cd61b0a4bc45dd0c70c7670f7",
+    ("psq-neither", "json"):
+        "6a34635ae6a3a4f94e6e0a9e8c0f25b76302dd8a5ee40a96c2d3b88890ba8545",
+    ("psq-neither", "text"):
+        "bc7427244dfcc7d171cda28ad7161c861bdc6107e397d77eb594583e1719559c",
+    ("m1sq-winding", "json"):
+        "fed00b92e12144a424b7bf6d47b2cde6d57cf7a9152decef034d3a3bd3f6a56e",
+    ("m1sq-winding", "text"):
+        "069faedb145c5dc62324e9b7b6551e52cf9424daf1ed9d5811fbc23ef7cde0c0",
+    ("m1sq-normal", "json"):
+        "a8c26ad21f0bffe12a055ef5bcb886743f261092d9213b11d21ee500d7db731d",
+    ("m1sq-normal", "text"):
+        "2b6b6abf471586f8a1bd994922b4b96508ba0f9b5cb704c31e7b91abd404cdc7",
+    ("m1sq-pseudo", "json"):
+        "da1deb107c023c1c32d13c244459b860b7b355a9e2766f3adcc0151c7542aa73",
+    ("m1sq-pseudo", "text"):
+        "e63df66c520932e1730511574ace50d833d37db584bc64734a8c44561ee929ba",
+    ("m1sq-both", "json"):
+        "f15ba9ca15d06a037ef3dbc5c240934f920cf6413150e6315782d42a5d37de39",
+    ("m1sq-both", "text"):
+        "fad7fc70d8dfad06757a9ded406235d3ac3c4424c2d2290ef9569d741ff69754",
+    ("m1sq-neither", "json"):
+        "0e067d3adebbc7ddb8a2b34622e5ebbeeb4141bcc3a5146f930a7899e719400f",
+    ("m1sq-neither", "text"):
+        "93db518ca24760413053458a2c95e6fea82c93d3c91b276dd214139e62dcf44e",
+    ("analyze", "json"):
+        "963892b5136d5b24ea1559083740ad9d5e62bb2398aaa5a1ca714d01359a1b7b",
+}
+
+
+def track_argv(kind, fmt):
+    """The command that tracks the bubble loop `kind` of LOOP_KINDS, or the
+    `analyze` of the normal-threshold swap."""
+    if kind == "analyze":
+        return ["analyze", "bubble", "--track-loop", "psq:center=9,r=0.1", "--track-chart",
+                "x1=1", "--track-var", "x2", "--track-fix", "m1sq=1,m2sq=4", "--track-mark",
+                "0"]
+    from test_tracking import LOOP_KINDS
+
+    sys_ = LOOP_KINDS[kind]
+    loop = sys_.loop
+    return ["track", "bubble", "--chart", "x1=1", "--var", "x2", "--loop",
+            f"{loop.parameter}:center={loop.center},r={loop.radius},orient={loop.orientation},"
+            f"steps={loop.steps},turns={loop.turns}",
+            "--fix", ",".join(f"{v}={z}" for v, z in sys_.basepoint.items()),
+            "--mark", "0", "--format", fmt]
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(TRACK_DIGESTS))
+def test_track_prints_the_recorded_bytes(capsys, kind, fmt):
+    import hashlib
+
+    code, out, _ = run_cli(capsys, *track_argv(kind, fmt))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TRACK_DIGESTS[kind, fmt]
+
+
 # -- the JSON writer -----------------------------------------------------------------
 
 # strings with non-ASCII characters, a lone surrogate and characters that need escapes

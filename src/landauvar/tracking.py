@@ -7,8 +7,12 @@ is rejected, and halved, when a correction fails or the corrected roots come
 close to each other compared with how far they moved; after an accepted step
 a halved step doubles back towards the nominal one.  The whole loop is one
 straight-line function (`_loop_kernel`), generated once per family degree,
-term layout of the coefficients in t and number of marked points, with the
-same floating-point operations as the plain loop.  At the end the roots are
+term layout of the coefficients in t and number of marked points, whose
+values equal the plain loop's bit for bit.  It leaves out only operations
+whose result it already holds: the 0j seed of Horner's rule (no coefficient
+has a -0.0 component), the terms without t, their abs and derivative
+coefficients at every step (they are computed once, before the loop) and the
+calls of min and max (comparisons in the same order).  At the end the roots are
 matched back to the start, giving the permutation of the roots and the
 winding number of each tracked root around marked points.  The discrete
 outputs are the contract; residuals are diagnostics.
@@ -29,7 +33,7 @@ class TrackingError(ValueError):
     pass
 
 
-# `track` takes at least `steps` corrector steps (steps=100000 takes about 0.5 s
+# `track` takes at least `steps` corrector steps (steps=100000 takes about 0.4 s
 # on a 2-vCPU x86-64 VM, and past about 1e16 steps theta stops advancing), so
 # more steps are refused; so are more step halvings, which also bounds the
 # accepted steps by steps + halvings, as each doubling undoes one halving
@@ -172,28 +176,42 @@ def _residual_ok(desc, x, bound) -> bool:
 # the loop point t, the powers p* = t ** e* and the coefficients c* as
 # `_coefficients_at` does, corrects every root by Newton's method with Horner's
 # rule unrolled, tests the new roots x* for separation and movement, and adds
-# the winding a{i}_{k} of root i about marked point k.  The floating-point
-# operations are those of the plain loop, on the same operands in the same
-# order; only integers derived from the kernel's key are in the text.
+# the winding a{i}_{k} of root i about marked point k.  Every value equals the
+# plain loop's bit for bit, on the same operands in the same order; the kernel
+# leaves out only operations whose result it already holds:
+# - Horner's rule starts from the leading coefficient, not from 0j * x + c_n.
+#   Every coefficient is a sum that starts from 0j, so no component of it is
+#   -0.0 (a sum is -0.0 only when both its terms are), nor of k * c_k; while x
+#   is finite 0j * x has only zero components, so 0j * x + c equals c.  Once x
+#   is not finite it stays so, and both forms reject the step.
+# - The terms without t that lead a coefficient are summed once, before the
+#   loop, in the same order from 0j; a coefficient made only of them (`const`),
+#   its abs and k * c_k too.  `_track` has taken abs of every coefficient at
+#   the basepoint by the same operations, so no hoisted abs raises.
+# - min and max are comparisons in the builtins' order: max takes a later value
+#   only when it is greater, min only when it is less, so nan and ties go the
+#   same way; the moves are still left unevaluated once `sep` is too small.
+# Only integers derived from the kernel's key are in the text.
 _LOOP_TEMPLATE = """\
 def run({heads}{tails}{exponents}{marks}{roots}center, radius, w, tol, steps, budget):
-{windings_init}    theta = max_residual = 0.0
+{windings_init}{invariants}    theta = max_residual = 0.0
     base_step = step = 1.0 / steps
     n_steps = halvings = 0
     while theta < 1.0 - 1e-15:
-        target = theta + min(step, 1.0 - theta)
+        rest = 1.0 - theta
+        target = theta + (rest if rest < step else step)
         t = center + radius * exp(w * target)
-{coefficients}        scale = max({abs_cs}, lead := abs(c{degree}))
-        if lead <= 1e-12 * (scale if scale > 1.0 else 1.0):
+{coefficients}{scale}        if lead <= 1e-12 * (scale if scale > 1.0 else 1.0):
             if not isfinite(scale):
                 raise OverflowError(f"a coefficient is not finite at theta={{target}}")
             raise TrackingError(f"leading coefficient vanishes at theta={{target}}")
-        {dcs}
-        bound = tol * scale
+{dcs}        bound = tol * scale
 {corrections}{tests}{windings}{accept}        theta = target
         n_steps += 1
         if step < base_step:
-            step = min(base_step, step * 2)
+            step *= 2
+            if not step < base_step:
+                step = base_step
     return [{roots}], [{winding_rows}], n_steps, halvings, max_residual
 """
 
@@ -228,8 +246,8 @@ _CORRECTION_TEMPLATE = """\
 # a step is accepted when every root converges, the new roots stay apart and
 # none moves more than 0.4 of their separation
 _TESTS_TEMPLATE = """\
-        sep = {sep}
-        if sep < 10 * tol or max({moves}) > 0.4 * sep:
+{sep}        if sep < 10 * tol:
+{reject}{move}        if move > 0.4 * sep:
 {reject}"""
 
 # the first root and marked point, in order, whose difference is the zero divisor
@@ -243,10 +261,23 @@ _WINDINGS_TEMPLATE = """\
 
 
 def _horner(names) -> str:
-    text = "0j"
-    for name in names:
+    text, *rest = names
+    for name in rest:
         text = f"({text} * x + {name})"
     return text
+
+
+def _fold(name, op, values) -> str:
+    """Loop-body lines that leave in `name` the builtin min (`op` "<") or max
+    (`op` ">") of `values`: pairs (var, expr) whose value is expr, stored in
+    var, or var itself when expr is None.  `name` takes the first value and
+    then a later one only when it compares `op` to the current one."""
+    (var, expr), *rest = values
+    lines = [f"{name} = {expr or var}"]
+    for var, expr in rest:
+        lines.append(f"if {var if expr is None else f'({var} := {expr})'} {op} {name}:"
+                     f" {name} = {var}")
+    return "".join(f"        {line}\n" for line in lines)
 
 
 def _listed(prefix, n) -> str:
@@ -261,31 +292,45 @@ def _loop_kernel(degree: int, layout: tuple, n_marks: int):
     angles, the steps, the halvings and the largest residual."""
     powers, ranks, marks = range(degree + 1), range(degree), range(n_marks)
     n_slots = 1 + max((k for terms in layout for k, _ in terms if k is not None), default=-1)
-    heads, tails, coefficients = itertools.count(), itertools.count(), []
+    heads, tails = itertools.count(), itertools.count()
+    invariants, coefficients, const = [], [], set()  # const: the c{j} without t
     for j, terms in enumerate(layout):
-        total = "0j"
-        for k, n_tail in terms:
+        lead = next((n for n, (k, _) in enumerate(terms) if k is not None), len(terms))
+        total = "0j" + "".join(f" + h{next(heads)}" for _ in terms[:lead])
+        if lead == len(terms):
+            invariants.append(f"c{j} = {total}")
+            const.add(j)
+            continue
+        if lead:
+            invariants.append(f"s{j} = {total}")
+            total = f"s{j}"
+        for k, n_tail in terms[lead:]:
             total += f" + h{next(heads)}" + ("" if k is None else f" * p{k}") + "".join(
                 f" * f{next(tails)}" for _ in range(n_tail))
         coefficients.append(f"        c{j} = {total}\n")
+    invariants += [f"abs{k} = abs(c{k})" for k in ranks if k in const]
+    invariants += [f"lead = abs(c{degree})"] if degree in const else []
+    invariants += [f"d{k} = {k} * c{k}" for k in powers[1:] if k in const]
     f = _horner(f"c{k}" for k in reversed(powers))
     df = _horner(f"d{k}" for k in reversed(powers[1:]))
-    seps = [f"abs(x{i} - x{j})" for i in ranks for j in range(i + 1, degree)]
+    seps = [("v", f"abs(x{i} - x{j})") for i in ranks for j in range(i + 1, degree)]
     roots, zs = _listed("r", degree), _listed("z", n_marks)
     source = _LOOP_TEMPLATE.format(
         heads=_listed("h", next(heads)), tails=_listed("f", next(tails)),
         exponents=_listed("e", n_slots), marks=zs, roots=roots,
         windings_init="".join(f"    a{i}_{k} = 0.0\n" for i in ranks for k in marks),
+        invariants="".join(f"    {line}\n" for line in invariants),
         coefficients="".join(f"        p{k} = t ** e{k}\n" for k in range(n_slots))
         + "".join(coefficients),
-        abs_cs=", ".join(f"abs(c{k})" for k in ranks),
-        degree=degree,
-        dcs="; ".join(f"d{k} = {k} * c{k}" for k in powers[1:]),
+        scale=_fold("scale", ">", [(f"abs{k}", None) if k in const else ("v", f"abs(c{k})")
+                                  for k in ranks]
+                    + [("lead", None if degree in const else f"abs(c{degree})")]),
+        dcs="".join(f"        d{k} = {k} * c{k}\n" for k in powers[1:] if k not in const),
         corrections="".join(_CORRECTION_TEMPLATE.format(i=i, f=f, df=df, reject=_REJECT)
                             for i in ranks),
         tests=_TESTS_TEMPLATE.format(
-            sep=seps[0] if len(seps) == 1 else f"min({', '.join(seps)})",
-            moves=", ".join(f"abs(x{i} - r{i})" for i in ranks), reject=_REJECT)
+            sep=_fold("sep", "<", seps), reject=_REJECT,
+            move=_fold("move", ">", [("v", f"abs(x{i} - r{i})") for i in ranks]))
         if seps else "",
         windings=_WINDINGS_TEMPLATE.format(
             phases="".join(f"            a{i}_{k} += phase((x{i} - z{k}) / (r{i} - z{k}))\n"

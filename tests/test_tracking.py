@@ -464,18 +464,40 @@ ORACLE_CASES = [(name, sys, [0]) for name, sys in LOOP_KINDS.items()] + [
      [0]),
     ("newton-rejected", ParametricRootSystem(parse("x^2 - t"), "x", {},
                                              Loop("t", 0, 1, 1, 2)), [0]),
+    # the kernel's sums before the loop: a constant prefix then a t-term (x^1, here
+    # with a frozen head), constant coefficients below a constant leading one, and
+    # a leading coefficient in t whose zero t = -3 the loop encloses
+    ("constant-prefix", ParametricRootSystem(parse("x^2 + (a + t)*x - 1"), "x", {"a": 2},
+                                             Loop("t", -2 + 2j, 1)), [0]),
+    ("leading-in-t", ParametricRootSystem(parse("(t + 3)*x^2 - x - 1"), "x", {},
+                                          Loop("t", -3.25, 0.5)), [0]),
+    ("prefix-with-tail", ParametricRootSystem(parse("(t + 3)*x^3 + (a + t*z)*x^2 - 2*x + 1"),
+                                              "x", {"a": 2, "z": -1}, Loop("t", -3, 0.5)),
+     [0]),
 ]
+
+
+TRACK_FIELDS = ("permutation", "windings", "steps", "max_residual", "start_roots",
+                "end_roots", "halvings")
+
+
+def outcome(tracker, sys, marked):
+    """Each field of the tracker's result as its repr, which tells -0.0 from
+    0.0 and nan from any number and equals itself on nan, or the error text."""
+    try:
+        result = tracker(sys, marked)
+    except TrackingError as exc:
+        return str(exc)
+    return {attr: repr(getattr(result, attr)) for attr in TRACK_FIELDS}
 
 
 @pytest.mark.parametrize("name, sys, marked", ORACLE_CASES,
                          ids=[case[0] for case in ORACLE_CASES])
 def test_track_equals_the_reference_loop(name, sys, marked):
-    got, want = track(sys, marked), reference_track(sys, marked)
-    for attr in ("permutation", "windings", "steps", "max_residual",
-                 "start_roots", "end_roots"):
-        assert getattr(got, attr) == getattr(want, attr), attr
+    assert outcome(track, sys, marked) == outcome(reference_track, sys, marked)
     if name == "halving":
         # 14 accepted steps where 8 were planned: rejected steps were halved
+        got = track(sys, marked)
         assert got.steps == 14 and got.halvings > 0
         assert "halvings" not in got.describe()
 
@@ -557,15 +579,8 @@ def integer_loops(draw):
 @given(integer_loops())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_track_equals_the_reference_on_integer_families(sys):
-    def outcome(tracker):
-        try:
-            result = tracker(sys, [0.5 + 0.25j])
-        except TrackingError as exc:
-            return str(exc)
-        return [getattr(result, attr) for attr in ("permutation", "windings", "steps",
-                                                     "max_residual", "start_roots",
-                                                     "end_roots")]
-    assert outcome(track) == outcome(reference_track)
+    marked = [0.5 + 0.25j]
+    assert outcome(track, sys, marked) == outcome(reference_track, sys, marked)
 
 
 @given(families().filter(lambda family: len(family[0].coefficients_in("x")) > 1),
@@ -580,10 +595,4 @@ def test_track_equals_the_reference_with_frozen_variables(family, marked, loop):
     # factors; every field, halvings included, or the error text must agree
     f, frozen = family
     sys = ParametricRootSystem(f, "x", frozen, loop)
-
-    def outcome(tracker):
-        try:
-            return vars(tracker(sys, marked))
-        except TrackingError as exc:
-            return str(exc)
-    assert outcome(track) == outcome(reference_track)
+    assert outcome(track, sys, marked) == outcome(reference_track, sys, marked)

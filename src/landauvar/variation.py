@@ -45,11 +45,17 @@ def _exact(x) -> bool:
     return type(x) is int or isinstance(x, Fraction)
 
 
+# an entry, read or composed, has a numerator and a denominator below this:
+# at most PARSE_DIGIT_LIMIT digits, which the interpreter prints
+_ENTRY_BOUND = 10 ** PARSE_DIGIT_LIMIT
+
+
 def _rat(x):
     """An entry as an int when its value is integral, else as a Fraction;
     None stays None.  Text goes through `Fraction`, except plain decimal
     integers, which `int` reads to the same value; either reads it only when
-    its digits and decimal exponent add up to at most PARSE_DIGIT_LIMIT."""
+    its digits and decimal exponent add up to at most PARSE_DIGIT_LIMIT, the
+    budget of an integer entry too."""
     if isinstance(x, str):
         exponent = _EXPONENT.search(x)
         digits = sum(map(str.isdigit, x[:exponent.start()] if exponent else x))
@@ -61,6 +67,8 @@ def _rat(x):
             x = Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
+    if type(x) is int and abs(x) >= _ENTRY_BOUND:
+        raise ModelError(f"integer entry is over the budget of {PARSE_DIGIT_LIMIT} digits")
     if x is None or type(x) is int:
         return x
     if isinstance(x, Fraction):
@@ -315,13 +323,19 @@ def _word_product(model: VariationModel, word) -> tuple:
 
 def compose(model: VariationModel, word) -> tuple:
     """Matrix of the iterated variation along `word` (application order:
-    word[0] acts first, so the product stacks right-to-left)."""
+    word[0] acts first, so the product stacks right-to-left).  An entry over
+    the budget of PARSE_DIGIT_LIMIT digits is refused."""
     scale, result = _word_product(model, word)
     if has_unknown(result):
         raise UnknownEntryError(
             f"word {list(word)} touches entries the model leaves unknown"
         )
-    return tuple(tuple(_rat(Fraction(x, scale)) for x in row) for row in result)
+    if scale != 1:
+        result = tuple(tuple(_rat(Fraction(x, scale)) for x in row) for row in result)
+    if any(max(abs(x.numerator), x.denominator) >= _ENTRY_BOUND for row in result for x in row):
+        raise ModelError(f"word {list(word)} gives an entry over the budget of"
+                         f" {PARSE_DIGIT_LIMIT} digits")
+    return result
 
 
 def apply_word(model: VariationModel, word, basis_label: str) -> tuple:

@@ -1241,6 +1241,9 @@ def triangle_model_document():
      "entry '1e100000000' is over the budget of 4214 digits"),
     (["intersection_rows", "l1"], ["1E-5000", "0", "0", "0", "0"],
      "entry '1E-5000' is over the budget of 4214 digits"),
+    (["ops", "l1", 0, 0], 10 ** 4214, "integer entry is over the budget of 4214 digits"),
+    (["intersection_rows", "l1"], [-10 ** 4214, 0, 0, 0, 0],
+     "integer entry is over the budget of 4214 digits"),
     (["components", 1, "defining"], "p2sq $", "cannot tokenize ' $'"),
     (["components", 1, "defining"], "p2sq +", "unexpected end of input"),
     (["components", 1, "defining"], "(p2sq p1sq", "expected ')', got 'p1sq'"),
@@ -1256,7 +1259,8 @@ def triangle_model_document():
         "general-parity", "deep-name", "deep-op-entry", "product-of-powers",
         "power-coefficients", "product-coefficients", "sum-coefficients", "long-literal",
         "long-exponent", "long-op-entry", "long-op-numerator", "huge-op-exponent",
-        "huger-op-exponent", "tiny-row-entry", "untokenizable", "early-end",
+        "huger-op-exponent", "tiny-row-entry", "long-int-op-entry", "long-int-row-entry",
+        "untokenizable", "early-end",
         "unclosed-parenthesis", "name-exponent", "trailing-input"])
 def test_model_document_with_a_bad_entry_is_a_clean_error(
         tmp_path, capsys, where, value, message):
@@ -1268,6 +1272,35 @@ def test_model_document_with_a_bad_entry_is_a_clean_error(
         assert out == ""
         assert_clean_error(code, err)
         assert message in err, argv
+
+
+@pytest.mark.parametrize("diagonal, message", [
+    ("9" * 2107, None), ("9" * 2108, "over the budget of 4214 digits"),
+    ("9" * 4000, "over the budget of 4214 digits"), ("1/" + "9" * 2107, None),
+    ("1/" + "9" * 2108, "over the budget of 4214 digits")])
+def test_compose_refuses_a_product_entry_over_the_digit_budget(tmp_path, capsys, diagonal,
+                                                               message):
+    # each entry is admitted, and linf,linf squares the diagonal: (10^2107 - 1)^2
+    # has 4214 digits, (10^2108 - 1)^2 has 4216, past what an entry may have
+    from landauvar.variation import builtin_model, model_to_json
+
+    doc = model_to_json(builtin_model("dilog"))
+    for i, row in enumerate(doc["ops"]["linf"]):
+        row[i] = diagonal
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "variation", "compose", str(path), "w=linf", "--format",
+                             "json")
+    assert code == 0 and diagonal in out
+    code, out, err = run_cli(capsys, "variation", "compose", str(path), "w=linf,linf",
+                             "--format", "json")
+    if message is None:
+        assert code == 0 and err == ""
+        assert max(len(x.split("/")[-1]) for row in json.loads(out)["matrix"] for x in row) == 4214
+    else:
+        assert out == ""
+        assert_clean_error(code, err)
+        assert err == f"error: word ['linf', 'linf'] gives an entry {message}\n"
 
 
 @pytest.mark.parametrize("document", ["model", "graph"])

@@ -328,6 +328,15 @@ def test_rat_reads_text_as_fraction_does(text):
     assert (type(value) is int) == (expected.denominator == 1), (text, value)
 
 
+def test_rat_admits_integers_up_to_the_digit_budget():
+    # the budget of a text entry, 4214 digits, holds for an integer entry too
+    for value in (10 ** 4214 - 1, -(10 ** 4214 - 1)):
+        assert _rat(value) == value
+    for value in (10 ** 4214, -10 ** 4214):
+        with pytest.raises(ModelError, match="^integer entry is over the budget of 4214 digits$"):
+            _rat(value)
+
+
 @pytest.mark.parametrize("value", [0.5, 1.0, True, False, complex(1, 0), [1]])
 def test_rat_refuses_inexact_entries(value):
     with pytest.raises(ModelError, match="not an exact rational entry"):

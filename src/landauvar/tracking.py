@@ -295,16 +295,16 @@ def _loop_kernel(degree: int, layout: tuple, n_marks: int):
     heads, tails = itertools.count(), itertools.count()
     invariants, coefficients, const = [], [], set()  # const: the c{j} without t
     for j, terms in enumerate(layout):
-        lead = next((n for n, (k, _) in enumerate(terms) if k is not None), len(terms))
-        total = "0j" + "".join(f" + h{next(heads)}" for _ in terms[:lead])
-        if lead == len(terms):
+        n_const = next((n for n, (k, _) in enumerate(terms) if k is not None), len(terms))
+        total = "0j" + "".join(f" + h{next(heads)}" for _ in terms[:n_const])
+        if n_const == len(terms):
             invariants.append(f"c{j} = {total}")
             const.add(j)
             continue
-        if lead:
+        if n_const:
             invariants.append(f"s{j} = {total}")
             total = f"s{j}"
-        for k, n_tail in terms[lead:]:
+        for k, n_tail in terms[n_const:]:
             total += f" + h{next(heads)}" + ("" if k is None else f" * p{k}") + "".join(
                 f" * f{next(tails)}" for _ in range(n_tail))
         coefficients.append(f"        c{j} = {total}\n")

@@ -465,15 +465,16 @@ ORACLE_CASES = [(name, sys, [0]) for name, sys in LOOP_KINDS.items()] + [
     ("newton-rejected", ParametricRootSystem(parse("x^2 - t"), "x", {},
                                              Loop("t", 0, 1, 1, 2)), [0]),
     # the kernel's sums before the loop: a constant prefix then a t-term (x^1, here
-    # with a frozen head), constant coefficients below a constant leading one, and
-    # a leading coefficient in t whose zero t = -3 the loop encloses
+    # with a frozen head), constant coefficients below a constant leading one, a
+    # leading coefficient in t whose zero t = -3 the loop encloses, and a prefix
+    # then two t-terms, the first with a tail (x^2), whose sum is not associative
     ("constant-prefix", ParametricRootSystem(parse("x^2 + (a + t)*x - 1"), "x", {"a": 2},
                                              Loop("t", -2 + 2j, 1)), [0]),
     ("leading-in-t", ParametricRootSystem(parse("(t + 3)*x^2 - x - 1"), "x", {},
                                           Loop("t", -3.25, 0.5)), [0]),
-    ("prefix-with-tail", ParametricRootSystem(parse("(t + 3)*x^3 + (a + t*z)*x^2 - 2*x + 1"),
-                                              "x", {"a": 2, "z": -1}, Loop("t", -3, 0.5)),
-     [0]),
+    ("prefix-with-tail", ParametricRootSystem(
+        parse("(t + 3)*x^3 + (a + t*z + t^2)*x^2 - 2*x + 1"), "x", {"a": 2, "z": -1},
+        Loop("t", -3, 0.5)), [0]),
 ]
 
 

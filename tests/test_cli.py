@@ -612,6 +612,81 @@ def test_track_prints_the_recorded_bytes(capsys, kind, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == TRACK_DIGESTS[kind, fmt]
 
 
+# The CLI's own text: `--help` of the top parser and of each of the 18
+# subparsers, at 80 columns.  Any change to an option, its order, a help
+# string or a default shown here changes these bytes.
+HELP_DIGESTS = {
+    (): "8111df6f52f441d3bae547fc4f1b26109465ba6543915adecd2dfafe1bfe851e",
+    ("symanzik",): "00d13976da44258a97ccc45e888df43a9599e131e81c8048a6a26f2a8835859f",
+    ("landau",): "a3ac11fe07e118efc601a11611093884f0ab4b777433938873240ac4d9948914",
+    ("landau", "oneloop"): "612aead6f7e9bac00bd13e76462427f1ea2933e07a630bbaccdab45db26f36d7",
+    ("landau", "fixture"): "b3f46b1d57b961733d04500268eb75c34e39ed15286a9f0f7b57deb5d43c27be",
+    ("landau", "eliminate"):
+        "8d4a921975eeed354fdf7882c7574d77738e1467c02a27ff97fe550fbe4bb040",
+    ("hierarchy",): "1b16627ebc02c9a63ee2ff2d8a1cf78ce40035c2035aad47b1e777de1aabe16d",
+    ("homrank",): "e67b66a866f843a995aea5a1dfa25f44029431d170befc38a3f4f0b6f394db6e",
+    ("signword",): "01f2083e32e0661b9e99e65107e44b8c8888808d98d2af16390d0f0f1cedd754",
+    ("variation",): "83c13e7fdb621c2c2ec6c44448dcd6546442271d95e4b7fc4e3707bd9d1386d1",
+    ("variation", "table"): "750cbe25cb29fd26266f97bcb920e1d98d2b97af79aeac3f5a7834861dad034e",
+    ("variation", "compose"):
+        "bf525819b3cca522b98ab7efbd55e56e09764e516afba1d241bd401fd65a8093",
+    ("variation", "audit"): "a4fb98588cfba084a966228edbd3d22ad604517cb171147b327b5f3bde8425e2",
+    ("aomoto",): "a52e797731480d84fe23c4fbd18bd907810e9a4bd7f270605b03403c3dcd2187",
+    ("aomoto", "symbol"): "b14c0169bf3d1e7a269ddbad05f32856af18af84ef2c7db2dfb894460ce4bb08",
+    ("aomoto", "components"):
+        "5ba7ba748da39e504f1c8b6bee231635450b8c4536c9ab1182b8255d71b53d24",
+    ("aomoto", "hierarchy"): "4f0527fb58dd243f35f7d4a34553728f319e844e55a99c6d444909de994b4a0e",
+    ("track",): "936401b883f7768e530ce2c96ba43d7c1d6ce59d731e711ff880ddb024dcf6b3",
+    ("analyze",): "86f322277c0f44985c3c53e864874111d4068be6ddb115b92c4f9b74c7e28127",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(HELP_DIGESTS))
+def test_help_prints_the_recorded_bytes(capsys, monkeypatch, argv):
+    import hashlib
+
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[argv]
+
+
+# usage errors: a command group without its action, a leaf without its
+# required argument or option, and `hierarchy` without a source
+USAGE_ERRORS = {
+    ("landau",):
+        "usage: landauvar landau [-h] {oneloop,fixture,eliminate} ...\n"
+        "landauvar landau: error: the following arguments are required: action\n",
+    ("variation", "audit"):
+        "usage: landauvar variation audit [-h] [--max-len MAX_LEN]\n"
+        "                                 [--format {text,json}]\n"
+        "                                 model\n"
+        "landauvar variation audit: error: the following arguments are required: model\n",
+    ("aomoto", "symbol"):
+        "usage: landauvar aomoto symbol [-h] --n N [--format {text,json}]\n"
+        "landauvar aomoto symbol: error: the following arguments are required: --n\n",
+    ("hierarchy",):
+        "usage: landauvar hierarchy [-h]\n"
+        "                           (--graph GRAPH | --fixture FIXTURE | --model MODEL"
+        " | --aomoto AOMOTO)\n"
+        "                           [--dot] [--check CHECK] [--format {text,json}]\n"
+        "landauvar hierarchy: error: one of the arguments --graph --fixture --model"
+        " --aomoto is required\n",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(USAGE_ERRORS))
+def test_usage_errors_print_the_recorded_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == USAGE_ERRORS[argv]
+
+
 # -- the JSON writer -----------------------------------------------------------------
 
 # strings with non-ASCII characters, a lone surrogate and characters that need escapes

@@ -203,12 +203,6 @@ def _parse_bindings(text: str, f: Polynomial, flag: str, kind) -> dict:
     return out
 
 
-def _parse_chart(text: str, f: Polynomial, flag: str) -> dict:
-    """Chart bindings such as ``x1=1`` as integer constant polynomials."""
-    return {name: Polynomial.const(value)
-            for name, value in _parse_bindings(text, f, flag, int).items()}
-
-
 def _parse_index_set(text: str, flag: str) -> frozenset:
     """An index set given as digits (``12``) or a comma list (``1,12``)."""
     text = (text or "").strip()
@@ -222,8 +216,11 @@ def _parse_index_set(text: str, flag: str) -> frozenset:
     return frozenset(indices)
 
 
-# the keys of a loop spec; `r` and `radius` name the same field
-LOOP_KEYS = ("center", "r", "radius", "orient", "steps", "turns")
+# the keys of a loop spec, each with the `tracking.Loop` field it sets and the
+# kind its value is read as; `r` and `radius` name the same field
+LOOP_KEYS = {"center": ("center", complex), "r": ("radius", float),
+             "radius": ("radius", float), "orient": ("orientation", int),
+             "steps": ("steps", int), "turns": ("turns", int)}
 
 
 def _parse_loop(text: str) -> tracking.Loop:
@@ -237,19 +234,9 @@ def _parse_loop(text: str) -> tracking.Loop:
                          f" {', '.join(LOOP_KEYS)})")
     if "r" in opts and "radius" in opts:
         raise ValueError("loop gives both r and radius: give the radius once")
-
-    def value(key, kind, default):
-        text = opts.get(key, default)
-        return _number(kind, text, f"loop {key}={text}")
-
-    return tracking.Loop(
-        parameter=name,
-        center=value("center", complex, "0"),
-        radius=value("r" if "r" in opts else "radius", float, "0.1"),
-        orientation=value("orient", int, "1"),
-        steps=value("steps", int, "256"),
-        turns=value("turns", int, "1"),
-    )
+    fields = {field: _number(kind, opts[key], f"loop {key}={opts[key]}")
+              for key, (field, kind) in LOOP_KEYS.items() if key in opts}
+    return tracking.Loop(parameter=name, **fields)
 
 
 def _load_model_arg(source: str) -> variation.VariationModel:
@@ -291,7 +278,7 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
     """Roots of F = `f` of `g` in `var` tracked around a loop under a chart and
     frozen values: the one stage of `track` and `analyze --track-loop`, whose
     options start with `prefix` (``--`` and ``--track-``)."""
-    chart = _parse_chart(chart_text, f, f"{prefix}chart")
+    chart = _parse_bindings(chart_text, f, f"{prefix}chart", int)
     edge_vars = [e.var for e in g.edges]
     if var not in edge_vars:
         raise ValueError(f"{prefix}var {var!r} is not one of the edge variables {edge_vars}")
@@ -327,18 +314,20 @@ def _cmd_symanzik(args) -> dict:
     return _symanzik(_load_graph_arg(args.graph))[1]
 
 
-def _cmd_landau(args) -> list | dict:
-    if args.action == "oneloop":
-        comps = _oneloop_components(_load_graph_arg(args.graph), args.split)
-    elif args.action == "fixture":
-        comps = landau.fixture_landau(args.name)
-    else:  # eliminate
-        g = _load_graph_arg(args.graph)
-        f = graphs.symanzik_F(g)
-        chart = _parse_chart(args.chart, f, "--chart")
-        eliminant = landau.eliminate_critical_values(f, [e.var for e in g.edges], chart)
-        return {"eliminant": str(eliminant)}
-    return [c.describe() for c in comps]
+def _cmd_oneloop(args) -> list:
+    return [c.describe() for c in _oneloop_components(_load_graph_arg(args.graph), args.split)]
+
+
+def _cmd_fixture(args) -> list:
+    return [c.describe() for c in landau.fixture_landau(args.name)]
+
+
+def _cmd_eliminate(args) -> dict:
+    g = _load_graph_arg(args.graph)
+    f = graphs.symanzik_F(g)
+    chart = _parse_bindings(args.chart, f, "--chart", int)
+    eliminant = landau.eliminate_critical_values(f, [e.var for e in g.edges], chart)
+    return {"eliminant": str(eliminant)}
 
 
 def _cmd_hierarchy(args) -> str | list | dict:
@@ -364,22 +353,26 @@ def _cmd_signword(args) -> dict:
     return {"sign": sign, "canonical": " ".join(str(op) for op in canonical)}
 
 
-def _cmd_variation(args) -> dict:
+def _cmd_table(args) -> dict:
+    return variation.model_to_json(_load_model_arg(args.model))
+
+
+def _cmd_compose(args) -> dict:
     model = _load_model_arg(args.model)
-    if args.action == "table":
-        return variation.model_to_json(model)
-    if args.action == "compose":
-        word = _split_word(args.word, "word")
-        matrix = variation.compose(model, word)
-        return {
-            "word": list(word),
-            "basis": list(model.basis),
-            "matrix": [[str(x) for x in row] for row in matrix],
-            "images": {label: {b: str(matrix[i][j]) for i, b in enumerate(model.basis)
-                               if matrix[i][j] != 0}
-                       for j, label in enumerate(model.basis)},
-        }
-    # audit
+    word = _split_word(args.word, "word")
+    matrix = variation.compose(model, word)
+    return {
+        "word": list(word),
+        "basis": list(model.basis),
+        "matrix": [[str(x) for x in row] for row in matrix],
+        "images": {label: {b: str(matrix[i][j]) for i, b in enumerate(model.basis)
+                           if matrix[i][j] != 0}
+                   for j, label in enumerate(model.basis)},
+    }
+
+
+def _cmd_audit(args) -> dict:
+    model = _load_model_arg(args.model)
     return variation.check_against_hierarchy(model, max_len=args.max_len).describe()
 
 
@@ -416,26 +409,31 @@ def _check_aomoto_budget(n: int, action: str) -> None:
         )
 
 
-def _cmd_aomoto(args) -> str | list | dict | Iterator:
-    _check_aomoto_budget(args.n, args.action)
-    if args.action == "symbol":
-        words = aomoto_mod.aomoto_symbol(args.n)
-        if args.format == "text":
-            return [str(w) for w in words]
-        # the encoder's text of [{"letters": [{"I": ..., "J": ...}, ...], "sign":
-        # ...}, ...], one chunk per word; each distinct letter record is encoded
-        # once and indented to its depth in the document, 3 levels
-        pad = "\n" + "  " * 3
-        records = {(I, J): _ENCODER.encode({"I": sorted(I), "J": sorted(J)}).replace("\n", pad)
-                   for I, J in {letter for w in words for letter in w.letters}}
-        word_texts = (f'{"," if i else "["}\n  {{\n    "letters": [{pad}'
-                      + f",{pad}".join(map(records.__getitem__, w.letters))
-                      + f'\n    ],\n    "sign": {w.sign}\n  }}'
-                      for i, w in enumerate(words))
-        return itertools.chain(word_texts, ("\n]\n",))
-    if args.action == "components":
-        return [c.describe() for c in aomoto_mod.aomoto_components(args.n)]
-    # hierarchy
+def _cmd_symbol(args) -> list | Iterator:
+    _check_aomoto_budget(args.n, "symbol")
+    words = aomoto_mod.aomoto_symbol(args.n)
+    if args.format == "text":
+        return [str(w) for w in words]
+    # the encoder's text of [{"letters": [{"I": ..., "J": ...}, ...], "sign":
+    # ...}, ...], one chunk per word; each distinct letter record is encoded
+    # once and indented to its depth in the document, 3 levels
+    pad = "\n" + "  " * 3
+    records = {(I, J): _ENCODER.encode({"I": sorted(I), "J": sorted(J)}).replace("\n", pad)
+               for I, J in {letter for w in words for letter in w.letters}}
+    word_texts = (f'{"," if i else "["}\n  {{\n    "letters": [{pad}'
+                  + f",{pad}".join(map(records.__getitem__, w.letters))
+                  + f'\n    ],\n    "sign": {w.sign}\n  }}'
+                  for i, w in enumerate(words))
+    return itertools.chain(word_texts, ("\n]\n",))
+
+
+def _cmd_aomoto_components(args) -> list:
+    _check_aomoto_budget(args.n, "components")
+    return [c.describe() for c in aomoto_mod.aomoto_components(args.n)]
+
+
+def _cmd_aomoto_hierarchy(args) -> str | dict:
+    _check_aomoto_budget(args.n, "hierarchy")
     rel = aomoto_mod.aomoto_edges(args.n)
     if args.dot:
         return hierarchy.to_dot(rel, aomoto_mod.aomoto_components(args.n))
@@ -477,32 +475,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Landau varieties, hierarchy constraints and variation operators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    def add_format(p):
-        p.add_argument("--format", choices=["text", "json"], default="text")
+    def leaf(group, name, func, **kwargs):
+        q = group.add_parser(name, **kwargs)
+        q.set_defaults(func=func)
+        leaves.append(q)
+        return q
 
-    p = sub.add_parser("symanzik", help="print the Symanzik polynomials of a graph")
+    p = leaf(sub, "symanzik", _cmd_symanzik, help="print the Symanzik polynomials of a graph")
     p.add_argument("graph", help="graph JSON file or builtin name")
-    add_format(p)
-    p.set_defaults(func=_cmd_symanzik)
 
     p = sub.add_parser("landau", help="Landau components")
     lsub = p.add_subparsers(dest="action", required=True)
-    q = lsub.add_parser("oneloop")
+    q = leaf(lsub, "oneloop", _cmd_oneloop)
     q.add_argument("graph")
     q.add_argument("--split", action="store_true",
                    help="split threshold branches for two-edge loops")
-    add_format(q)
-    q = lsub.add_parser("fixture")
+    q = leaf(lsub, "fixture", _cmd_fixture)
     q.add_argument("name")
-    add_format(q)
-    q = lsub.add_parser("eliminate")
+    q = leaf(lsub, "eliminate", _cmd_eliminate)
     q.add_argument("graph")
     q.add_argument("--chart", required=True, help="e.g. x3=1")
-    add_format(q)
-    p.set_defaults(func=_cmd_landau)
 
-    p = sub.add_parser("hierarchy", help="compatibility relation and oracle")
+    p = leaf(sub, "hierarchy", _cmd_hierarchy, help="compatibility relation and oracle")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph")
     src.add_argument("--fixture")
@@ -511,10 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", action="store_true")
     p.add_argument("--check", action="append", default=[],
                    help="word=id1,id2,... in application order")
-    add_format(p)
-    p.set_defaults(func=_cmd_hierarchy)
 
-    p = sub.add_parser("homrank", help="local homology rank of a pinch model")
+    p = leaf(sub, "homrank", _cmd_homrank, help="local homology rank of a pinch model")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--I", default="")
@@ -522,39 +516,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", default="")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--variant", choices=["open", "closed"], default="open")
-    p.set_defaults(func=_cmd_homrank, format="text")
+    p.set_defaults(format="text")
 
-    p = sub.add_parser("signword", help="normalize an operator word")
+    p = leaf(sub, "signword", _cmd_signword, help="normalize an operator word")
     p.add_argument("word", help='e.g. "d1 p2 d3:r=2"')
-    add_format(p)
-    p.set_defaults(func=_cmd_signword)
 
     p = sub.add_parser("variation", help="variation operator models")
     vsub = p.add_subparsers(dest="action", required=True)
-    q = vsub.add_parser("table")
+    q = leaf(vsub, "table", _cmd_table)
     q.add_argument("model")
-    add_format(q)
-    q = vsub.add_parser("compose")
+    q = leaf(vsub, "compose", _cmd_compose)
     q.add_argument("model")
     q.add_argument("word", help="w=id1,id2,... in application order")
-    add_format(q)
-    q = vsub.add_parser("audit")
+    q = leaf(vsub, "audit", _cmd_audit)
     q.add_argument("model")
     q.add_argument("--max-len", type=int, default=4)
-    add_format(q)
-    p.set_defaults(func=_cmd_variation)
 
     p = sub.add_parser("aomoto", help="Aomoto polylogarithm structure")
     asub = p.add_subparsers(dest="action", required=True)
-    for name in ("symbol", "components", "hierarchy"):
-        q = asub.add_parser(name)
+    for name, func in (("symbol", _cmd_symbol), ("components", _cmd_aomoto_components),
+                       ("hierarchy", _cmd_aomoto_hierarchy)):
+        q = leaf(asub, name, func)
         q.add_argument("--n", type=int, required=True)
         if name == "hierarchy":
             q.add_argument("--dot", action="store_true")
-        add_format(q)
-    p.set_defaults(func=_cmd_aomoto)
 
-    p = sub.add_parser("track", help="numerical root tracking along a loop")
+    p = leaf(sub, "track", _cmd_track, help="numerical root tracking along a loop")
     p.add_argument("graph")
     p.add_argument("--chart", required=True, help="e.g. x1=1")
     p.add_argument("--var", required=True, help="fiber variable to track")
@@ -563,10 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mark", action="append", default=[],
                    help="marked point for winding numbers")
     p.add_argument("--tol", type=float, default=1e-10)
-    add_format(p)
-    p.set_defaults(func=_cmd_track)
 
-    p = sub.add_parser("analyze", help="full report for a graph")
+    p = leaf(sub, "analyze", _cmd_analyze, help="full report for a graph")
     p.add_argument("graph")
     p.add_argument("--check", action="append", default=[])
     p.add_argument("--audit", help="also audit a variation model against its hierarchy")
@@ -575,7 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track-var", default="", help="fiber variable for --track-loop")
     p.add_argument("--track-fix", default="", help="frozen parameters for --track-loop")
     p.add_argument("--track-mark", action="append", default=[])
-    p.set_defaults(func=_cmd_analyze, format="json")
+    p.set_defaults(format="json")
+
+    # --format comes after each leaf's own options; a one-format leaf sets its default
+    for q in leaves:
+        if q.get_default("format") is None:
+            q.add_argument("--format", choices=["text", "json"], default="text")
 
     return parser
 
@@ -601,8 +591,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     # an audit that finds a violation prints its report and fails
-    audit = args.command == "variation" and args.action == "audit"
-    return 1 if audit and data["violations"] else 0
+    return 1 if args.func is _cmd_audit and data["violations"] else 0
 
 
 if __name__ == "__main__":

@@ -47,8 +47,8 @@ DISC_THRESHOLD = 1e-8
 @dataclass(frozen=True)
 class Loop:
     parameter: str
-    center: complex
-    radius: float
+    center: complex = 0j
+    radius: float = 0.1
     orientation: int = 1     # +1 counter-clockwise
     steps: int = 256
     turns: int = 1           # number of revolutions

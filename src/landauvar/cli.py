@@ -99,7 +99,20 @@ def _load_graph_arg(source: str) -> graphs.FeynmanGraph:
 SYMANZIK_TERM_BUDGET = 150000
 
 
+# The forest enumerator recurses once per edge and rebuilds its vertex map at
+# each contraction, and tau(G) eliminates a dense (|V| - 1)-square Laplacian of
+# Fractions, so a graph with more vertices or more edges than this is refused
+# before either runs.  `symanzik` takes about 0.8 s on the 64-edge cycle (2016
+# 2-forests) and 7 s on the 100-edge one; the 6-loop ladder has 19 edges.
+GRAPH_SIZE_BUDGET = 64
+
+
 def _check_symanzik_budget(g: graphs.FeynmanGraph) -> None:
+    if max(len(g.vertices), len(g.edges)) > GRAPH_SIZE_BUDGET:
+        raise graphs.GraphError(
+            f"graph with {len(g.vertices)} vertices and {len(g.edges)} edges is over the"
+            f" size budget of {GRAPH_SIZE_BUDGET} vertices and {GRAPH_SIZE_BUDGET} edges"
+        )
     trees = g.spanning_tree_count()
     terms = trees * (len(g.vertices) - 1 + len(g.edges))
     if terms > SYMANZIK_TERM_BUDGET:

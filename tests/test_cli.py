@@ -972,6 +972,44 @@ def test_symanzik_budget_refuses_before_any_forest(tmp_path, capsys, monkeypatch
         assert "(|V| - 1 + |E|) = 453789" in err
 
 
+def chain(n, closed):
+    """The path of `n` edges, or with `closed` the cycle of `n` edges."""
+    vertices = [f"v{k}" for k in range(n if closed else n + 1)]
+    return vertices, [(vertices[k], vertices[(k + 1) % len(vertices)]) for k in range(n)]
+
+
+# a 500-edge path took 24 s, a 999-edge one overflowed the forest recursion
+# and a 2000-edge cycle spent 9.6 s and 263 MB on its Laplacian
+@pytest.mark.parametrize("n, closed, sizes", [
+    (500, False, "501 vertices and 500 edges"),
+    (999, False, "1000 vertices and 999 edges"),
+    (2000, True, "2000 vertices and 2000 edges"),
+    (65, False, "66 vertices and 65 edges"),
+], ids=["path500", "path999", "cycle2000", "path65"])
+def test_graph_size_budget_refuses_before_any_tree_count(tmp_path, capsys, monkeypatch,
+                                                         n, closed, sizes):
+    from landauvar import graphs
+
+    def no_count(*args):
+        raise AssertionError("spanning tree count or forest started")
+
+    monkeypatch.setattr(graphs.FeynmanGraph, "spanning_forests", no_count)
+    monkeypatch.setattr(graphs.FeynmanGraph, "spanning_tree_count", no_count)
+    path = write_graph(tmp_path, f"chain{n}", *chain(n, closed))
+    for argv in graph_commands(path):
+        code, out, err = run_cli(capsys, *argv)
+        assert out == "", argv
+        assert_clean_error(code, err)
+        assert (f"error: graph with {sizes} is over the size budget of 64 vertices and 64"
+                " edges\n") == err, argv
+
+
+def test_graph_size_budget_admits_the_64_edge_cycle(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "symanzik", write_graph(tmp_path, "cycle64", *chain(64, True)),
+                           "--format", "json")
+    assert code == 0 and len(json.loads(out)["U"].split(" + ")) == 64
+
+
 def test_symanzik_budget_admits_the_six_loop_ladder(tmp_path, capsys, monkeypatch):
     from pathlib import Path
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, echo
+from .poly import Polynomial, echo, first_repeat
 
 
 class GraphError(ValueError):
@@ -83,10 +83,10 @@ class FeynmanGraph:
             if v not in vset:
                 raise GraphError(f"leg attached to unknown vertex {v}")
         momenta = [p for _, p in self.legs]
-        repeated = [p for i, p in enumerate(momenta) if p in momenta[:i]]
-        if repeated:
-            raise GraphError(
-                f"malformed graph document: leg momentum {repeated[0]} is given twice")
+        repeated = first_repeat(momenta)
+        if repeated is not None:
+            raise GraphError(f"malformed graph document: leg momentum {momenta[repeated]}"
+                             " is given twice")
         classes = components(self.vertices, (e.ends for e in self.edges))
         if len(set(classes.values())) != 1:
             raise GraphError("graph must be connected")

@@ -36,6 +36,23 @@ def echo(value) -> str:
     return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
 
 
+def first_repeat(values) -> int | None:
+    """The index of the first of `values` equal to an earlier one, or None if
+    none is: one pass over a set, where an unhashable value (a malformed
+    document's name) is compared with the earlier unhashable ones alone."""
+    seen, unhashable = set(), []
+    for i, x in enumerate(values):
+        try:
+            if x in seen:
+                return i
+            seen.add(x)
+        except TypeError:
+            if x in unhashable:
+                return i
+            unhashable.append(x)
+    return None
+
+
 def _as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c

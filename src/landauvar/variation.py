@@ -21,7 +21,7 @@ from itertools import count
 from .hierarchy import ForcedZeroRule, HierarchyRelation, hierarchy_graph, word_vanishes
 from .landau import GENERAL, LINEAR, QUADRATIC, LandauComponent
 from .localhom import pl_sign
-from .poly import PARSE_DIGIT_LIMIT, Polynomial, echo, parse
+from .poly import PARSE_DIGIT_LIMIT, Polynomial, echo, first_repeat, parse
 
 
 class ModelError(ValueError):
@@ -184,9 +184,9 @@ class VariationModel:
             raise ModelError(f"n must be a nonnegative integer, got {echo(self.n)}")
         for what, names in (("basis label", self.basis),
                             ("component id", [c.id for c in self.components])):
-            repeated = [x for i, x in enumerate(names) if x in names[:i]]
-            if repeated:
-                raise ModelError(f"{what} {repeated[0]} is given twice")
+            repeated = first_repeat(names)
+            if repeated is not None:
+                raise ModelError(f"{what} {names[repeated]} is given twice")
         size = len(self.basis)
         self._by_id = {c.id: c for c in self.components}
         for what, keys, known, noun in (

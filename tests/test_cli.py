@@ -1387,6 +1387,49 @@ def test_model_document_with_a_bad_entry_is_a_clean_error(
         assert message in err, argv
 
 
+class CountedName(str):
+    """A name that counts the equality tests made on it."""
+    tests = 0
+
+    def __eq__(self, other):
+        CountedName.tests += 1
+        return str.__eq__(self, other)
+
+    __hash__ = str.__hash__
+
+
+def with_counted_names(doc, field, n):
+    """`doc` with `n` distinct names in `field` and the first one again at the end."""
+    from landauvar.variation import builtin_model, model_to_json
+
+    names = [CountedName(f"n{k}") for k in range(n)] + [CountedName("n0")]
+    if field == "leg momentum":
+        doc["legs"] = [{"vertex": "v1", "momentum": p} for p in names]
+    elif field == "basis label":
+        doc["basis"] = names
+    else:  # component id: copies of the bubble's first component
+        first = model_to_json(builtin_model("bubble"))["components"][0]
+        doc["components"] = [dict(first, id=cid) for cid in names]
+    return doc
+
+
+# finding a repeat among 2000 names took 2 million comparisons, and a
+# document of 100000 names minutes
+@pytest.mark.parametrize("field", ["leg momentum", "basis label", "component id"])
+def test_given_twice_checks_compare_each_name_about_once(monkeypatch, field):
+    from landauvar import graphs, variation
+
+    monkeypatch.setattr(CountedName, "tests", 0)
+    if field == "leg momentum":
+        build, doc = graphs.load_graph, bubble_document()
+    else:
+        build, doc = variation.model_from_json, triangle_model_document()
+    with pytest.raises(ValueError) as exc:
+        build(with_counted_names(doc, field, 2000))
+    assert str(exc.value).endswith(f"{field} n0 is given twice")
+    assert CountedName.tests <= 2 * 2000
+
+
 @pytest.mark.parametrize("diagonal, message", [
     ("9" * 2107, None), ("9" * 2108, "over the budget of 4214 digits"),
     ("9" * 4000, "over the budget of 4214 digits"), ("1/" + "9" * 2107, None),

@@ -17,6 +17,7 @@ from landauvar.poly import (
     PolynomialError,
     determinant,
     divides,
+    first_repeat,
     parse,
     permutation_sign,
     resultant,
@@ -687,3 +688,13 @@ def test_sunrise_sylvester_determinants_specialise(monkeypatch):
     assert max(s.rows for s in seen) == 9
     for k, sylvester in enumerate(seen):
         assert_specialises(sylvester, seed=k)
+
+
+@pytest.mark.parametrize("values, index", [
+    ([], None), (["a", "b", "c"], None), (["a", "b", "a", "b"], 2), (["b", "a", "a"], 2),
+    ([None, "a", None], 2), ([[1], "a", [2], [1]], 3), ([{"k": 1}, {"k": 1}], 1),
+    ([[1], (1,), "x"], None),
+])
+def test_first_repeat_is_the_first_value_equal_to_an_earlier_one(values, index):
+    assert first_repeat(values) == index
+    assert index == next((i for i, v in enumerate(values) if v in values[:i]), None)

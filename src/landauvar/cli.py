@@ -20,7 +20,7 @@ from collections.abc import Iterator
 
 from . import aomoto as aomoto_mod
 from . import graphs, hierarchy, landau, localhom, tracking, variation
-from .poly import Polynomial
+from .poly import Polynomial, echo
 
 # every error class of the package, like json.JSONDecodeError, is a ValueError
 _DOMAIN_ERRORS = (ValueError, OSError)
@@ -294,7 +294,8 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
     chart = _parse_bindings(chart_text, f, f"{prefix}chart", int)
     edge_vars = [e.var for e in g.edges]
     if var not in edge_vars:
-        raise ValueError(f"{prefix}var {var!r} is not one of the edge variables {edge_vars}")
+        raise ValueError(f"{prefix}var {var!r} is not one of the edge variables"
+                         f" {echo(edge_vars)}")
     if var in chart:
         raise ValueError(f"{prefix}chart binds {var!r}, the variable that {prefix}var tracks")
     loop = _parse_loop(loop_text)
@@ -310,7 +311,7 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
         raise ValueError(f"{prefix}loop varies {var!r}, the variable that {prefix}var tracks")
     fixed_fiber = [v for v in edge_vars if v != var and v not in chart]
     if fixed_fiber:
-        raise ValueError(f"fiber variables {fixed_fiber} not bound by {prefix}chart")
+        raise ValueError(f"fiber variables {echo(fixed_fiber)} not bound by {prefix}chart")
     family = f.substitute(chart)
     if loop.parameter not in family.variables:  # a constant family tracks silently
         raise ValueError(f"{prefix}loop varies {loop.parameter!r}, which does not occur"

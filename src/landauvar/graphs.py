@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, echo, first_repeat
+from .poly import Polynomial, cut, echo, first_repeat
 
 
 class GraphError(ValueError):
@@ -72,7 +72,7 @@ class FeynmanGraph:
             raise GraphError("graph needs at least one vertex")
         for e in self.edges:
             if e.ends[0] not in vset or e.ends[1] not in vset:
-                raise GraphError(f"edge {e.id} has unknown endpoint")
+                raise GraphError(f"edge {cut(e.id)} has unknown endpoint")
         names = [e.var for e in self.edges]
         if len(set(names)) != len(names):
             raise GraphError("edge variable names must be pairwise distinct")
@@ -81,11 +81,11 @@ class FeynmanGraph:
             raise GraphError("edge ids must be pairwise distinct")
         for v, _ in self.legs:
             if v not in vset:
-                raise GraphError(f"leg attached to unknown vertex {v}")
+                raise GraphError(f"leg attached to unknown vertex {cut(v)}")
         momenta = [p for _, p in self.legs]
         repeated = first_repeat(momenta)
         if repeated is not None:
-            raise GraphError(f"malformed graph document: leg momentum {momenta[repeated]}"
+            raise GraphError(f"malformed graph document: leg momentum {cut(momenta[repeated])}"
                              " is given twice")
         classes = components(self.vertices, (e.ends for e in self.edges))
         if len(set(classes.values())) != 1:
@@ -109,7 +109,7 @@ class FeynmanGraph:
         comp = all_momenta - subset
         if comp in self.channels:
             return self.channels[comp]
-        raise GraphError(f"no invariant symbol for channel {sorted(subset)}")
+        raise GraphError(f"no invariant symbol for channel {cut(sorted(subset))}")
 
     # -- combinatorics -------------------------------------------------------
 
@@ -205,12 +205,12 @@ def contract(g: FeynmanGraph, edge_ids) -> FeynmanGraph:
     ids = set(edge_ids)
     unknown = ids - {e.id for e in g.edges}
     if unknown:
-        raise GraphError(f"unknown edges {sorted(unknown)}")
+        raise GraphError(f"unknown edges {cut(sorted(unknown))}")
     if ids == {e.id for e in g.edges}:
         raise GraphError("cannot contract every edge")
     for e in g.edges:
         if e.id in ids and e.is_self_loop():
-            raise GraphError(f"cannot contract self-loop {e.id}")
+            raise GraphError(f"cannot contract self-loop {cut(e.id)}")
     remap = components(g.vertices, (e.ends for e in g.edges if e.id in ids))
     vertices = tuple(dict.fromkeys(remap[v] for v in g.vertices))
     edges = tuple(
@@ -224,7 +224,7 @@ def contract(g: FeynmanGraph, edge_ids) -> FeynmanGraph:
 def _text(value, field: str, edge=None) -> str:
     if isinstance(value, str):
         return value
-    where = field if edge is None else f"edge {edge} {field}"
+    where = field if edge is None else f"edge {cut(edge)} {field}"
     raise GraphError(f"malformed graph document: {where} must be a string, got {echo(value)}")
 
 
@@ -248,7 +248,7 @@ def load_graph(data) -> FeynmanGraph:
         for e in _list(data["edges"], "edges"):
             eid = _text(e["id"], "edge id")
             ends = tuple(_text(v, "endpoint", eid)
-                         for v in _list(e["ends"], f"edge {eid} ends", 2))
+                         for v in _list(e["ends"], f"edge {cut(eid)} ends", 2))
             edges.append(Edge(eid, ends, _text(e["mass"], "mass", eid),
                               _text(e["var"], "var", eid)))
         legs = [(_text(l["vertex"], "leg vertex"), _text(l["momentum"], "leg momentum"))
@@ -258,7 +258,7 @@ def load_graph(data) -> FeynmanGraph:
             raise GraphError(
                 f"malformed graph document: channels must be an object, got {echo(channels)}")
         channels = {
-            frozenset(key.split("+")): _text(sym, f"channel {key} symbol")
+            frozenset(key.split("+")): _text(sym, f"channel {cut(key)} symbol")
             for key, sym in channels.items()
         }
         return FeynmanGraph(vertices, edges, legs, channels)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 
 from .landau import LINEAR, LandauComponent
+from .poly import echo
 
 
 class HierarchyError(ValueError):
@@ -146,7 +147,7 @@ def word_vanishes(rel: HierarchyRelation, components, word) -> Verdict:
     rule = ForcedZeroRule.of(rel, components)
     for cid in word:
         if cid not in rule.letters:
-            raise HierarchyError(f"unknown component id {cid!r}")
+            raise HierarchyError(f"unknown component id {echo(cid)}")
     # a zero letter anywhere outranks a missing arrow as the reason
     for last, cid in chain(((None, cid) for cid in word), zip(word, word[1:])):
         reason = rule.step(last, cid)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graphs import FeynmanGraph, contract, icecream_graph, symanzik_F
-from .poly import Polynomial, PolyMatrix, determinant, divides, echo, resultant
+from .poly import Polynomial, PolyMatrix, cut, determinant, divides, echo, resultant
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -59,20 +59,21 @@ class LandauComponent:
         if self.pinch not in (LINEAR, QUADRATIC, GENERAL):
             raise LandauError(f"bad pinch kind {echo(self.pinch)}")
         if self.parity is not None and type(self.parity) is not int:  # bool too
-            raise LandauError(f"{self.id}: parity must be an integer, got {echo(self.parity)}")
+            raise LandauError(f"{cut(self.id)}: parity must be an integer,"
+                              f" got {echo(self.parity)}")
         if not self.simple_J <= self.type_J or not self.simple_K <= self.type_K:
-            raise LandauError(f"{self.id}: simple type must refine the type")
+            raise LandauError(f"{cut(self.id)}: simple type must refine the type")
         if self.pinch == LINEAR and self.parity != -1:
-            raise LandauError(f"{self.id}: linear pinch has parity -1")
+            raise LandauError(f"{cut(self.id)}: linear pinch has parity -1")
         if self.pinch == QUADRATIC and (self.parity is None or self.parity < 0):
-            raise LandauError(f"{self.id}: quadratic pinch needs parity n-m >= 0")
+            raise LandauError(f"{cut(self.id)}: quadratic pinch needs parity n-m >= 0")
         if self.pinch == GENERAL and self.parity is not None:
-            raise LandauError(f"{self.id}: parity undefined for general critical sets")
+            raise LandauError(f"{cut(self.id)}: parity undefined for general critical sets")
         if self.variation_known_zero and not (
             self.pinch == LINEAR and (not self.type_K or not self.type_J)
         ):
             raise LandauError(
-                f"{self.id}: variation_known_zero requires a pure-type linear pinch"
+                f"{cut(self.id)}: variation_known_zero requires a pure-type linear pinch"
             )
 
     @classmethod
@@ -244,7 +245,8 @@ def split_component(comp: LandauComponent, factors, substitution=None,
         product = product * f
     ratio = divides(product, defining)
     if ratio is None or not ratio.is_constant() or ratio.constant_value() == 0:
-        raise LandauError(f"{comp.id}: supplied factors do not divide the defining polynomial")
+        raise LandauError(f"{cut(comp.id)}: supplied factors do not divide the defining"
+                          " polynomial")
     if suffixes is None:
         suffixes = [f".{i+1}" for i in range(len(factors))]
     return [replace(comp, id=comp.id + suffix, defining=factor)

@@ -30,10 +30,16 @@ class PolynomialError(ValueError):
 ECHO_LIMIT = 200
 
 
+def cut(name) -> str:
+    """str(name), a name from a document, for an error message, cut after
+    ECHO_LIMIT characters."""
+    text = str(name)
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+
+
 def echo(value) -> str:
     """repr(value) for an error message, cut after ECHO_LIMIT characters."""
-    text = repr(value)
-    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+    return cut(repr(value))
 
 
 def first_repeat(values) -> int | None:
@@ -99,7 +105,7 @@ class Polynomial:
     @staticmethod
     def var(name: str) -> "Polynomial":
         if not _VAR_RE.fullmatch(name):
-            raise PolynomialError(f"bad variable name {name!r}")
+            raise PolynomialError(f"bad variable name {echo(name)}")
         return Polynomial({((name, 1),): Fraction(1)})
 
     @staticmethod
@@ -304,7 +310,7 @@ class Polynomial:
             val = complex(c)
             for v, e in mono:
                 if v not in assignment:
-                    raise PolynomialError(f"unassigned variable {v!r}")
+                    raise PolynomialError(f"unassigned variable {echo(v)}")
                 val *= assignment[v] ** e
             total += val
         return total
@@ -466,7 +472,7 @@ def parse(text: str) -> Polynomial:
         if kind is None:
             raise PolynomialError("unexpected end of input")
         if expect is not None and val != expect:
-            raise PolynomialError(f"expected {expect!r}, got {val!r}")
+            raise PolynomialError(f"expected {expect!r}, got {echo(val)}")
         idx += 1
         return kind, val
 
@@ -512,7 +518,7 @@ def parse(text: str) -> Polynomial:
             take()
             k, v = take()
             if k != "int":
-                raise PolynomialError(f"bad exponent {v!r}")
+                raise PolynomialError(f"bad exponent {echo(v)}")
             k = int(v)
             if k > PARSE_EXPONENT_LIMIT:
                 raise PolynomialError(
@@ -542,11 +548,11 @@ def parse(text: str) -> Polynomial:
             inner = parse_expr()
             take(")")
             return inner
-        raise PolynomialError(f"unexpected token {val!r}")
+        raise PolynomialError(f"unexpected token {echo(val)}")
 
     result = parse_expr()
     if idx != len(toks):
-        raise PolynomialError(f"trailing input at token {toks[idx][1]!r}")
+        raise PolynomialError(f"trailing input at token {echo(toks[idx][1])}")
     return result
 
 

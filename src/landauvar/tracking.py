@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .poly import Polynomial, PolynomialError
+from .poly import Polynomial, PolynomialError, echo
 
 
 class TrackingError(ValueError):
@@ -128,7 +128,7 @@ def _term_table(coeff_polys, frozen, loop_var):
                 if v == loop_var:
                     e_t = e
                 elif v not in frozen:
-                    raise PolynomialError(f"unassigned variable {v!r}")
+                    raise PolynomialError(f"unassigned variable {echo(v)}")
                 elif e_t:
                     tail.append(frozen[v] ** e)
                 else:

@@ -21,7 +21,7 @@ from itertools import count
 from .hierarchy import ForcedZeroRule, HierarchyRelation, hierarchy_graph, word_vanishes
 from .landau import GENERAL, LINEAR, QUADRATIC, LandauComponent
 from .localhom import pl_sign
-from .poly import PARSE_DIGIT_LIMIT, Polynomial, echo, first_repeat, parse
+from .poly import PARSE_DIGIT_LIMIT, Polynomial, cut, echo, first_repeat, parse
 
 
 class ModelError(ValueError):
@@ -186,7 +186,7 @@ class VariationModel:
                             ("component id", [c.id for c in self.components])):
             repeated = first_repeat(names)
             if repeated is not None:
-                raise ModelError(f"{what} {names[repeated]} is given twice")
+                raise ModelError(f"{what} {cut(names[repeated])} is given twice")
         size = len(self.basis)
         self._by_id = {c.id: c for c in self.components}
         for what, keys, known, noun in (
@@ -196,19 +196,19 @@ class VariationModel:
                 ("coboundary_J", self.coboundary_J, set(self.basis), "basis label")):
             stray = sorted(set(keys).difference(known))
             if stray:
-                raise ModelError(f"{what} names no {noun}: {stray[0]}")
+                raise ModelError(f"{what} names no {noun}: {cut(stray[0])}")
         if self.ops.keys() != self._by_id.keys():
             raise ModelError("ops must cover exactly the model components")
         for cid, m in self.ops.items():
             if len(m) != size or any(len(row) != size for row in m):
-                raise ModelError(f"operator for {cid} is not {size}x{size}")
+                raise ModelError(f"operator for {cut(cid)} is not {size}x{size}")
             inexact = [x for row in m for x in row if x is not None and not _exact(x)]
             if inexact:
-                raise ModelError(f"operator for {cid} has an entry that is not an"
+                raise ModelError(f"operator for {cut(cid)} has an entry that is not an"
                                  f" exact rational: {echo(inexact[0])}")
         for comp in self.components:
             if comp.variation_known_zero and not _known_zero(self.ops[comp.id]):
-                raise ModelError(f"{comp.id} is flagged zero but its matrix is not")
+                raise ModelError(f"{cut(comp.id)} is flagged zero but its matrix is not")
         # every vector has one entry per basis element, and only the operators
         # may leave entries unknown
         vectors = [("vanishing vector", cid, v)
@@ -217,13 +217,13 @@ class VariationModel:
                     for cid, row in self.intersection_rows.items()]
         for what, cid, v in vectors:
             if len(v) != size:
-                raise ModelError(f"{what} of {cid} has {len(v)} entries for a basis"
+                raise ModelError(f"{what} of {cut(cid)} has {len(v)} entries for a basis"
                                  f" of {size}")
             if any(x is None for x in v):
-                raise ModelError(f"{what} of {cid} has an unknown (null) entry")
+                raise ModelError(f"{what} of {cut(cid)} has an unknown (null) entry")
             inexact = [x for x in v if not _exact(x)]
             if inexact:
-                raise ModelError(f"{what} of {cid} has an entry that is not an exact"
+                raise ModelError(f"{what} of {cut(cid)} has an entry that is not an exact"
                                  f" rational: {echo(inexact[0])}")
         self._check_images()
         # derived once, as `_by_id` is above: the audits read them for every word
@@ -242,7 +242,7 @@ class VariationModel:
             row = self.intersection_rows.get(comp.id)
             if comp.is_simple_pinch and len(span) == 1 and row is not None:
                 if m != pl_operator(self.n, span[0], row):
-                    raise ModelError(f"{comp.id}: operator is not the Picard-Lefschetz"
+                    raise ModelError(f"{cut(comp.id)}: operator is not the Picard-Lefschetz"
                                      " map pl_sign(n) * cycle * intersection row")
                 continue
             pivots = _echelon(span)
@@ -250,14 +250,14 @@ class VariationModel:
                 col = tuple(m[i][j] for i in range(len(self.basis)))
                 if any(_reduce(col, pivots)):
                     raise ModelError(
-                        f"{comp.id}: image of {self.basis[j]} leaves the declared span"
+                        f"{cut(comp.id)}: image of {cut(self.basis[j])} leaves the declared span"
                     )
 
     def component(self, cid: str) -> LandauComponent:
         try:
             return self._by_id[cid]
         except KeyError:
-            raise ModelError(f"unknown component id {cid!r}") from None
+            raise ModelError(f"unknown component id {echo(cid)}") from None
 
     def relation(self) -> HierarchyRelation:
         return hierarchy_graph(self.components)
@@ -328,12 +328,12 @@ def compose(model: VariationModel, word) -> tuple:
     scale, result = _word_product(model, word)
     if has_unknown(result):
         raise UnknownEntryError(
-            f"word {list(word)} touches entries the model leaves unknown"
+            f"word {echo(list(word))} touches entries the model leaves unknown"
         )
     if scale != 1:
         result = tuple(tuple(_rat(Fraction(x, scale)) for x in row) for row in result)
     if any(max(abs(x.numerator), x.denominator) >= _ENTRY_BOUND for row in result for x in row):
-        raise ModelError(f"word {list(word)} gives an entry over the budget of"
+        raise ModelError(f"word {echo(list(word))} gives an entry over the budget of"
                          f" {PARSE_DIGIT_LIMIT} digits")
     return result
 
@@ -353,7 +353,7 @@ def nilpotency_index(model: VariationModel, subset, cutoff: int = 10):
     ids = sorted(subset)
     for cid in ids:
         if has_unknown(model.ops[model.component(cid).id]):
-            raise UnknownEntryError(f"operator for {cid} has unknown entries")
+            raise UnknownEntryError(f"operator for {cut(cid)} has unknown entries")
     # a positive multiple of each operator moves the same subspaces
     ops = [model._cleared[cid][1] for cid in ids]
     space = identity_matrix(len(model.basis))
@@ -546,7 +546,7 @@ def model_from_json(data) -> VariationModel:
             LandauComponent(
                 id=c["id"],
                 defining=parse(c["defining"]),
-                **{key: frozenset(_names(c[key], f"{c['id']} {key}"))
+                **{key: frozenset(_names(c[key], f"{cut(c['id'])} {key}"))
                    for key in ("type_J", "type_K", "simple_J", "simple_K")},
                 pinch=c["pinch"],
                 parity=c["parity"],
@@ -576,7 +576,7 @@ def model_from_json(data) -> VariationModel:
                 cid: tuple(_rat(x) for x in row)
                 for cid, row in data.get("intersection_rows", {}).items()
             },
-            **{key: {b: frozenset(_names(s, f"{key} of {b}"))
+            **{key: {b: frozenset(_names(s, f"{key} of {cut(b)}"))
                      for b, s in data.get(key, {}).items()}
                for key in ("boundary_K", "coboundary_J")},
             conventions=conventions,

@@ -24,6 +24,9 @@ from landauvar.poly import ECHO_LIMIT, parse
 # whose message ends with CUT pins the length of that line
 DEEP_LIST = json.loads("[" * 500 + "]" * 500)
 CUT = "[" * ECHO_LIMIT + "...\n"
+# a name of 100000 characters, and the cut form an error message echoes
+LONG_NAME = "n" * 100000
+NAME_CUT = "n" * ECHO_LIMIT + "..."
 
 
 def run_cli(capsys, *argv):
@@ -1005,8 +1008,8 @@ def test_graph_size_budget_refuses_before_any_tree_count(tmp_path, capsys, monke
 
 
 def test_graph_size_budget_admits_the_64_edge_cycle(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "symanzik", write_graph(tmp_path, "cycle64", *chain(64, True)),
-                           "--format", "json")
+    path = write_graph(tmp_path, "cycle64", *chain(64, True))
+    code, out, _ = run_cli(capsys, "symanzik", path, "--format", "json")
     assert code == 0 and len(json.loads(out)["U"].split(" + ")) == 64
 
 
@@ -1167,9 +1170,15 @@ def set_field(doc, where, value):
     (["edges", 1, "ends"], ["v1"], "edge 2 ends must be a list of 2 vertices, got ['v1']"),
     (["legs", 1, "momentum"], "p1", "leg momentum p1 is given twice"),
     (["edges", 0, "mass"], DEEP_LIST, "edge 1 mass must be a string, got " + CUT),
+    (["legs"], [{"vertex": v, "momentum": LONG_NAME} for v in ("v1", "v2")],
+     f"leg momentum {NAME_CUT} is given twice\n"),
+    (["edges", 1], {"id": LONG_NAME, "ends": ["v2", 2], "mass": "m2", "var": "x2"},
+     f"edge {NAME_CUT} endpoint must be a string, got 2\n"),
+    (["channels"], {LONG_NAME: 5}, f"channel {NAME_CUT} symbol must be a string, got 5\n"),
 ], ids=["channel-symbol", "channels-list", "edge-id", "endpoint", "mass", "var",
         "leg-vertex", "momentum", "vertex", "vertices-string", "three-ends", "one-end",
-        "repeated-momentum", "deep-mass"])
+        "repeated-momentum", "deep-mass", "long-repeated-momentum", "long-edge-id",
+        "long-channel-key"])
 def test_graph_document_with_a_mistyped_field_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"
@@ -1185,7 +1194,11 @@ def test_graph_document_with_a_mistyped_field_is_a_clean_error(
     (["vertices"], [], "graph needs at least one vertex"),
     (["edges", 1, "id"], "1", "edge ids must be pairwise distinct"),
     (["legs", 0, "vertex"], "v9", "leg attached to unknown vertex v9"),
-], ids=["no-vertex", "repeated-edge-id", "unknown-leg-vertex"])
+    (["legs", 0, "vertex"], LONG_NAME, f"leg attached to unknown vertex {NAME_CUT}\n"),
+    (["edges", 0], {"id": LONG_NAME, "ends": ["v1", "v9"], "mass": "m1", "var": "x1"},
+     f"edge {NAME_CUT} has unknown endpoint\n"),
+], ids=["no-vertex", "repeated-edge-id", "unknown-leg-vertex", "long-leg-vertex",
+        "long-edge-id-unknown-endpoint"])
 def test_graph_document_off_the_graph_rules_is_a_clean_error(
         tmp_path, capsys, where, value, message):
     path = tmp_path / "bad.json"
@@ -1314,6 +1327,16 @@ def triangle_model_document():
     (["vanishing", "l4"], [["0", "1", "0", "0", "0"]], "vanishing names no component: l4"),
     (["intersection_rows", "lx"], ["0"] * 5, "intersection_rows names no component: lx"),
     (["basis", 1], "sigma", "basis label sigma is given twice"),
+    (["basis"], [LONG_NAME, LONG_NAME, "nu2", "nu3", "mu"],
+     f"basis label {NAME_CUT} is given twice\n"),
+    (["vanishing", LONG_NAME], [["0", "1", "0", "0", "0"]],
+     f"vanishing names no component: {NAME_CUT}\n"),
+    (["components", 0], dict(triangle_model_document()["components"][0], id=LONG_NAME,
+                             parity=0),
+     f"{NAME_CUT}: parity undefined for general critical sets\n"),
+    (["components", 0], dict(triangle_model_document()["components"][0], id=LONG_NAME,
+                             type_J="A1"),
+     f"{NAME_CUT} type_J must be a list of strings, got 'A1'\n"),
     (["components"], triangle_model_document()["components"] * 2,
      "component id l1 is given twice"),
     (["name"], 7, "model name must be a string, got 7"),
@@ -1366,7 +1389,8 @@ def triangle_model_document():
         "zero-denominator-row", "zero-denominator-defining", "conventions-list",
         "basis-label", "type-set", "boundary-set", "fractional-parity", "bool-parity",
         "bool-n", "fractional-n", "negative-n", "stray-vanishing", "stray-row",
-        "repeated-label", "repeated-component", "name-number",
+        "repeated-label", "long-repeated-label", "long-stray-vanishing",
+        "long-component-id", "long-component-id-type", "repeated-component", "name-number",
         "stray-boundary", "stray-coboundary", "bool-op-entry", "float-row-entry",
         "missing-op", "deep-defining", "deep-power", "cubic-pinch", "null-quadratic-parity",
         "general-parity", "deep-name", "deep-op-entry", "product-of-powers",
@@ -1428,6 +1452,16 @@ def test_given_twice_checks_compare_each_name_about_once(monkeypatch, field):
         build(with_counted_names(doc, field, 2000))
     assert str(exc.value).endswith(f"{field} n0 is given twice")
     assert CountedName.tests <= 2 * 2000
+
+
+def test_compose_echoes_a_long_word_cut(capsys):
+    word = ["ldelta"] * 1000
+    code, out, err = run_cli(capsys, "variation", "compose", "massless-triangle",
+                             "w=" + ",".join(word))
+    assert out == ""
+    assert_clean_error(code, err)
+    assert err == (f"error: word {repr(word)[:ECHO_LIMIT]}... touches entries the model"
+                   " leaves unknown\n")
 
 
 @pytest.mark.parametrize("diagonal, message", [

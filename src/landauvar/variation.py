@@ -12,6 +12,7 @@ against the hierarchy oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -226,10 +227,15 @@ class VariationModel:
                 raise ModelError(f"{what} of {cut(cid)} has an entry that is not an exact"
                                  f" rational: {echo(inexact[0])}")
         self._check_images()
-        # derived once, as `_by_id` is above: the audits read them for every word
+        # derived once, as `_by_id` is above: the audits read it for every word
         self._pinches = {c.id for c in self.components
                          if c.is_simple_pinch and self.vanishing.get(c.id)}
-        self._cleared = {cid: _integral(m) for cid, m in self.ops.items()}
+
+    @functools.cached_property
+    def _cleared(self) -> dict:
+        """Each operator's (scale, integer matrix) from `_integral`, derived on
+        first use: a command that multiplies no operator clears none."""
+        return {cid: _integral(m) for cid, m in self.ops.items()}
 
     def _check_images(self):
         """A simple pinch with one vanishing cycle and a row has the rank-one

@@ -888,6 +888,22 @@ def test_audit_multiplies_only_integer_matrices(tmp_path, capsys, monkeypatch):
     assert entries and set(entries) <= {int, type(None)}, set(entries)
 
 
+@pytest.mark.parametrize("argv", [["variation", "table"], ["hierarchy", "--model"]])
+def test_commands_that_multiply_no_operator_clear_none(capsys, monkeypatch, argv):
+    from landauvar import variation
+
+    sizes = []
+    real = variation._integral
+    monkeypatch.setattr(variation, "_integral", lambda m: sizes.append(len(m)) or real(m))
+    for model in ("logarithm", "bubble", "dilog", "massless-triangle"):
+        code, out, _ = run_cli(capsys, *argv, model)
+        assert code == 0 and out
+    # the span tests clear one vector at a time; every operator is 2x2 or larger
+    assert set(sizes) <= {1}
+    code, _, _ = run_cli(capsys, "variation", "compose", "bubble", "w=l1")
+    assert code == 0 and sizes.count(3) == 5
+
+
 def test_audit_of_a_walk_without_products_is_admitted_at_any_length(capsys):
     # the massless triangle's relation is complete: it forces no word, so its
     # walk builds no product however long the words

@@ -157,10 +157,12 @@ def _components_for(args) -> list:
     return _oneloop_components(_load_graph_arg(args.graph), split=True)
 
 
-# `oneloop_landau` takes two determinants for each of the 2^n - 1 proper edge
-# subsets of an n-gon, and each further edge costs about 12x more: a 7-gon
-# takes about 1.6 s and an 8-gon about 19 s.  `landau oneloop`, `hierarchy
-# --graph` and `analyze` refuse one-loop graphs above this many edges.
+# `oneloop_landau` takes two principal minors for each of the 2^n - 1 proper
+# edge subsets of an n-gon, and each further edge costs about 14x more: through
+# `cli.main` on a 2-vCPU VM a 7-gon takes about 1.7 s and an 8-gon about 25 s,
+# most of it in the largest minors and in printing the 8-gon's 48 MB.  `landau
+# oneloop`, `hierarchy --graph` and `analyze` refuse one-loop graphs above this
+# many edges.
 ONELOOP_EDGE_BUDGET = 8
 
 

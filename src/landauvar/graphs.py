@@ -65,6 +65,7 @@ class FeynmanGraph:
         # frozenset of momentum labels -> name of the channel's invariant
         self.channels = {frozenset(k): v for k, v in (channels or {}).items()}
         self._validate()
+        self.momenta = frozenset(p for _, p in self.legs)
 
     def _validate(self):
         vset = set(self.vertices)
@@ -101,12 +102,11 @@ class FeynmanGraph:
     def channel_symbol(self, subset: frozenset):
         """Invariant name for a momentum subset, or None when it vanishes (the
         empty or full set); a subset and its complement name the same one."""
-        all_momenta = frozenset(p for _, p in self.legs)
-        if not subset or subset == all_momenta:
+        if not subset or subset == self.momenta:
             return None
         if subset in self.channels:
             return self.channels[subset]
-        comp = all_momenta - subset
+        comp = self.momenta - subset
         if comp in self.channels:
             return self.channels[comp]
         raise GraphError(f"no invariant symbol for channel {cut(sorted(subset))}")

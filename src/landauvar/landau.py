@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .graphs import FeynmanGraph, contract, icecream_graph, symanzik_F
-from .poly import Polynomial, PolyMatrix, cut, determinant, divides, echo, resultant
+from .poly import (Polynomial, PolyMatrix, cut, divides, echo, principal_minors,
+                   resultant)
 
 LINEAR = "linear"
 QUADRATIC = "quadratic"
@@ -146,40 +147,30 @@ def gram_matrix(g: FeynmanGraph) -> OneLoopMatrices:
 
     The s_ij are fresh invariant variables; `channel_substitution` re-expresses
     them through the graph's momentum channels as s_ij = -(p_i+...+p_{j-1})^2.
+    Each entry is a sum of the halves m_i^2/2 and s_ij/2, each made once.
     """
     edges, between = _cycle_order(g)
     n1 = len(edges)
     half = Fraction(1, 2)
-    s_names = {}
-    subst = {}
+    s_names, subst, half_s = {}, {}, {}
     for i in range(1, n1 + 1):
         for j in range(i + 1, n1 + 1):
             name = f"s{i}{j}"
             s_names[(i, j)] = name
+            half_s[i, j] = half_s[j, i] = Polynomial.var(name) * half
             momenta = frozenset(
                 p for v in between[i - 1:j - 1] for p in g.legs_at(v)
             )
             sym = g.channel_symbol(momenta)
             subst[name] = Polynomial.zero() if sym is None else -Polynomial.var(sym)
-    m_rows, s_rows = [], []
-    for i in range(1, n1 + 1):
-        m_row, s_row = [], []
-        for j in range(1, n1 + 1):
-            if i == j:
-                m_row.append(Polynomial.var(edges[i - 1].mass_sq))
-                s_row.append(Polynomial.zero())
-            else:
-                s_ij = Polynomial.var(s_names[(min(i, j), max(i, j))])
-                mi = Polynomial.var(edges[i - 1].mass_sq)
-                mj = Polynomial.var(edges[j - 1].mass_sq)
-                m_row.append((mi + mj + s_ij) * half)
-                s_row.append(s_ij * half)
-        m_rows.append(m_row)
-        s_rows.append(s_row)
-    one = Polynomial.const(1)
-    sp_rows = [[Polynomial.zero()] + [one] * n1]
-    for i in range(n1):
-        sp_rows.append([one] + s_rows[i])
+    masses = [Polynomial.var(e.mass_sq) for e in edges]
+    half_m = [m * half for m in masses]
+    zero, one = Polynomial.zero(), Polynomial.const(1)
+    m_rows = [[masses[i] if i == j else half_m[i] + half_m[j] + half_s[i + 1, j + 1]
+               for j in range(n1)] for i in range(n1)]
+    sp_rows = [[zero] + [one] * n1] + [
+        [one] + [zero if i == j else half_s[i + 1, j + 1] for j in range(n1)]
+        for i in range(n1)]
     return OneLoopMatrices(
         edge_order=tuple(e.id for e in edges),
         M=PolyMatrix(m_rows),
@@ -189,12 +180,11 @@ def gram_matrix(g: FeynmanGraph) -> OneLoopMatrices:
     )
 
 
-def _simple_pinch(cid, matrix, drop, j_ids, k_ids, linear, parity) -> LandauComponent:
-    """The one-loop component {det = 0} of `matrix` without the rows and
-    columns `drop`: a simple pinch, so type and simple type coincide.  The
-    minor is never zero: at s_ij = -m_i^2 - m_j^2 a Gram minor is diagonal,
-    and at s_ij = 2 a bordered Cayley minor on k >= 2 edges is (-1)^k k."""
-    defining = determinant(matrix.submatrix(drop, drop))
+def _simple_pinch(cid, defining, j_ids, k_ids, linear, parity) -> LandauComponent:
+    """The one-loop component {defining = 0}, a principal minor of M or S':
+    a simple pinch, so type and simple type coincide.  The minor is never
+    zero: at s_ij = -m_i^2 - m_j^2 a Gram minor is diagonal, and at s_ij = 2
+    a bordered Cayley minor on k >= 2 edges is (-1)^k k."""
     return LandauComponent.of(cid, defining, LINEAR if linear else QUADRATIC, j_ids, k_ids,
                               parity=parity, known_zero=linear and not k_ids)
 
@@ -206,29 +196,30 @@ def oneloop_landau(g: FeynmanGraph) -> list:
     type component {det M_I = 0} meeting A_2 and the B_e with e in I, and
     (unless only one edge remains) a second type component {det S'_I = 0}
     also meeting A_1.  Every critical point is a simple pinch, so type and
-    simple type coincide.  Output is sorted by (|I|, I).
+    simple type coincide.  Output is sorted by (|I|, I).  All the minors of
+    M come from one packing of M, and all those of S' from one of S'.
     """
     mats = gram_matrix(g)
     n1 = len(mats.edge_order)
     n = n1 - 1
-    pos = {eid: i for i, eid in enumerate(mats.edge_order)}
-    components = []
     subsets = [list(s) for size in range(n1)
                for s in itertools.combinations(mats.edge_order, size)]
     subsets.sort(key=lambda s: (len(s), sorted(s)))
-    for I in subsets:
-        drop = [pos[e] for e in I]
+    keeps = [[k for k, e in enumerate(mats.edge_order) if e not in I] for I in subsets]
+    # S' keeps its bordering row 0, and has no component for a single edge
+    second = iter(principal_minors(mats.Sprime, [[0] + [k + 1 for k in keep]
+                                                 for keep in keeps if len(keep) > 1]))
+    components = []
+    for I, det_m in zip(subsets, principal_minors(mats.M, keeps)):
         suffix = "" if not I else "/" + "".join(sorted(I))
         k_ids = frozenset(f"B{e}" for e in I)
         # first type: critical points of the quadric A_2 restricted to B^I
-        components.append(_simple_pinch(f"lF{suffix}", mats.M, drop, "A2", k_ids,
-                                        len(I) == n, n - 1 - len(I)))
-        # second type: critical points of A_1 cap A_2 over B^I; empty for a
-        # single remaining edge; S' keeps its bordering row 0
+        components.append(_simple_pinch(f"lF{suffix}", det_m, "A2", k_ids, len(I) == n,
+                                        n - 1 - len(I)))
+        # second type: critical points of A_1 cap A_2 over B^I
         if len(I) < n:
-            components.append(_simple_pinch(
-                f"lFU{suffix}", mats.Sprime, [d + 1 for d in drop],
-                "A1 A2", k_ids, len(I) == n - 1, n - len(I)))
+            components.append(_simple_pinch(f"lFU{suffix}", next(second), "A1 A2", k_ids,
+                                            len(I) == n - 1, n - len(I)))
     return components
 
 

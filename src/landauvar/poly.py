@@ -678,14 +678,15 @@ def permutation_sign(perm) -> int:
     return -1 if (len(perm) - cycles) % 2 else 1
 
 
-def determinant(m: PolyMatrix) -> Polynomial:
-    """Exact determinant by Laplace expansion along the rows, memoised over
-    the set of columns used so far.
+def principal_minors(m: PolyMatrix, index_sets) -> list:
+    """The determinant of the principal submatrix of m on each of
+    `index_sets`, in order, by Laplace expansion along the rows, memoised
+    over the set of columns used so far.  The empty set's minor is 1.
 
-    Division-free: the result is built from sums of products of entries
-    only, and equals the Leibniz sum over permutations, grouped by the
-    columns that the leading rows take.  After row i, `minors` maps each set
-    of i+1 used columns (a bitmask) to the signed minor of rows 0..i on those
+    Division-free: a minor is built from sums of products of entries only,
+    and equals the Leibniz sum over permutations, grouped by the columns
+    that the leading rows take.  After row i, `minors` maps each set of i+1
+    used columns (a bitmask) to the signed minor of rows 0..i on those
     columns.  Choosing column j for the next row flips the sign once per used
     column to the right of j.  Zero entries and zero minors are skipped, and
     a partial minor is dropped once it leaves out a column that is zero in
@@ -700,78 +701,97 @@ def determinant(m: PolyMatrix) -> Polynomial:
     sunrise elimination peak at 126 live sets, against 10 in band order.
     Dense matrices are already in band order and are expanded as given.
 
-    The expansion runs on a packed integer form.  Row i is multiplied by the
-    lcm L_i of its coefficient denominators, so every coefficient is an int
-    and det(M) = det(diag(L) M) / prod(L).  A monomial over the matrix's
-    sorted variables is one int with a field of w bits per variable, where w
-    is the bit length of D, the sum over rows of the row's largest total
-    degree: no exponent in any partial minor exceeds D, so a product of
-    monomials is one integer addition with no carry between fields.
+    The expansion runs on a packed integer form, made once for all the
+    minors.  Row i is multiplied by the lcm L_i of its coefficient
+    denominators, so every coefficient is an int and a minor on rows K is
+    det(diag(L) M)_K / prod(L_K).  A monomial over the matrix's sorted
+    variables is one int with a field of w bits per variable, where w is the
+    bit length of D, the sum over rows of the row's largest total degree: no
+    exponent in any partial minor exceeds D, so a product of monomials is one
+    integer addition with no carry between fields.  Distinct monomials stay
+    distinct ints, so a minor's terms come out in the order that its
+    submatrix packed alone gives them.  Monomials and coefficients are
+    decoded once for all the minors.
     """
     if m.rows != m.cols:
         raise PolynomialError("determinant of non-square matrix")
-    n = m.rows
     names = sorted({v for row in m.entries for e in row for mono in e.terms for v, _ in mono})
     shift = {v: k for k, v in enumerate(names)}
     w = sum(max((sum(p for _, p in mono) for e in row for mono in e.terms), default=0)
             for row in m.entries).bit_length()
-    scale = 1
-    rows, masks = [], []
+    lcms, packed = [], []
     for row in m.entries:
         lcm = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
-        scale *= lcm
-        packed, mask = [], 0
+        lcms.append(lcm)
+        entries = []
         for j, e in enumerate(row):
             if e.terms:
-                mask |= 1 << j
                 terms = [(sum(power << w * shift[v] for v, power in mono),
                           c.numerator * (lcm // c.denominator))
                          for mono, c in e.terms.items()]
-                packed.append((j, terms, [(p, -c) for p, c in terms]))
-        rows.append(packed)
-        masks.append(mask)
-    # Expand the rows in band order: by first, then last nonzero column (a
-    # zero row has neither and goes first).  det(M) = sign(order) det(M[order]).
-    bands = [((b & -b).bit_length(), b.bit_length()) for b in masks]
-    order = sorted(range(n), key=bands.__getitem__)
-    rows = [rows[i] for i in order]
-    masks = [masks[i] for i in order]
-    sign = permutation_sign(order)
-    # need[i]: columns zero in every row below i, which rows 0..i must use
-    need = [(1 << n) - 1] * n
-    for i in range(n - 2, -1, -1):
-        need[i] = need[i + 1] & ~masks[i + 1]
-    minors = {0: {0: 1}}
-    for i, entries in enumerate(rows):
-        grown: dict = {}
-        for used, minor in minors.items():
-            for j, entry, negated in entries:
-                key = used | (1 << j)
-                if key == used or key & need[i] != need[i]:
-                    continue
-                acc = grown.get(key)
-                if acc is None:
-                    acc = grown[key] = {}
-                get = acc.get
-                for pe, ce in negated if (used >> (j + 1)).bit_count() & 1 else entry:
-                    for pm, cm in minor.items():
-                        p = pe + pm
-                        acc[p] = get(p, 0) + ce * cm
-        minors = {}
-        for key, acc in grown.items():
-            acc = {p: c for p, c in acc.items() if c}
-            if acc:
-                minors[key] = acc
-    mask = (1 << w) - 1
-    out = {}
-    for p, c in minors.get((1 << n) - 1, {}).items():
-        mono = []
-        for v in names:
-            if p & mask:
-                mono.append((v, p & mask))
-            p >>= w
-        out[tuple(mono)] = Fraction(sign * c, scale)
-    return _raw(out)
+                entries.append((j, terms, [(p, -c) for p, c in terms]))
+        packed.append(entries)
+    field = (1 << w) - 1
+    monomials, fractions, out = {}, {}, []
+    for keep in index_sets:
+        keep = sorted(keep)
+        n = len(keep)
+        column = {j: k for k, j in enumerate(keep)}
+        rows = [[(column[j], t, neg) for j, t, neg in packed[i] if j in column] for i in keep]
+        masks = [sum(1 << j for j, _, _ in entries) for entries in rows]
+        # Expand the rows in band order: by first, then last nonzero column (a
+        # zero row has neither and goes first).  det(M) = sign(order) det(M[order]).
+        bands = [((b & -b).bit_length(), b.bit_length()) for b in masks]
+        order = sorted(range(n), key=bands.__getitem__)
+        rows = [rows[i] for i in order]
+        masks = [masks[i] for i in order]
+        sign = permutation_sign(order)
+        scale = math.prod(lcms[i] for i in keep)
+        # need[i]: columns zero in every row below i, which rows 0..i must use
+        need = [(1 << n) - 1] * n
+        for i in range(n - 2, -1, -1):
+            need[i] = need[i + 1] & ~masks[i + 1]
+        minors = {0: {0: 1}}
+        for i, entries in enumerate(rows):
+            grown: dict = {}
+            for used, minor in minors.items():
+                for j, entry, negated in entries:
+                    key = used | (1 << j)
+                    if key == used or key & need[i] != need[i]:
+                        continue
+                    acc = grown.get(key)
+                    if acc is None:
+                        acc = grown[key] = {}
+                    get = acc.get
+                    for pe, ce in negated if (used >> (j + 1)).bit_count() & 1 else entry:
+                        for pm, cm in minor.items():
+                            p = pe + pm
+                            acc[p] = get(p, 0) + ce * cm
+            minors = {}
+            for key, acc in grown.items():
+                acc = {p: c for p, c in acc.items() if c}
+                if acc:
+                    minors[key] = acc
+        terms = {}
+        for p, c in minors.get((1 << n) - 1, {}).items():
+            if p not in monomials:
+                mono, q = [], p
+                for v in names:
+                    if q & field:
+                        mono.append((v, q & field))
+                    q >>= w
+                monomials[p] = tuple(mono)
+            ratio = sign * c, scale
+            if ratio not in fractions:
+                fractions[ratio] = Fraction(*ratio)
+            terms[monomials[p]] = fractions[ratio]
+        out.append(_raw(terms))
+    return out
+
+
+def determinant(m: PolyMatrix) -> Polynomial:
+    """Exact determinant: the principal minor of m on all of its rows."""
+    return principal_minors(m, [range(m.rows)])[0]
 
 
 def resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:

@@ -395,6 +395,24 @@ def pentagon_document():
     }
 
 
+def test_oneloop_takes_every_minor_from_one_packing_per_matrix(monkeypatch):
+    from landauvar import graphs, landau, poly
+
+    real = {name: getattr(poly, name) for name in ("principal_minors", "determinant")}
+    calls = dict.fromkeys(real, 0)
+    for module in (poly, landau):
+        for name in real:
+            def counted(*args, _name=name, **kwargs):
+                calls[_name] += 1
+                return real[_name](*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted, raising=False)
+    comps = landau.oneloop_landau(graphs.load_graph(pentagon_document()))
+    assert calls == {"principal_minors": 2, "determinant": 0}
+    # 31 proper edge subsets, 26 of them leaving two edges or more
+    assert len(comps) == 31 + 26
+
+
 @pytest.mark.parametrize("argv", sorted(DETERMINANT_DIGESTS))
 def test_determinant_outputs_print_the_recorded_bytes(tmp_path, capsys, argv):
     import hashlib

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import time
 from fractions import Fraction
@@ -20,6 +21,7 @@ from landauvar.poly import (
     first_repeat,
     parse,
     permutation_sign,
+    principal_minors,
     resultant,
 )
 
@@ -339,6 +341,106 @@ def square_matrices(draw):
 @settings(max_examples=50, deadline=None)
 def test_determinant_agrees_with_leibniz(m):
     assert determinant(m) == _leibniz_det(m)
+
+
+def reference_determinant(m):
+    """`determinant` as it was before its packing was shared across principal
+    minors: each matrix packed on its own, with its own variables, field
+    width and row lcms.  It pins the term order of every principal minor."""
+    n = m.rows
+    names = sorted({v for row in m.entries for e in row for mono in e.terms for v, _ in mono})
+    shift = {v: k for k, v in enumerate(names)}
+    w = sum(max((sum(p for _, p in mono) for e in row for mono in e.terms), default=0)
+            for row in m.entries).bit_length()
+    scale = 1
+    rows, masks = [], []
+    for row in m.entries:
+        lcm = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+        scale *= lcm
+        packed, mask = [], 0
+        for j, e in enumerate(row):
+            if e.terms:
+                mask |= 1 << j
+                terms = [(sum(power << w * shift[v] for v, power in mono),
+                          c.numerator * (lcm // c.denominator))
+                         for mono, c in e.terms.items()]
+                packed.append((j, terms, [(p, -c) for p, c in terms]))
+        rows.append(packed)
+        masks.append(mask)
+    bands = [((b & -b).bit_length(), b.bit_length()) for b in masks]
+    order = sorted(range(n), key=bands.__getitem__)
+    rows = [rows[i] for i in order]
+    masks = [masks[i] for i in order]
+    sign = permutation_sign(order)
+    need = [(1 << n) - 1] * n
+    for i in range(n - 2, -1, -1):
+        need[i] = need[i + 1] & ~masks[i + 1]
+    minors = {0: {0: 1}}
+    for i, entries in enumerate(rows):
+        grown: dict = {}
+        for used, minor in minors.items():
+            for j, entry, negated in entries:
+                key = used | (1 << j)
+                if key == used or key & need[i] != need[i]:
+                    continue
+                acc = grown.get(key)
+                if acc is None:
+                    acc = grown[key] = {}
+                get = acc.get
+                for pe, ce in negated if (used >> (j + 1)).bit_count() & 1 else entry:
+                    for pm, cm in minor.items():
+                        p = pe + pm
+                        acc[p] = get(p, 0) + ce * cm
+        minors = {}
+        for key, acc in grown.items():
+            acc = {p: c for p, c in acc.items() if c}
+            if acc:
+                minors[key] = acc
+    mask = (1 << w) - 1
+    out = {}
+    for p, c in minors.get((1 << n) - 1, {}).items():
+        mono = []
+        for v in names:
+            if p & mask:
+                mono.append((v, p & mask))
+            p >>= w
+        out[tuple(mono)] = Fraction(sign * c, scale)
+    return Polynomial(out)
+
+
+@st.composite
+def matrices_with_index_sets(draw):
+    # entries with denominators 1, 2, 3 or 6 over the shared variables x, y
+    # and z, some of them zero, and at times a zero row or column; index sets
+    # of every size, always with the empty and the full set
+    n = draw(st.integers(min_value=1, max_value=5))
+    zero = Polynomial.zero()
+    entry = st.builds(lambda p, d: p * Fraction(1, d), polynomials(max_terms=2, max_exp=2),
+                      st.sampled_from([1, 2, 3, 6]))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        rows[i] = [zero] * n
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=1)):
+        for row in rows:
+            row[j] = zero
+    subsets = [list(s) for k in range(n + 1) for s in itertools.combinations(range(n), k)]
+    return PolyMatrix(rows), [[], list(range(n))] + draw(st.lists(st.sampled_from(subsets),
+                                                                  max_size=6))
+
+
+@given(matrices_with_index_sets())
+@settings(max_examples=100, deadline=None)
+def test_principal_minors_equal_the_determinant_of_each_submatrix(case):
+    m, index_sets = case
+    for keep, minor in zip(index_sets, principal_minors(m, index_sets), strict=True):
+        if not keep:
+            assert list(minor.terms.items()) == [((), 1)]  # the empty determinant
+            continue
+        drop = [i for i in range(m.rows) if i not in keep]
+        sub = m.submatrix(drop, drop)
+        assert list(minor.terms.items()) == list(reference_determinant(sub).terms.items())
+        assert minor == _leibniz_det(sub)
+    assert list(determinant(m).terms.items()) == list(reference_determinant(m).terms.items())
 
 
 def test_determinant_4x4_with_zero_pivots():

@@ -10,8 +10,8 @@ signed sum over all such chains.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations, permutations
 from operator import getitem
 
@@ -78,14 +78,14 @@ class SignedWord:
         return tuple(component_id(I, J) for I, J in reversed(self.letters))
 
     def __str__(self):
-        body = " (x) ".join(map(_letter_text, self.letters))
-        return ("+" if self.sign > 0 else "-") + " " + body
+        return _word_text(self.sign, map(_letter_text, self.letters))
 
 
-@cache
+def _word_text(sign: int, texts) -> str:
+    return ("+ " if sign > 0 else "- ") + " (x) ".join(texts)
+
+
 def _letter_text(letter) -> str:
-    # memoised: the ((n+1)!)^2 words of weight n share far fewer letters
-    # (250 at weight 4 against 57600 letter places)
     I, J = letter
     return f"a[{_digits(I)}|{_digits(J)}]"
 
@@ -102,12 +102,13 @@ def chain_sets(n: int, sigma, tau) -> list:
     return out
 
 
-def aomoto_symbol(n: int) -> list:
-    """The ((n+1)!)^2 signed words of length n, sorted by (sigma, tau); the
-    identity pair is normalized to sign +1.  Word (sigma, tau) is the chain
-    `chain_sets(n, sigma, tau)` read from k = n down to k = 1, signed by
-    `maximal_chain_value`; each permutation's parity and index sets, and each
-    letter (I, J), are built once and shared by all the words that use them."""
+def symbol_walk(n: int, render=lambda letter: letter) -> Iterator:
+    """(sign, letters) for each of the ((n+1)!)^2 words of weight n, sorted by
+    (sigma, tau): word (sigma, tau) is the chain `chain_sets(n, sigma, tau)`
+    read from k = n down to k = 1, signed by `maximal_chain_value`, and each
+    letter (I, J) is given as `render((I, J))`.  The tables are built before
+    this returns: each permutation's parity and index sets, and each letter's
+    rendering, once, shared by all the words that use them."""
     if n < 1:
         raise AomotoError("weight must be at least 1")
     perms = list(permutations(range(n + 1)))
@@ -120,10 +121,21 @@ def aomoto_symbol(n: int) -> list:
 
     grows = [(permutation_sign(p), [index_set(p[:k]) for k in ks]) for p in perms]
     shrinks = [(permutation_sign(p), tuple(index_set(p[k:]) for k in ks)) for p in perms]
-    letter = {I: {J: (I, J) for J in sets} for I in sets}  # one tuple per letter
+    letter = {I: {J: render((I, J)) for J in sets if len(I) + len(J) == n + 1} for I in sets}
     rows = [(ps, [letter[I] for I in Is]) for ps, Is in grows]
-    return [SignedWord(ps * pt, tuple(map(getitem, row, Js)))
-            for ps, row in rows for pt, Js in shrinks]
+    return ((ps * pt, map(getitem, row, Js)) for ps, row in rows for pt, Js in shrinks)
+
+
+def aomoto_symbol(n: int) -> list:
+    """The ((n+1)!)^2 signed words of length n as `symbol_walk(n)` gives them,
+    sorted by (sigma, tau); the identity pair is normalized to sign +1."""
+    return [SignedWord(sign, tuple(letters)) for sign, letters in symbol_walk(n)]
+
+
+def symbol_text(n: int) -> Iterator:
+    """The line `f"{w}\\n"` of each word w of `aomoto_symbol(n)`, in order,
+    without building the words."""
+    return (_word_text(sign, texts) + "\n" for sign, texts in symbol_walk(n, _letter_text))
 
 
 def _check_perm(n: int, perm):

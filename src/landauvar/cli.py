@@ -53,12 +53,17 @@ def _text_chunks(data, indent=0):
             else:
                 yield f"{pad}{key}: {value}\n"
     else:  # a list: no handler returns any other kind of document
+        lines = f"\n{pad}".join
         for value in data:
-            if isinstance(value, (dict, list)):
+            if not isinstance(value, (dict, list)):
+                yield f"{pad}{value}\n"
+            elif (value and isinstance(value, list)
+                  and not any(isinstance(v, (dict, list)) for v in value)):
+                # a nonempty list of scalars, such as a word: one chunk
+                yield f"{pad}{lines(map(format, value))}\n\n"
+            else:
                 yield from _text_chunks(value, indent)
                 yield "\n"
-            else:
-                yield f"{pad}{value}\n"
 
 
 def _read_json(path: str):
@@ -393,9 +398,9 @@ def _cmd_audit(args) -> dict:
 
 
 # The Aomoto commands grow factorially with the weight n and refuse a weight
-# over budget before building anything: `symbol` builds ((n+1)!)^2 words
-# (weight 5, the largest accepted, prints in about 3 s, with 180 MB peak RSS as
-# text and 110 MB as JSON; weight 6 would build 49x more words), `components`
+# over budget before building anything: `symbol` streams ((n+1)!)^2 words
+# (weight 5, the largest accepted, prints in about 0.6 s as text and 0.9 s as
+# JSON, with about 20 MB peak RSS; weight 6 would print 49x more), `components`
 # lists C(2n+2, n+1) components (weight 7, 1.6 s) and `hierarchy`, also
 # `hierarchy --aomoto`, compares C(2n+2, n+1)^2 pairs (weight 6, 3-5 s; weight
 # 7 takes 14x longer).
@@ -425,21 +430,18 @@ def _check_aomoto_budget(n: int, action: str) -> None:
         )
 
 
-def _cmd_symbol(args) -> list | Iterator:
+def _cmd_symbol(args) -> Iterator:
     _check_aomoto_budget(args.n, "symbol")
-    words = aomoto_mod.aomoto_symbol(args.n)
     if args.format == "text":
-        return [str(w) for w in words]
+        return aomoto_mod.symbol_text(args.n)
     # the encoder's text of [{"letters": [{"I": ..., "J": ...}, ...], "sign":
-    # ...}, ...], one chunk per word; each distinct letter record is encoded
-    # once and indented to its depth in the document, 3 levels
+    # ...}, ...], one chunk per word; each letter record is encoded once and
+    # indented to its depth in the document, 3 levels
     pad = "\n" + "  " * 3
-    records = {(I, J): _ENCODER.encode({"I": sorted(I), "J": sorted(J)}).replace("\n", pad)
-               for I, J in {letter for w in words for letter in w.letters}}
-    word_texts = (f'{"," if i else "["}\n  {{\n    "letters": [{pad}'
-                  + f",{pad}".join(map(records.__getitem__, w.letters))
-                  + f'\n    ],\n    "sign": {w.sign}\n  }}'
-                  for i, w in enumerate(words))
+    words = aomoto_mod.symbol_walk(args.n, lambda letter: _ENCODER.encode(
+        {"I": sorted(letter[0]), "J": sorted(letter[1])}).replace("\n", pad))
+    word_texts = (f'{"," if i else "["}\n  {{\n    "letters": [{pad}' + f",{pad}".join(records)
+                  + f'\n    ],\n    "sign": {sign}\n  }}' for i, (sign, records) in enumerate(words))
     return itertools.chain(word_texts, ("\n]\n",))
 
 

@@ -188,9 +188,14 @@ def symanzik_F(g: FeynmanGraph, u: Polynomial | None = None) -> Polynomial:
     """Second Symanzik polynomial F = F0 + U * sum_e m_e^2 x_e; a caller that
     already holds U = symanzik_U(g) passes it as `u`, so that the spanning
     trees are not enumerated again."""
+    at = frozenset(v for v, _ in g.legs)
+    symbols = {}  # the vertices of `at` on a side -> the invariant of its channel
     f0 = Polynomial()
     for forest, side in g.spanning_forests(2):
-        sym = g.channel_symbol(frozenset(p for v, p in g.legs if v in side))
+        key = side & at
+        if key not in symbols:
+            symbols[key] = g.channel_symbol(frozenset(p for v, p in g.legs if v in key))
+        sym = symbols[key]
         if sym is not None:
             f0 = f0 - Polynomial.var(sym) * _product_outside(g, forest)
     mass_part = sum((Polynomial.var(e.mass_sq) * Polynomial.var(e.var) for e in g.edges),

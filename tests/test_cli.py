@@ -332,14 +332,45 @@ def test_hierarchy_with_zero_or_empty_source_is_a_clean_error(capsys):
 def test_aomoto_symbol_over_budget_is_refused_before_building(capsys, monkeypatch):
     from landauvar import aomoto
 
-    def no_build(n):
-        raise AssertionError(f"aomoto_symbol({n}) started")
+    def no_build(n, *render):
+        raise AssertionError(f"the symbol of weight {n} started")
 
+    # the CLI streams from the table walk; `aomoto_symbol` is built on it too
     monkeypatch.setattr(aomoto, "aomoto_symbol", no_build)
+    monkeypatch.setattr(aomoto, "symbol_walk", no_build)
     code, out, err = run_cli(capsys, "aomoto", "symbol", "--n", "7")
     assert out == ""
     assert_clean_error(code, err)
     assert "1625702400 words" in err and "518400" in err
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_aomoto_symbol_prints_the_words_of_aomoto_symbol(capsys, n):
+    # the CLI streams from the tables; the word objects are the oracle
+    from landauvar.aomoto import aomoto_symbol
+    from landauvar.cli import _ENCODER
+
+    words = aomoto_symbol(n)
+    code, out, _ = run_cli(capsys, "aomoto", "symbol", "--n", str(n))
+    assert code == 0 and out == "".join(f"{w}\n" for w in words)
+    code, out, _ = run_cli(capsys, "aomoto", "symbol", "--n", str(n), "--format", "json")
+    assert code == 0 and out == _ENCODER.encode([
+        {"letters": [{"I": sorted(I), "J": sorted(J)} for I, J in w.letters], "sign": w.sign}
+        for w in words
+    ]) + "\n"
+
+
+def test_aomoto_symbol_streams_one_word_per_chunk():
+    # `main` joins 1024 chunks per write, so a chunk of many words (say, one
+    # per sigma row) would hold hundreds of MB of JSON at weight 5
+    from landauvar.cli import build_parser
+
+    for fmt, closing in (("text", []), ("json", ["\n]\n"])):
+        args = build_parser().parse_args(["aomoto", "symbol", "--n", "4", "--format", fmt])
+        chunks = list(args.func(args))
+        assert len(chunks) == 14400 + len(closing) and chunks[14400:] == closing
+        marker = "\n" if fmt == "text" else '"sign"'
+        assert all(chunk.count(marker) == 1 for chunk in chunks[:14400]), fmt
 
 
 # SHA-256 of the stdout of `aomoto symbol` as first printed by the per-pair

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -300,6 +301,36 @@ def test_missing_channel_symbol_errors():
     })
     with pytest.raises(GraphError):
         symanzik_F(g)
+    # the error names the first 2-forest, in sorted order, without a symbol:
+    # forest {1} cuts {p1, p2} from p3, {2} cuts p1 and {3} cuts {p1, p3}
+    triangle = {
+        "vertices": ["a", "b", "c"],
+        "edges": [{"id": str(i), "ends": ends, "mass": f"m{i}", "var": f"x{i}"}
+                  for i, ends in enumerate((["a", "b"], ["b", "c"], ["c", "a"]), 1)],
+        "legs": [{"vertex": v, "momentum": f"p{i}"} for i, v in enumerate("abc", 1)],
+    }
+    for channels, named in (({"p1": "s1"}, "['p1', 'p2']"),
+                            ({"p1": "s1", "p3": "s3"}, "['p1', 'p3']")):
+        with pytest.raises(GraphError, match=re.escape(f"channel {named}")):
+            symanzik_F(load_graph({**triangle, "channels": channels}))
+
+
+def test_symanzik_F_names_each_side_of_a_cut_once(monkeypatch):
+    # 20000 legs at one vertex of a 64-edge cycle: every 2-forest puts all the
+    # legs on one side or none, so two channels are looked up, not 2016
+    vertices = [f"v{i}" for i in range(64)]
+    edges = [Edge(str(i), (v, vertices[(i + 1) % 64]), f"m{i}", f"x{i}")
+             for i, v in enumerate(vertices)]
+    g = FeynmanGraph(vertices, edges, [("v32", f"p{k}") for k in range(20000)])
+    calls = []
+    lookup = FeynmanGraph.channel_symbol
+    monkeypatch.setattr(FeynmanGraph, "channel_symbol",
+                        lambda self, subset: calls.append(subset) or lookup(self, subset))
+    u = symanzik_U(g)
+    f = symanzik_F(g, u)
+    assert sorted(map(len, calls)) == [0, 20000]
+    assert f == u * sum((Polynomial.var(e.mass_sq) * Polynomial.var(e.var) for e in edges),
+                        Polynomial())
 
 
 def test_graph_validation():

@@ -98,17 +98,18 @@ def _load_graph_arg(source: str) -> graphs.FeynmanGraph:
 # spanning 2-forests (a tree less one edge) plus tau(G) * |E| mass terms, so
 # tau(G) * (|V| - 1 + |E|) bounds the terms of both.  Every graph command
 # refuses a graph over this many terms before it enumerates a forest; tau(G)
-# itself takes a (|V| - 1)-square determinant.  `symanzik` takes about 5 s on
-# the 6-loop ladder (93152 terms); the 7-loop ladder (401968) and K7 (453789,
-# about 22 s) are refused.
+# itself takes a (|V| - 1)-square determinant.  `symanzik` takes about 0.75 s
+# on the 6-loop ladder (93152 terms) and 1.1 s on the theta graph of two
+# 30-edge paths and one edge (115200); the 7-loop ladder (401968) and K7
+# (453789, about 6 s) are refused.
 SYMANZIK_TERM_BUDGET = 150000
 
 
-# The forest enumerator recurses once per edge and rebuilds its vertex map at
-# each contraction, and tau(G) eliminates a dense (|V| - 1)-square Laplacian of
-# Fractions, so a graph with more vertices or more edges than this is refused
-# before either runs.  `symanzik` takes about 0.8 s on the 64-edge cycle (2016
-# 2-forests) and 7 s on the 100-edge one; the 6-loop ladder has 19 edges.
+# tau(G) eliminates a dense (|V| - 1)-square Laplacian of Fractions (8 ms at 64
+# vertices, 9.6 s at 2000), so a graph with more vertices or more edges than
+# this is refused before it or any forest enumeration runs.  `symanzik` takes
+# about 0.1 s on the 64-edge cycle (2016 2-forests) and 0.2 s on the 100-edge
+# one; the 6-loop ladder has 19 edges.
 GRAPH_SIZE_BUDGET = 64
 
 

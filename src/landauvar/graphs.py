@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import Polynomial, cut, echo, first_repeat
+from .poly import Polynomial, _accumulate, _raw, cut, echo, first_repeat, var_name
 
 
 class GraphError(ValueError):
@@ -35,11 +35,10 @@ class Edge:
         return self.ends[0] == self.ends[1]
 
 
-def components(vertices, edges, classes=None) -> dict:
+def components(vertices, edges) -> dict:
     """Map each vertex to the first vertex of its connected class, with
-    `edges` given as endpoint pairs; `classes`, a map of this same kind,
-    gives classes to start from, which the edges then merge further."""
-    parent = dict(classes) if classes else {v: v for v in vertices}
+    `edges` given as endpoint pairs."""
+    parent = {v: v for v in vertices}
 
     def find(v):
         while parent[v] != v:
@@ -101,44 +100,62 @@ class FeynmanGraph:
 
     def channel_symbol(self, subset: frozenset):
         """Invariant name for a momentum subset, or None when it vanishes (the
-        empty or full set); a subset and its complement name the same one."""
+        empty or full set); a subset and its complement name the same one,
+        which must be a variable name."""
         if not subset or subset == self.momenta:
             return None
-        if subset in self.channels:
-            return self.channels[subset]
-        comp = self.momenta - subset
-        if comp in self.channels:
-            return self.channels[comp]
+        for side in (subset, self.momenta - subset):
+            if side in self.channels:
+                return var_name(self.channels[side])
         raise GraphError(f"no invariant symbol for channel {cut(sorted(subset))}")
 
     # -- combinatorics -------------------------------------------------------
 
     def spanning_forests(self, k: int) -> list:
         """Spanning forests of k trees as (edge ids, vertices of the tree
-        holding the first vertex), sorted by edge ids: deletion-contraction
-        over the edges in order, where a branch stops at k classes and is
-        pruned once too few edges remain."""
-        need = len(self.vertices) - k
-        if need < 0:
-            return []
-        edges, first = self.edges, self.vertices[0]
-        out = []
+        holding the first vertex), sorted by edge ids."""
+        ids = frozenset(e.id for e in self.edges)
+        return [(ids - {e.id for e in outside},
+                 frozenset(v for i, v in enumerate(self.vertices) if side >> i & 1))
+                for outside, side in self._forests(k)]
 
-        def rec(i, classes, chosen):
-            if len(chosen) == need:
-                side = frozenset(v for v, c in classes.items() if c == first)
-                out.append((frozenset(chosen), side))
-                return
-            if len(edges) - i < need - len(chosen):
-                return
-            e = edges[i]
-            if classes[e.ends[0]] != classes[e.ends[1]]:
-                rec(i + 1, components(self.vertices, (e.ends,), classes),
-                    chosen + [e.id])
-            rec(i + 1, classes, chosen)
+    def _forests(self, k: int):
+        """Yield each spanning forest of k trees, sorted by edge ids, as (the
+        edges outside it, the vertices of the tree holding the first vertex as
+        a bitmask, bit i for vertex i): deletion-contraction over the edges
+        sorted by id, on a union-find by size without path compression, so
+        that one undo reverses a contraction (Westbrook and Tarjan, 1989)."""
+        need, edges = len(self.vertices) - k, sorted(self.edges, key=lambda e: e.id)
+        index = {v: i for i, v in enumerate(self.vertices)}
+        ends = [(index[e.ends[0]], index[e.ends[1]]) for e in edges]
+        parent = list(range(len(index)))
+        mask = [1 << i for i in parent]  # the vertices of a class, at its root
 
-        rec(0, components(self.vertices, ()), [])
-        return sorted(out, key=lambda fs: sorted(fs[0]))
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        taken, outside, i = [], [], 0  # taken: (edge index, root merged, root kept, deletions)
+        while True:
+            while len(taken) < need and len(outside) <= len(edges) - need:  # not too many deleted
+                a, b = find(ends[i][0]), find(ends[i][1])
+                if a == b:
+                    outside.append(edges[i])
+                else:
+                    if mask[a].bit_count() > mask[b].bit_count():
+                        a, b = b, a
+                    parent[a], mask[b] = b, mask[b] | mask[a]
+                    taken.append((i, a, b, len(outside)))
+                i += 1
+            if len(taken) == need:
+                yield outside + edges[i:], mask[find(0)]
+            if not taken:
+                return
+            i, a, b, deleted = taken.pop()  # the last contraction: its edge is deleted
+            parent[a], mask[b] = a, mask[b] ^ mask[a]
+            outside[deleted:] = [edges[i]]  # in place of the deletions after it
+            i += 1
 
     def spanning_tree_count(self) -> int:
         """tau(G), the number of spanning trees, by Kirchhoff's matrix-tree
@@ -173,34 +190,36 @@ class FeynmanGraph:
                 f"h1={self.loop_number})")
 
 
-def _product_outside(g: FeynmanGraph, forest) -> Polynomial:
-    """The product of the Schwinger variables of the edges outside `forest`."""
-    return Polynomial.monomial(1, {e.var: 1 for e in g.edges if e.id not in forest})
-
-
 def symanzik_U(g: FeynmanGraph) -> Polynomial:
     """First Symanzik polynomial: sum over spanning trees of prod_{e not in T} x_e."""
-    trees = g.spanning_forests(1)
-    return sum((_product_outside(g, tree) for tree, _ in trees), Polynomial())
+    terms, one = {}, Fraction(1)
+    for outside, _ in g._forests(1):
+        _accumulate(terms, tuple(sorted((e.var, 1) for e in outside)), one)
+    return _raw(terms)
 
 
 def symanzik_F(g: FeynmanGraph, u: Polynomial | None = None) -> Polynomial:
     """Second Symanzik polynomial F = F0 + U * sum_e m_e^2 x_e; a caller that
     already holds U = symanzik_U(g) passes it as `u`, so that the spanning
-    trees are not enumerated again."""
-    at = frozenset(v for v, _ in g.legs)
+    trees are not enumerated again.  F0's terms may cancel a mass term, when
+    a channel is named like a mass symbol."""
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    at = sum({bit[v] for v, _ in g.legs})  # the vertices carrying a leg
     symbols = {}  # the vertices of `at` on a side -> the invariant of its channel
-    f0 = Polynomial()
-    for forest, side in g.spanning_forests(2):
-        key = side & at
-        if key not in symbols:
-            symbols[key] = g.channel_symbol(frozenset(p for v, p in g.legs if v in key))
-        sym = symbols[key]
-        if sym is not None:
-            f0 = f0 - Polynomial.var(sym) * _product_outside(g, forest)
-    mass_part = sum((Polynomial.var(e.mass_sq) * Polynomial.var(e.var) for e in g.edges),
-                    Polynomial())
-    return f0 + (symanzik_U(g) if u is None else u) * mass_part
+    terms, one, minus_one = {}, Fraction(1), Fraction(-1)
+    for outside, side in g._forests(2):
+        if side & at not in symbols:
+            symbols[side & at] = g.channel_symbol(frozenset(p for v, p in g.legs if bit[v] & side))
+        if (sym := symbols[side & at]) is not None:
+            powers = dict.fromkeys((e.var for e in outside), 1)
+            powers[sym] = powers.get(sym, 0) + 1
+            _accumulate(terms, tuple(sorted(powers.items())), minus_one)
+    mass_part = {}  # sum_e m_e^2 x_e
+    for e in g.edges:
+        powers = {var_name(e.mass_sq): 1}
+        powers[var_name(e.var)] = powers.get(e.var, 0) + 1
+        _accumulate(mass_part, tuple(sorted(powers.items())), one)
+    return _raw(terms) + (symanzik_U(g) if u is None else u) * _raw(mass_part)
 
 
 def contract(g: FeynmanGraph, edge_ids) -> FeynmanGraph:

@@ -42,6 +42,13 @@ def echo(value) -> str:
     return cut(repr(value))
 
 
+def var_name(name: str) -> str:
+    """`name`, refused unless it is a variable name."""
+    if not _VAR_RE.fullmatch(name):
+        raise PolynomialError(f"bad variable name {echo(name)}")
+    return name
+
+
 def first_repeat(values) -> int | None:
     """The index of the first of `values` equal to an earlier one, or None if
     none is: one pass over a set, where an unhashable value (a malformed
@@ -104,9 +111,7 @@ class Polynomial:
 
     @staticmethod
     def var(name: str) -> "Polynomial":
-        if not _VAR_RE.fullmatch(name):
-            raise PolynomialError(f"bad variable name {echo(name)}")
-        return Polynomial({((name, 1),): Fraction(1)})
+        return Polynomial({((var_name(name), 1),): Fraction(1)})
 
     @staticmethod
     def monomial(c: Rat, powers: Mapping[str, int]) -> "Polynomial":

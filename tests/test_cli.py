@@ -1030,6 +1030,7 @@ def test_symanzik_budget_refuses_before_any_forest(tmp_path, capsys, monkeypatch
         raise AssertionError("spanning_forests started")
 
     monkeypatch.setattr(graphs.FeynmanGraph, "spanning_forests", no_forests)
+    monkeypatch.setattr(graphs.FeynmanGraph, "_forests", no_forests)
     vertices = [f"v{k}" for k in range(7)]
     k7 = write_graph(tmp_path, "k7", vertices, list(itertools.combinations(vertices, 2)))
     for argv in graph_commands(k7):
@@ -1062,6 +1063,7 @@ def test_graph_size_budget_refuses_before_any_tree_count(tmp_path, capsys, monke
         raise AssertionError("spanning tree count or forest started")
 
     monkeypatch.setattr(graphs.FeynmanGraph, "spanning_forests", no_count)
+    monkeypatch.setattr(graphs.FeynmanGraph, "_forests", no_count)
     monkeypatch.setattr(graphs.FeynmanGraph, "spanning_tree_count", no_count)
     path = write_graph(tmp_path, f"chain{n}", *chain(n, closed))
     for argv in graph_commands(path):

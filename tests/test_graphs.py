@@ -19,7 +19,7 @@ from landauvar.graphs import (
     symanzik_U,
     triangle_graph,
 )
-from landauvar.poly import Polynomial, divides, parse
+from landauvar.poly import Polynomial, PolynomialError, divides, parse
 
 ALL_FIXTURES = {
     "bubble": bubble_graph,
@@ -46,7 +46,7 @@ def test_components_names_each_class_by_its_first_vertex():
     assert components(vertices, []) == {v: v for v in vertices}
     classes = components(vertices, [("c", "b")])
     assert classes == {"a": "a", "b": "b", "c": "b", "d": "d"}
-    assert components(vertices, [("d", "a"), ("d", "d")], classes) == {
+    assert components(vertices, [("c", "b"), ("d", "a"), ("d", "d")]) == {
         "a": "a", "b": "b", "c": "b", "d": "a"}
 
 
@@ -113,6 +113,55 @@ def forests_oracle(g, k=2):
                          if find(v) == find(g.vertices[0]))
         out.append((frozenset(e.id for e in combo), side))
     return sorted(out, key=lambda fs: sorted(fs[0]))
+
+
+def reference_symanzik(g):
+    """U and F as the recursive enumerator, each class map rebuilt at every
+    contraction, and the Polynomial sums that the union-find rewrite replaced
+    computed them; kept to cross-check their terms and the order of those."""
+    first = g.vertices[0]
+
+    def spanning_forests(k):
+        need = len(g.vertices) - k
+        if need < 0:
+            return []
+        out = []
+
+        def rec(i, classes, chosen):
+            if len(chosen) == need:
+                side = frozenset(v for v, c in classes.items() if c == first)
+                out.append((frozenset(chosen), side))
+                return
+            if len(g.edges) - i < need - len(chosen):
+                return
+            e = g.edges[i]
+            a, b = classes[e.ends[0]], classes[e.ends[1]]
+            if a != b:  # each class is named by its first vertex
+                name = next(v for v in g.vertices if v in (a, b))
+                rec(i + 1, {v: name if c in (a, b) else c for v, c in classes.items()},
+                    chosen + [e.id])
+            rec(i + 1, classes, chosen)
+
+        rec(0, {v: v for v in g.vertices}, [])
+        return sorted(out, key=lambda fs: sorted(fs[0]))
+
+    def product_outside(forest):
+        return Polynomial.monomial(1, {e.var: 1 for e in g.edges if e.id not in forest})
+
+    u = sum((product_outside(tree) for tree, _ in spanning_forests(1)), Polynomial())
+    at = frozenset(v for v, _ in g.legs)
+    symbols = {}
+    f0 = Polynomial()
+    for forest, side in spanning_forests(2):
+        key = side & at
+        if key not in symbols:
+            symbols[key] = g.channel_symbol(frozenset(p for v, p in g.legs if v in key))
+        sym = symbols[key]
+        if sym is not None:
+            f0 = f0 - Polynomial.var(sym) * product_outside(forest)
+    mass_part = sum((Polynomial.var(e.mass_sq) * Polynomial.var(e.var) for e in g.edges),
+                    Polynomial())
+    return u, f0 + u * mass_part
 
 
 def contract_oracle(g, ids):
@@ -182,6 +231,60 @@ def test_spanning_forests_agree_with_the_oracles(g, data):
             ids.discard(min(ids))  # contracting every edge is refused
         q = contract(g, ids)
         assert (q.vertices, q.edges, q.legs) == contract_oracle(g, ids)
+
+
+@st.composite
+def graphs_with_channels(draw):
+    """A graph of `connected_multigraphs` with two to four legs, several on a
+    vertex, masses drawn from three names and a rare one whose square is no
+    variable name, and a channel symbol for each proper momentum subset but a
+    few: some symbols are named like a mass or a Schwinger variable, one is
+    no variable name at all."""
+    g = draw(connected_multigraphs())
+    legs = [(v, f"p{i}") for i, v in enumerate(
+        draw(st.lists(st.sampled_from(g.vertices), min_size=2, max_size=4)))]
+    masses = st.sampled_from(["m1", "m2", "m3"] * 10 + ["1m"])
+    edges = [Edge(e.id, e.ends, draw(masses), e.var) for e in g.edges]
+    momenta = [p for _, p in legs]
+    subsets = [c for r in range(1, len(momenta)) for c in itertools.combinations(momenta, r)]
+    names = st.sampled_from(["s", "t", "m1sq", "m2sq", "x1", "x2", "x3", "bad name"])
+    channels = {c: draw(names) for c in subsets if draw(st.integers(0, 3))}
+    return FeynmanGraph(g.vertices, edges, legs, channels)
+
+
+def outcome(build):
+    """The terms of `build()` in their order, or its error's type and message."""
+    try:
+        return [list(p.terms.items()) for p in build()]
+    except (GraphError, PolynomialError) as exc:
+        return type(exc), str(exc)
+
+
+@given(graphs_with_channels())
+@settings(max_examples=100, deadline=None)
+def test_symanzik_terms_equal_the_reference_in_order(g):
+    def build():
+        u = symanzik_U(g)
+        return u, symanzik_F(g, u)
+
+    assert outcome(build) == outcome(lambda: reference_symanzik(g))
+    assert outcome(lambda: [symanzik_F(g)]) == outcome(lambda: reference_symanzik(g)[1:])
+
+
+def test_terms_named_alike_cancel_or_add_up():
+    # the bubble's F0 term -m1sq*x1*x2 cancels the mass term m1sq*x1*x2
+    b = bubble_graph()
+    bubble = FeynmanGraph(b.vertices, b.edges, b.legs, {("p1",): "m1sq"})
+    assert str(symanzik_F(bubble)) == "m1sq*x1^2 + m2sq*x1*x2 + m2sq*x2^2"
+    # the triangle's 2-forests {1} and {2} both give -x1*x2*x3
+    t = triangle_graph()
+    triangle = FeynmanGraph(t.vertices, t.edges, t.legs,
+                            {("p1",): "x1", ("p2",): "x2", ("p3",): "m3sq"})
+    assert "- 2*x1*x2*x3" in str(symanzik_F(triangle))
+    for g in (bubble, triangle):
+        u = symanzik_U(g)
+        assert [list(u.terms.items()), list(symanzik_F(g, u).terms.items())] == [
+            list(p.terms.items()) for p in reference_symanzik(g)]
 
 
 def test_symanzik_U_fixtures():

@@ -73,11 +73,9 @@ class FeynmanGraph:
         for e in self.edges:
             if e.ends[0] not in vset or e.ends[1] not in vset:
                 raise GraphError(f"edge {cut(e.id)} has unknown endpoint")
-        names = [e.var for e in self.edges]
-        if len(set(names)) != len(names):
+        if first_repeat([e.var for e in self.edges]) is not None:
             raise GraphError("edge variable names must be pairwise distinct")
-        ids = [e.id for e in self.edges]
-        if len(set(ids)) != len(ids):
+        if first_repeat([e.id for e in self.edges]) is not None:
             raise GraphError("edge ids must be pairwise distinct")
         for v, _ in self.legs:
             if v not in vset:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 
 from .landau import LINEAR, LandauComponent
-from .poly import echo
+from .poly import echo, first_repeat
 
 
 class HierarchyError(ValueError):
@@ -81,7 +81,7 @@ def hierarchy_graph(components) -> HierarchyRelation:
     """Full pairwise relation over the given components, self-edges included."""
     comps = list(components)
     ids = [c.id for c in comps]
-    if len(set(ids)) != len(ids):
+    if first_repeat(ids) is not None:
         raise HierarchyError("duplicate component ids")
     edges = frozenset(
         (src.id, tgt.id) for src, tgt in product(comps, comps) if compatible(tgt, src)

@@ -116,7 +116,6 @@ class OneLoopMatrices:
     edge_order: tuple          # edge ids along the cycle
     M: PolyMatrix
     Sprime: PolyMatrix
-    s_names: dict              # (i, j) 1-based positions -> invariant variable
     channel_substitution: dict  # s variable -> Polynomial in channel symbols
 
 
@@ -152,11 +151,10 @@ def gram_matrix(g: FeynmanGraph) -> OneLoopMatrices:
     edges, between = _cycle_order(g)
     n1 = len(edges)
     half = Fraction(1, 2)
-    s_names, subst, half_s = {}, {}, {}
+    subst, half_s = {}, {}
     for i in range(1, n1 + 1):
         for j in range(i + 1, n1 + 1):
             name = f"s{i}{j}"
-            s_names[(i, j)] = name
             half_s[i, j] = half_s[j, i] = Polynomial.var(name) * half
             momenta = frozenset(
                 p for v in between[i - 1:j - 1] for p in g.legs_at(v)
@@ -175,7 +173,6 @@ def gram_matrix(g: FeynmanGraph) -> OneLoopMatrices:
         edge_order=tuple(e.id for e in edges),
         M=PolyMatrix(m_rows),
         Sprime=PolyMatrix(sp_rows),
-        s_names=s_names,
         channel_substitution=subst,
     )
 
@@ -251,7 +248,7 @@ def bubble_split(components: list, g: FeynmanGraph) -> list:
         raise LandauError("branch split is built in for two-edge loops only")
     mats = gram_matrix(g)
     e1, e2 = g.edges  # the cycle order of a two-edge loop is its edge order
-    chan = mats.channel_substitution[mats.s_names[(1, 2)]]
+    chan = mats.channel_substitution["s12"]
     if chan.is_zero():
         raise LandauError("two-edge loop has no momentum channel")
     p_sq = -chan
@@ -259,7 +256,7 @@ def bubble_split(components: list, g: FeynmanGraph) -> list:
     substitution = {
         e1.mass_sq: m1 * m1,
         e2.mass_sq: m2 * m2,
-        mats.s_names[(1, 2)]: chan,
+        "s12": chan,
     }
     factors = [p_sq - (m1 + m2) ** 2, p_sq - (m1 - m2) ** 2]
     out = []

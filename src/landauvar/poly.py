@@ -152,20 +152,9 @@ class Polynomial:
                     deg = max(deg, e)
         return deg
 
-    def is_homogeneous(self, degree: int | None = None, variables=None) -> bool:
-        """True iff all monomials have the same total degree in `variables`
-        (all variables when omitted); `degree` pins the expected value."""
-        degs = set()
-        for mono in self.terms:
-            if variables is None:
-                degs.add(sum(e for _, e in mono))
-            else:
-                degs.add(sum(e for v, e in mono if v in variables))
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return degree is None or degs == {degree}
+    def is_homogeneous(self, degree: int, variables) -> bool:
+        """True iff every monomial has total degree `degree` in `variables`."""
+        return all(sum(e for v, e in mono if v in variables) == degree for mono in self.terms)
 
     # -- ring structure ------------------------------------------------------
 

@@ -184,6 +184,11 @@ def _residual_ok(desc, x, bound) -> bool:
 #   -0.0 (a sum is -0.0 only when both its terms are), nor of k * c_k; while x
 #   is finite 0j * x has only zero components, so 0j * x + c equals c.  Once x
 #   is not finite it stays so, and both forms reject the step.
+# - f' ends in c1 itself, not in 1 * c1: for finite c1 with no -0.0 component
+#   (1+0j) * c1 is c1.  f does not read it, and a c1 that is not finite makes
+#   f(x) not finite at every x; then e <= bound, if ever, holds at the first x,
+#   where both forms agree (past it only inf <= inf could hold, and a nan e at
+#   the first x makes every later x nan in both).
 # - The terms without t that lead a coefficient are summed once, before the
 #   loop, in the same order from 0j; a coefficient made only of them (`const`),
 #   its abs and k * c_k too.  `_track` has taken abs of every coefficient at
@@ -310,9 +315,9 @@ def _loop_kernel(degree: int, layout: tuple, n_marks: int):
         coefficients.append(f"        c{j} = {total}\n")
     invariants += [f"abs{k} = abs(c{k})" for k in ranks if k in const]
     invariants += [f"lead = abs(c{degree})"] if degree in const else []
-    invariants += [f"d{k} = {k} * c{k}" for k in powers[1:] if k in const]
+    invariants += [f"d{k} = {k} * c{k}" for k in powers[2:] if k in const]
     f = _horner(f"c{k}" for k in reversed(powers))
-    df = _horner(f"d{k}" for k in reversed(powers[1:]))
+    df = _horner(f"d{k}" if k > 1 else "c1" for k in reversed(powers[1:]))
     seps = [("v", f"abs(x{i} - x{j})") for i in ranks for j in range(i + 1, degree)]
     roots, zs = _listed("r", degree), _listed("z", n_marks)
     source = _LOOP_TEMPLATE.format(
@@ -325,7 +330,7 @@ def _loop_kernel(degree: int, layout: tuple, n_marks: int):
         scale=_fold("scale", ">", [(f"abs{k}", None) if k in const else ("v", f"abs(c{k})")
                                   for k in ranks]
                     + [("lead", None if degree in const else f"abs(c{degree})")]),
-        dcs="".join(f"        d{k} = {k} * c{k}\n" for k in powers[1:] if k not in const),
+        dcs="".join(f"        d{k} = {k} * c{k}\n" for k in powers[2:] if k not in const),
         corrections="".join(_CORRECTION_TEMPLATE.format(i=i, f=f, df=df, reject=_REJECT)
                             for i in ranks),
         tests=_TESTS_TEMPLATE.format(

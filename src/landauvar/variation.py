@@ -348,13 +348,14 @@ def apply_word(model: VariationModel, word, basis_label: str) -> tuple:
     return mat_vec(compose(model, word), model.basis_vector(basis_label))
 
 
-def nilpotency_index(model: VariationModel, subset, cutoff: int = 10):
+def nilpotency_index(model: VariationModel, subset):
     """Smallest k with every length-k word over `subset` composing to zero,
-    or None when the cutoff is reached first.
+    or None when there is none.
 
     Subspace iteration over Q: V_1 is the sum of the column spaces and
     V_{j+1} = sum_i A_i V_j is spanned by the images of all length-(j+1)
-    words, so the index is the first j with V_j = 0.
+    words, so the index is the first j with V_j = 0.  As V_{j+1} lies in V_j,
+    a step that keeps the dimension has met a nonzero fixed space.
     """
     ids = sorted(subset)
     for cid in ids:
@@ -363,11 +364,13 @@ def nilpotency_index(model: VariationModel, subset, cutoff: int = 10):
     # a positive multiple of each operator moves the same subspaces
     ops = [model._cleared[cid][1] for cid in ids]
     space = identity_matrix(len(model.basis))
-    for k in range(1, cutoff + 1):
-        space = [row for _, row in _echelon(mat_vec(op, v) for op in ops for v in space)]
-        if not space:
+    for k in count(1):
+        image = [row for _, row in _echelon(mat_vec(op, v) for op in ops for v in space)]
+        if not image:
             return k
-    return None
+        if len(image) == len(space):
+            return None
+        space = image
 
 
 # -- audits ------------------------------------------------------------------------

@@ -320,6 +320,38 @@ def test_track_with_zero_steps_is_a_clean_error(capsys):
     assert "steps=0" in err
 
 
+def _end_roots_both_near(pick):
+    """A step-loop kernel whose end roots are both `pick` of the real ones."""
+    from landauvar import tracking
+    kernel = tracking._loop_kernel
+
+    def patched(*key):
+        def run(*args):
+            roots, *rest = kernel(*key)(*args)
+            return [pick(roots)] * len(roots), *rest
+        return run
+    return patched
+
+
+@pytest.mark.parametrize("target, patch, message", [
+    ("numpy.roots", lambda desc: [5.0, 6.0], "basepoint roots failed the residual check"),
+    ("landauvar.tracking._loop_kernel", _end_roots_both_near(lambda r: (r[0] + r[1]) / 2),
+     "root matching is ambiguous; refine the loop"),
+    ("landauvar.tracking._loop_kernel", _end_roots_both_near(lambda r: r[0]),
+     "root collision: two tracked roots matched one start root"),
+], ids=["residual", "ambiguous", "collision"])
+def test_track_refusals_after_the_basepoint_are_clean_errors(capsys, monkeypatch,
+                                                            target, patch, message):
+    monkeypatch.setattr(target, patch)
+    code, out, err = run_cli(
+        capsys, "track", "bubble", "--chart", "x1=1", "--var", "x2",
+        "--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4",
+    )
+    assert out == ""
+    assert_clean_error(code, err)
+    assert err == f"error: {message}\n"
+
+
 def test_hierarchy_with_zero_or_empty_source_is_a_clean_error(capsys):
     for argv in (["--aomoto", "0"], ["--fixture", ""], ["--model", ""]):
         code, out, err = run_cli(capsys, "hierarchy", *argv)

@@ -339,6 +339,8 @@ def test_contract_identity_and_errors():
     assert symanzik_U(same) == symanzik_U(g)
     with pytest.raises(GraphError):
         contract(g, {"1", "2"})
+    with pytest.raises(GraphError, match=re.escape("unknown edges ['9']")):
+        contract(g, {"1", "9"})
     loopy = load_graph({
         "vertices": ["v"],
         "edges": [{"id": "1", "ends": ["v", "v"], "mass": "m1", "var": "x1"}],
@@ -347,6 +349,10 @@ def test_contract_identity_and_errors():
     })
     with pytest.raises(GraphError):
         contract(loopy, {"1"})
+    tadpole = FeynmanGraph(["u", "v"], [Edge("1", ("u", "v"), "m1", "x1"),
+                                        Edge("2", ("v", "v"), "m2", "x2")])
+    with pytest.raises(GraphError, match="^cannot contract self-loop 2$"):
+        contract(tadpole, {"2"})
 
 
 def test_restriction_property():
@@ -452,3 +458,7 @@ def test_graph_validation():
                 {"id": "2", "ends": ["a", "b"], "mass": "m2", "var": "x1"},
             ],
         })
+    # a graph built in code may repeat an unhashable edge id
+    with pytest.raises(GraphError, match="edge ids must be pairwise distinct"):
+        FeynmanGraph(["a", "b"], [Edge(["e"], ("a", "b"), "m1", "x1"),
+                                  Edge(["e"], ("a", "b"), "m2", "x2")])

@@ -172,6 +172,8 @@ def test_bubble_split():
     plus = next(c for c in comps if c.id == "lF+")
     assert plus.defining == parse("psq - (m1+m2)^2")
     assert plus.pinch == "quadratic" and plus.parity == 0
+    with pytest.raises(LandauError, match="two-edge loops only"):
+        bubble_split([], triangle_graph())
 
 
 def test_split_component_rejects_bad_factors():

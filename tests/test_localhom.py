@@ -288,6 +288,13 @@ def test_simple_signs():
     assert partialK_reduction_sign(1, 1) == 1
     assert partialK_reduction_sign(5, 0) == 1
     assert partialK_reduction_sign(2, 2) == -1
+    with pytest.raises(LocalHomologyError, match=r"\|J\| must be nonnegative"):
+        vanishing_cycle_sign(-1)
+    with pytest.raises(LocalHomologyError, match="fiber dimension must be nonnegative"):
+        pl_sign(-1)
+    for n, size_k in ((-1, 0), (0, -1)):
+        with pytest.raises(LocalHomologyError, match="arguments must be nonnegative"):
+            partialK_reduction_sign(n, size_k)
 
 
 def test_pairing_transfer_signs():

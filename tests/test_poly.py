@@ -135,6 +135,7 @@ def test_parse_print_roundtrip():
     ]
     for p in samples:
         assert parse(str(p)) == p
+    assert parse(" x + 1 \t\n") == x + 1
 
 
 def test_parse_errors():

@@ -136,6 +136,8 @@ def test_basis_transforms_keep_the_rank_one_rule():
 
 def test_pl_operator_zero_row():
     assert pl_operator(1, (1, 0), (0, 0)) == zero_matrix(2)
+    with pytest.raises(ModelError, match="cycle and intersection row must have equal length"):
+        pl_operator(1, (1, 0), (0, 0, 1))
 
 
 def test_variation_self_action_minus_two():
@@ -170,7 +172,18 @@ def test_nilpotency_indices():
     assert nilpotency_index(log, [c.id for c in log.components]) == 2
     bub = builtin_model("bubble")
     assert nilpotency_index(bub, ["l1", "l2", "lp"]) == 2
-    assert nilpotency_index(bub, ["lD+", "lD-"], cutoff=8) is None
+    assert nilpotency_index(bub, ["lD+", "lD-"]) is None
+
+
+def test_nilpotency_index_has_no_cutoff():
+    # the n x n shift sends b_{i+1} to b_i: its index is n, past any fixed cutoff
+    size = 12
+    shift = tuple(tuple(Fraction(int(j == i + 1)) for j in range(size)) for i in range(size))
+    model = VariationModel(
+        name="shift", n=1, basis=tuple(f"b{i}" for i in range(size)), ops={"a0": shift},
+        components=(letter("a0"),),
+    )
+    assert nilpotency_index(model, ["a0"]) == size
 
 
 def test_audits_clean():
@@ -592,6 +605,8 @@ def test_compose_multiplies_only_integer_matrices(monkeypatch):
 
 
 def enumerated_nilpotency(ops, cutoff):
+    """The first length up to `cutoff` whose words all compose to zero;
+    exact with `cutoff` the basis size, which bounds any index."""
     ids = sorted(ops)
     size = len(next(iter(ops.values())))
     for k in range(1, cutoff + 1):
@@ -643,15 +658,14 @@ def conjugated_nilpotent_ops(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(conjugated_nilpotent_ops(), st.integers(1, 5))
-def test_nilpotency_matches_enumeration(ops, cutoff):
+@given(conjugated_nilpotent_ops())
+def test_nilpotency_matches_enumeration(ops):
     size = len(next(iter(ops.values())))
     model = VariationModel(
         name="random", n=1, basis=tuple(f"b{i}" for i in range(size)), ops=ops,
         components=tuple(letter(cid) for cid in sorted(ops)),
     )
-    assert nilpotency_index(model, sorted(ops), cutoff) == \
-        enumerated_nilpotency(ops, cutoff)
+    assert nilpotency_index(model, sorted(ops)) == enumerated_nilpotency(ops, size)
 
 
 # -- the fraction-free span tests against rational row reduction ----------------------
@@ -748,15 +762,14 @@ def rational_ops(draw):
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(st.one_of(conjugated_nilpotent_ops(), rational_ops()), st.integers(1, 5))
-def test_nilpotency_matches_rational_reduction(ops, cutoff):
+@given(st.one_of(conjugated_nilpotent_ops(), rational_ops()))
+def test_nilpotency_matches_rational_reduction(ops):
     size = len(next(iter(ops.values())))
     model = VariationModel(
         name="random", n=1, basis=tuple(f"b{i}" for i in range(size)), ops=ops,
         components=tuple(letter(cid) for cid in sorted(ops)),
     )
-    assert nilpotency_index(model, sorted(ops), cutoff) == \
-        reference_nilpotency(ops, cutoff)
+    assert nilpotency_index(model, sorted(ops)) == reference_nilpotency(ops, size)
 
 
 def test_nilpotency_refuses_unknown_entries():

@@ -411,11 +411,12 @@ PARSE_COEFFICIENT_BITS_LIMIT = 14000
 PARSE_DIGIT_LIMIT = int(PARSE_COEFFICIENT_BITS_LIMIT * math.log10(2))  # 4214
 
 
-def _height(p: Polynomial) -> int:
-    """Bits of p's largest numerator plus those of the product of its distinct
-    denominators, a multiple of their lcm L: no numerator or denominator of p
-    has more bits, nor any coefficient of the integer polynomial L*p."""
-    coeffs = p.terms.values()
+def _height(terms: dict) -> int:
+    """Bits of the largest numerator among the terms' coefficients plus those
+    of the product of their distinct denominators, a multiple of their lcm L:
+    no numerator or denominator has more bits, nor any coefficient of L times
+    the terms."""
+    coeffs = terms.values()
     return (max((abs(c.numerator).bit_length() for c in coeffs), default=0)
             + sum((d - 1).bit_length() for d in {c.denominator for c in coeffs}))
 
@@ -435,6 +436,10 @@ def parse(text: str) -> Polynomial:
     Grammar: sums/differences of products of factors; a factor is a rational
     constant (``3``, ``3/4``), a variable, or a parenthesized expression,
     optionally raised to a nonnegative integer power with ``^``.
+
+    One pass: each sum accumulates into one term dict and a product of
+    one-term factors merges their monomials, so a sum of monomials costs time
+    linear in its terms.  Other products, and powers, are `Polynomial` ones.
     """
     tokens = []
     pos = 0
@@ -470,42 +475,49 @@ def parse(text: str) -> Polynomial:
         idx += 1
         return kind, val
 
-    def parse_expr() -> Polynomial:
-        sign = 1
-        kind, val = peek()
-        if kind == "op" and val in "+-":
+    # each parse_* returns a term dict of its own, which its caller may change
+    def parse_expr() -> dict:
+        sign = peek()
+        if sign in (("op", "+"), ("op", "-")):
             take()
-            sign = -1 if val == "-" else 1
-        result = parse_term() * sign
-        while True:
-            kind, val = peek()
-            if kind == "op" and val in "+-":
-                take()
-                t = parse_term()
-                result = result + (t if val == "+" else -t)
+        terms = parse_term()
+        if sign == ("op", "-"):
+            for mono, c in terms.items():
+                terms[mono] = -c
+        while (op := peek()) in (("op", "+"), ("op", "-")):
+            take()
+            bits = 0
+            for mono, c in parse_term().items():
+                _accumulate(terms, mono, c if op[1] == "+" else -c)
                 # a sum can grow a denominator: bound the coefficients it changed
-                _check_budget("sum", 0, max((max(abs(c.numerator), c.denominator).bit_length()
-                                             for c in map(result.terms.get, t.terms) if c),
-                                            default=0))
-            else:
-                return result
+                if s := terms.get(mono):
+                    bits = max(bits, max(abs(s.numerator), s.denominator).bit_length())
+            _check_budget("sum", 0, bits)
+        return terms
 
-    def parse_term() -> Polynomial:
-        result = parse_factor()
-        while True:
-            kind, val = peek()
-            if kind == "op" and val == "*":
-                take()
-                factor = parse_factor()
-                ta, tb = len(result.terms), len(factor.terms)
-                # a coefficient of the product sums at most min(ta, tb) products
-                _check_budget(f"product of {ta} and {tb} terms", ta * tb,
-                              _height(result) + _height(factor) + (min(ta, tb) - 1).bit_length())
-                result = result * factor
+    def parse_term() -> dict:
+        terms = parse_factor()
+        while peek() == ("op", "*"):
+            take()
+            factor = parse_factor()
+            ta, tb = len(terms), len(factor)
+            # a coefficient of the product sums at most min(ta, tb) products
+            _check_budget(f"product of {ta} and {tb} terms", ta * tb,
+                          _height(terms) + _height(factor) + (min(ta, tb) - 1).bit_length())
+            if ta == tb == 1:  # merge the monomials, multiply the coefficients
+                (mono, c), = terms.items()
+                (other, d), = factor.items()
+                if other:
+                    powers = dict(mono)
+                    for v, e in other:
+                        powers[v] = powers.get(v, 0) + e
+                    mono = tuple(sorted(powers.items()))
+                terms = {mono: c * d}
             else:
-                return result
+                terms = (_raw(terms) * _raw(factor)).terms
+        return terms
 
-    def parse_factor() -> Polynomial:
+    def parse_factor() -> dict:
         base = parse_atom()
         kind, val = peek()
         if kind == "op" and val == "^":
@@ -517,37 +529,37 @@ def parse(text: str) -> Polynomial:
             if k > PARSE_EXPONENT_LIMIT:
                 raise PolynomialError(
                     f"exponent {k} is over the budget of {PARSE_EXPONENT_LIMIT}")
-            t = len(base.terms)
+            t = len(base)
             if k > 1:  # ^0 and ^1 expand nothing; (L*base)^k's coefficients are <= (t 2^h)^k
                 _check_budget(f"power ^{k} of {t} terms", math.comb(t + k - 1, k),
                               k * (_height(base) + (t - 1).bit_length()))
-            return base ** k
+            return (_raw(base) ** k).terms
         return base
 
-    def parse_atom() -> Polynomial:
+    def parse_atom() -> dict:
         kind, val = take()
         if kind == "int":
-            num = int(val)
-            k, v = peek()
-            if k == "op" and v == "/":
+            if peek() == ("op", "/"):
                 take()
                 k2, v2 = take()
                 if k2 != "int" or int(v2) == 0:
                     raise PolynomialError(f"bad rational constant {val}/{v2}")
-                return Polynomial.const(Fraction(num, int(v2)))
-            return Polynomial.const(num)
+                c = Fraction(int(val), int(v2))
+            else:
+                c = Fraction(int(val))
+            return {(): c} if c else {}
         if kind == "name":
-            return Polynomial.var(val)
+            return {((val, 1),): Fraction(1)}
         if kind == "op" and val == "(":
             inner = parse_expr()
             take(")")
             return inner
         raise PolynomialError(f"unexpected token {echo(val)}")
 
-    result = parse_expr()
+    terms = parse_expr()
     if idx != len(toks):
         raise PolynomialError(f"trailing input at token {echo(toks[idx][1])}")
-    return result
+    return _raw(terms)
 
 
 def divides(d: Polynomial, a: Polynomial):

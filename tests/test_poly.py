@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from landauvar.poly import (
+    _TOKEN_RE,
     PARSE_DIGIT_LIMIT,
     PARSE_EXPONENT_LIMIT,
     PARSE_NESTING_LIMIT,
@@ -16,8 +17,10 @@ from landauvar.poly import (
     Polynomial,
     PolyMatrix,
     PolynomialError,
+    _check_budget,
     determinant,
     divides,
+    echo,
     first_repeat,
     parse,
     permutation_sign,
@@ -275,6 +278,241 @@ def test_resultant_vanishes_on_common_root(root, ca, cb):
 @settings(max_examples=60, deadline=None)
 def test_parse_print_roundtrip_random(p):
     assert parse(str(p)) == p
+
+
+# -- the parser against the one it replaced ------------------------------------------
+#
+# `reference_parse` is the parser that built every sum with `result + t` and
+# every product with `Polynomial.__mul__`, kept verbatim (with the `_height`
+# it used) as an oracle for the order of the terms and for every refusal.
+
+
+def _height(p: Polynomial) -> int:
+    """Bits of p's largest numerator plus those of the product of its distinct
+    denominators, a multiple of their lcm L: no numerator or denominator of p
+    has more bits, nor any coefficient of the integer polynomial L*p."""
+    coeffs = p.terms.values()
+    return (max((abs(c.numerator).bit_length() for c in coeffs), default=0)
+            + sum((d - 1).bit_length() for d in {c.denominator for c in coeffs}))
+
+
+def reference_parse(text: str) -> Polynomial:
+    """Parse the canonical text grammar back into a Polynomial.
+
+    Grammar: sums/differences of products of factors; a factor is a rational
+    constant (``3``, ``3/4``), a variable, or a parenthesized expression,
+    optionally raised to a nonnegative integer power with ``^``.
+    """
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise PolynomialError(f"cannot tokenize {echo(text[pos:])}")
+            break
+        tokens.append(m)
+        pos = m.end()
+    toks = [(m.lastgroup, m.group(m.lastgroup)) for m in tokens]
+    depth = 0
+    for kind, val in toks:
+        depth += (val == "(") - (val == ")")
+        if depth > PARSE_NESTING_LIMIT:
+            raise PolynomialError("expression is nested too deeply")
+        if kind == "int" and len(val) > PARSE_DIGIT_LIMIT:  # before `int` reads it
+            raise PolynomialError(f"integer of {len(val)} digits is over the budget"
+                                  f" of {PARSE_DIGIT_LIMIT} digits")
+    idx = 0
+
+    def peek():
+        return toks[idx] if idx < len(toks) else (None, None)
+
+    def take(expect=None):
+        nonlocal idx
+        kind, val = peek()
+        if kind is None:
+            raise PolynomialError("unexpected end of input")
+        if expect is not None and val != expect:
+            raise PolynomialError(f"expected {expect!r}, got {echo(val)}")
+        idx += 1
+        return kind, val
+
+    def parse_expr() -> Polynomial:
+        sign = 1
+        kind, val = peek()
+        if kind == "op" and val in "+-":
+            take()
+            sign = -1 if val == "-" else 1
+        result = parse_term() * sign
+        while True:
+            kind, val = peek()
+            if kind == "op" and val in "+-":
+                take()
+                t = parse_term()
+                result = result + (t if val == "+" else -t)
+                # a sum can grow a denominator: bound the coefficients it changed
+                _check_budget("sum", 0, max((max(abs(c.numerator), c.denominator).bit_length()
+                                             for c in map(result.terms.get, t.terms) if c),
+                                            default=0))
+            else:
+                return result
+
+    def parse_term() -> Polynomial:
+        result = parse_factor()
+        while True:
+            kind, val = peek()
+            if kind == "op" and val == "*":
+                take()
+                factor = parse_factor()
+                ta, tb = len(result.terms), len(factor.terms)
+                # a coefficient of the product sums at most min(ta, tb) products
+                _check_budget(f"product of {ta} and {tb} terms", ta * tb,
+                              _height(result) + _height(factor) + (min(ta, tb) - 1).bit_length())
+                result = result * factor
+            else:
+                return result
+
+    def parse_factor() -> Polynomial:
+        base = parse_atom()
+        kind, val = peek()
+        if kind == "op" and val == "^":
+            take()
+            k, v = take()
+            if k != "int":
+                raise PolynomialError(f"bad exponent {echo(v)}")
+            k = int(v)
+            if k > PARSE_EXPONENT_LIMIT:
+                raise PolynomialError(
+                    f"exponent {k} is over the budget of {PARSE_EXPONENT_LIMIT}")
+            t = len(base.terms)
+            if k > 1:  # ^0 and ^1 expand nothing; (L*base)^k's coefficients are <= (t 2^h)^k
+                _check_budget(f"power ^{k} of {t} terms", math.comb(t + k - 1, k),
+                              k * (_height(base) + (t - 1).bit_length()))
+            return base ** k
+        return base
+
+    def parse_atom() -> Polynomial:
+        kind, val = take()
+        if kind == "int":
+            num = int(val)
+            k, v = peek()
+            if k == "op" and v == "/":
+                take()
+                k2, v2 = take()
+                if k2 != "int" or int(v2) == 0:
+                    raise PolynomialError(f"bad rational constant {val}/{v2}")
+                return Polynomial.const(Fraction(num, int(v2)))
+            return Polynomial.const(num)
+        if kind == "name":
+            return Polynomial.var(val)
+        if kind == "op" and val == "(":
+            inner = parse_expr()
+            take(")")
+            return inner
+        raise PolynomialError(f"unexpected token {echo(val)}")
+
+    result = parse_expr()
+    if idx != len(toks):
+        raise PolynomialError(f"trailing input at token {echo(toks[idx][1])}")
+    return result
+
+
+def parse_outcome(parser, text):
+    """The terms of parser(text) in order, or the type and message of its error."""
+    try:
+        p = parser(text)
+    except PolynomialError as exc:
+        return type(exc), str(exc)
+    assert all(type(c) is Fraction for c in p.terms.values())
+    return list(p.terms.items())
+
+
+# the texts of the parse tests above and of the CLI's model-document refusals
+PINNED_TEXTS = [
+    " x + 1 \t\n", "x +", "x ** 2", "(x", "", ")", "+", "-x", "--x", "x*-y", "3/0", "3/x",
+    "0/5*x", "x^y", "x^", "x^2^3", "x - x", "x + y - x + x", "-(x - y) + (y - x)*2",
+    "x + (z + y)", "y - x + (x + z - y)", "t - (z - y + x)*(t + 1)", "x + y*(z + x)^2",
+    "(" * PARSE_NESTING_LIMIT + "x" + ")" * PARSE_NESTING_LIMIT,
+    "(" * (PARSE_NESTING_LIMIT + 1) + "x" + ")" * (PARSE_NESTING_LIMIT + 1),
+    "(x)*" * 3000 + "1", "(a+b+c)^50", "(a+b+c)^100", "(a+b)^800", "3^10000000",
+    "(a+b)^200*(c+d)^200", "34359738368^400", "3^" + "9" * 5000, "10^307", "0^0", "(x+y)^0",
+    f"x^{PARSE_EXPONENT_LIMIT}", f"x^{PARSE_EXPONENT_LIMIT + 1}",
+    *(f"({'+'.join(f'v{i}' for i in range(t))})^2" for t in (44, 45)),
+    *(f"({'+'.join(f'a{i}' for i in range(40))})*({'+'.join(f'b{i}' for i in range(t))})"
+      for t in (25, 26)),
+    "17179869184^400", "9" * PARSE_DIGIT_LIMIT, "9" * (PARSE_DIGIT_LIMIT + 1),
+    "(p1sq+p2sq)^40*(p3sq+p2sq)^40", "(" + "9" * 100 + "*p2sq+" + "7" * 100 + "*p3sq)^400",
+    f"(1/{'9' * 4000}*p2sq+1/{'9' * 3999}8*p3sq)*p1sq",
+    f"1/{'9' * 4000}*p2sq+1/{'9' * 3999}8*p2sq", "9" * 5001 + "*p2sq", "p2sq^" + "9" * 5001,
+    "p2sq $", "p2sq +", "(p2sq p1sq", "p2sq^x", "p2sq p1sq",
+]
+
+
+@st.composite
+def printed_polynomials(draw):
+    """The text of a polynomial with rational coefficients, as `str` prints it."""
+    scale = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 40)))
+    return str(draw(polynomials(max_terms=8)) * scale + draw(polynomials()))
+
+
+def expression_texts():
+    """Texts of the grammar: parentheses, unary signs, `p/q` constants,
+    powers, product chains, sums and whitespace.  One atom in about ten is a
+    zero denominator, an integer over the digit budget or one whose products
+    and sums can go over the coefficient budget, and one exponent in seven is
+    over its budget."""
+    atoms = st.sampled_from([
+        "x", "y", "z", "t_1", "X2", "0", "1", "2", "7", "12", "00", "3/4", "1/7", "0/3", "8/6",
+        "x", "y", "z", "t_1", "X2", "2", "5", "1/2", "9/3", "11/12", "x", "y", "z", "t_1", "X2",
+        "5/0", "9" * 4000, "1/" + "9" * 4000, "1/" + "9" * 3999 + "8",
+        "9" * (PARSE_DIGIT_LIMIT + 1),
+    ])
+    ws = st.sampled_from(["", "", "", " ", "  ", "\t", "\n"])
+    signs = st.sampled_from(["", "", "+", "-", "- "])
+
+    def extend(inner):
+        part = st.builds("{}{}{}".format, ws, inner, ws)
+        group = st.builds("({}{})".format, signs, part)
+        return st.one_of(
+            group,
+            st.builds("{}^{}{}".format, st.one_of(atoms, group), ws,
+                      st.sampled_from(["0", "1", "2", "2", "3", "3", "401"])),
+            st.lists(part, min_size=2, max_size=4).map("*".join),
+            st.builds(lambda first, rest: first + "".join(s + p for s, p in rest), part,
+                      st.lists(st.tuples(st.sampled_from(["+", "-"]), part), min_size=1,
+                               max_size=4)),
+        )
+
+    return st.builds("{}{}".format, signs, st.recursive(atoms, extend, max_leaves=10))
+
+
+@given(st.one_of(printed_polynomials(), expression_texts(), st.sampled_from(PINNED_TEXTS)))
+@settings(max_examples=400, deadline=None)
+def test_parse_equals_the_reference_in_order_and_in_every_refusal(text):
+    assert parse_outcome(parse, text) == parse_outcome(reference_parse, text)
+
+
+def test_parse_equals_the_reference_on_every_pinned_text():
+    for text in PINNED_TEXTS:
+        assert parse_outcome(parse, text) == parse_outcome(reference_parse, text), text[:80]
+
+
+def test_parse_builds_a_sum_of_monomials_without_polynomial_arithmetic(monkeypatch):
+    n = 2000
+    text = " ".join(f"{'+-'[k % 2]} {k}/{k % 7 + 1}*x{k % 50}*y{k}*z" for k in range(1, n + 1))
+    expect = list(reference_parse(text).terms.items())
+    calls = {}
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
+        real = getattr(Polynomial, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(Polynomial, name, counted)
+    assert list(parse(text).terms.items()) == expect
+    assert calls == {}
+    assert len(expect) == n
 
 
 @given(polynomials(), polynomials())

@@ -220,15 +220,18 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise PolynomialError("exponent must be a nonnegative integer")
-        result = Polynomial.const(1)
-        base = self
-        while n:
+        if n == 0:
+            return Polynomial.const(1)
+        # const(1) * base lists base's terms in base's order, so the first
+        # factor is the base itself; n = 1 hands back self
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:  # the square after the last bit would go unused
-                base = base * base
-        return result
+            if not n:  # the square after the last bit would go unused
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -411,11 +414,18 @@ PARSE_COEFFICIENT_BITS_LIMIT = 14000
 PARSE_DIGIT_LIMIT = int(PARSE_COEFFICIENT_BITS_LIMIT * math.log10(2))  # 4214
 
 
+def _coefficient_height(c: Rat) -> int:
+    """`_height` of one term with the coefficient c."""
+    return abs(c.numerator).bit_length() + (c.denominator - 1).bit_length()
+
+
 def _height(terms: dict) -> int:
     """Bits of the largest numerator among the terms' coefficients plus those
     of the product of their distinct denominators, a multiple of their lcm L:
     no numerator or denominator has more bits, nor any coefficient of L times
     the terms."""
+    if len(terms) == 1:
+        return _coefficient_height(*terms.values())
     coeffs = terms.values()
     return (max((abs(c.numerator).bit_length() for c in coeffs), default=0)
             + sum((d - 1).bit_length() for d in {c.denominator for c in coeffs}))
@@ -437,9 +447,12 @@ def parse(text: str) -> Polynomial:
     constant (``3``, ``3/4``), a variable, or a parenthesized expression,
     optionally raised to a nonnegative integer power with ``^``.
 
-    One pass: each sum accumulates into one term dict and a product of
-    one-term factors merges their monomials, so a sum of monomials costs time
-    linear in its terms.  Other products, and powers, are `Polynomial` ones.
+    One pass: each sum accumulates into one term dict and a run of one-term
+    factors adds up their exponents, sorted once per run, so a sum of
+    monomials costs time linear in its terms.  A power of one term scales its
+    exponents; other products, and powers, are `Polynomial` ones.
+    Coefficients are ints until a ``p/q`` constant brings in a `Fraction`, and
+    every int left is made a `Fraction` at the end.
     """
     tokens = []
     pos = 0
@@ -460,14 +473,12 @@ def parse(text: str) -> Polynomial:
         if kind == "int" and len(val) > PARSE_DIGIT_LIMIT:  # before `int` reads it
             raise PolynomialError(f"integer of {len(val)} digits is over the budget"
                                   f" of {PARSE_DIGIT_LIMIT} digits")
+    toks.append((None, None))  # the end, which `take` refuses
     idx = 0
-
-    def peek():
-        return toks[idx] if idx < len(toks) else (None, None)
 
     def take(expect=None):
         nonlocal idx
-        kind, val = peek()
+        kind, val = toks[idx]
         if kind is None:
             raise PolynomialError("unexpected end of input")
         if expect is not None and val != expect:
@@ -477,14 +488,14 @@ def parse(text: str) -> Polynomial:
 
     # each parse_* returns a term dict of its own, which its caller may change
     def parse_expr() -> dict:
-        sign = peek()
+        sign = toks[idx]
         if sign in (("op", "+"), ("op", "-")):
             take()
         terms = parse_term()
         if sign == ("op", "-"):
             for mono, c in terms.items():
                 terms[mono] = -c
-        while (op := peek()) in (("op", "+"), ("op", "-")):
+        while (op := toks[idx]) in (("op", "+"), ("op", "-")):
             take()
             bits = 0
             for mono, c in parse_term().items():
@@ -497,30 +508,37 @@ def parse(text: str) -> Polynomial:
 
     def parse_term() -> dict:
         terms = parse_factor()
-        while peek() == ("op", "*"):
+        # a run of one-term factors: its exponents and coefficient, held apart
+        # from `terms` until a longer factor or the end of the product
+        powers = None
+        while toks[idx] == ("op", "*"):
             take()
             factor = parse_factor()
-            ta, tb = len(terms), len(factor)
+            if powers is None and len(terms) == 1:
+                (mono, c), = terms.items()
+                powers = dict(mono)
+            if powers is None:
+                ta, height = len(terms), _height(terms)
+            else:
+                ta, height = 1, _coefficient_height(c)
+            tb = len(factor)
             # a coefficient of the product sums at most min(ta, tb) products
             _check_budget(f"product of {ta} and {tb} terms", ta * tb,
-                          _height(terms) + _height(factor) + (min(ta, tb) - 1).bit_length())
-            if ta == tb == 1:  # merge the monomials, multiply the coefficients
-                (mono, c), = terms.items()
+                          height + _height(factor) + (min(ta, tb) - 1).bit_length())
+            if powers is not None and tb == 1:  # add the exponents, multiply the coefficients
                 (other, d), = factor.items()
-                if other:
-                    powers = dict(mono)
-                    for v, e in other:
-                        powers[v] = powers.get(v, 0) + e
-                    mono = tuple(sorted(powers.items()))
-                terms = {mono: c * d}
-            else:
-                terms = (_raw(terms) * _raw(factor)).terms
-        return terms
+                for v, e in other:
+                    powers[v] = powers.get(v, 0) + e
+                c *= d
+                continue
+            if powers is not None:
+                terms, powers = {tuple(sorted(powers.items())): c}, None
+            terms = (_raw(terms) * _raw(factor)).terms
+        return terms if powers is None else {tuple(sorted(powers.items())): c}
 
     def parse_factor() -> dict:
         base = parse_atom()
-        kind, val = peek()
-        if kind == "op" and val == "^":
+        if toks[idx] == ("op", "^"):
             take()
             k, v = take()
             if k != "int":
@@ -533,23 +551,29 @@ def parse(text: str) -> Polynomial:
             if k > 1:  # ^0 and ^1 expand nothing; (L*base)^k's coefficients are <= (t 2^h)^k
                 _check_budget(f"power ^{k} of {t} terms", math.comb(t + k - 1, k),
                               k * (_height(base) + (t - 1).bit_length()))
+            if k == 0:
+                return {(): 1}
+            if t == 1:  # scale the exponents, power the coefficient
+                (mono, c), = base.items()
+                return {tuple((v, e * k) for v, e in mono): c ** k}
+            # `base` is this parse's own dict, so `** 1` handing it back is fine
             return (_raw(base) ** k).terms
         return base
 
     def parse_atom() -> dict:
         kind, val = take()
         if kind == "int":
-            if peek() == ("op", "/"):
+            if toks[idx] == ("op", "/"):
                 take()
                 k2, v2 = take()
                 if k2 != "int" or int(v2) == 0:
                     raise PolynomialError(f"bad rational constant {val}/{v2}")
                 c = Fraction(int(val), int(v2))
             else:
-                c = Fraction(int(val))
+                c = int(val)
             return {(): c} if c else {}
         if kind == "name":
-            return {((val, 1),): Fraction(1)}
+            return {((val, 1),): 1}
         if kind == "op" and val == "(":
             inner = parse_expr()
             take(")")
@@ -557,8 +581,11 @@ def parse(text: str) -> Polynomial:
         raise PolynomialError(f"unexpected token {echo(val)}")
 
     terms = parse_expr()
-    if idx != len(toks):
+    if idx != len(toks) - 1:
         raise PolynomialError(f"trailing input at token {echo(toks[idx][1])}")
+    for mono, c in terms.items():
+        if type(c) is int:
+            terms[mono] = Fraction(c)
     return _raw(terms)
 
 

@@ -200,15 +200,23 @@ class VariationModel:
                 raise ModelError(f"{what} names no {noun}: {cut(stray[0])}")
         if self.ops.keys() != self._by_id.keys():
             raise ModelError("ops must cover exactly the model components")
+        # one pass over each operator's entries: its shape, its exactness and
+        # whether it has unknown or nonzero entries
+        unknown, nonzero = set(), set()
         for cid, m in self.ops.items():
             if len(m) != size or any(len(row) != size for row in m):
                 raise ModelError(f"operator for {cut(cid)} is not {size}x{size}")
-            inexact = [x for row in m for x in row if x is not None and not _exact(x)]
-            if inexact:
-                raise ModelError(f"operator for {cut(cid)} has an entry that is not an"
-                                 f" exact rational: {echo(inexact[0])}")
+            for row in m:
+                for x in row:
+                    if x is None:
+                        unknown.add(cid)
+                    elif type(x) is not int and not isinstance(x, Fraction):
+                        raise ModelError(f"operator for {cut(cid)} has an entry that is"
+                                         f" not an exact rational: {echo(x)}")
+                    elif x:
+                        nonzero.add(cid)
         for comp in self.components:
-            if comp.variation_known_zero and not _known_zero(self.ops[comp.id]):
+            if comp.variation_known_zero and (comp.id in unknown or comp.id in nonzero):
                 raise ModelError(f"{cut(comp.id)} is flagged zero but its matrix is not")
         # every vector has one entry per basis element, and only the operators
         # may leave entries unknown
@@ -220,13 +228,13 @@ class VariationModel:
             if len(v) != size:
                 raise ModelError(f"{what} of {cut(cid)} has {len(v)} entries for a basis"
                                  f" of {size}")
+            if all(map(_exact, v)):
+                continue
             if any(x is None for x in v):
                 raise ModelError(f"{what} of {cut(cid)} has an unknown (null) entry")
-            inexact = [x for x in v if not _exact(x)]
-            if inexact:
-                raise ModelError(f"{what} of {cut(cid)} has an entry that is not an exact"
-                                 f" rational: {echo(inexact[0])}")
-        self._check_images()
+            raise ModelError(f"{what} of {cut(cid)} has an entry that is not an exact"
+                             f" rational: {echo(next(x for x in v if not _exact(x)))}")
+        self._check_images(unknown)
         # derived once, as `_by_id` is above: the audits read it for every word
         self._pinches = {c.id for c in self.components
                          if c.is_simple_pinch and self.vanishing.get(c.id)}
@@ -234,20 +242,31 @@ class VariationModel:
     @functools.cached_property
     def _cleared(self) -> dict:
         """Each operator's (scale, integer matrix) from `_integral`, derived on
-        first use: a command that multiplies no operator clears none."""
+        first use: a command that multiplies no operator clears none, and
+        loading a model clears vectors only (`_check_images`)."""
         return {cid: _integral(m) for cid, m in self.ops.items()}
 
-    def _check_images(self):
+    def _check_images(self, unknown):
         """A simple pinch with one vanishing cycle and a row has the rank-one
-        operator of the two; any other declared span holds its images."""
+        operator of the two; any other declared span holds its images.
+        Operators in `unknown` have unknown entries and are not checked.
+
+        The rank-one test clears the cycle c and the row r to integers C = cs c
+        and R = rs r, and then compares each entry p/q of the operator with
+        s c_i r_j, s = pl_sign(n) = +-1, as p s cs rs == C_i R_j q, on
+        integers: no operator is cleared and no Fraction built."""
+        sign = pl_sign(self.n)
         for comp in self.components:
             span = self.vanishing.get(comp.id)
-            m = self.ops[comp.id]
-            if span is None or has_unknown(m):
+            if span is None or comp.id in unknown:
                 continue
+            m = self.ops[comp.id]
             row = self.intersection_rows.get(comp.id)
             if comp.is_simple_pinch and len(span) == 1 and row is not None:
-                if m != pl_operator(self.n, span[0], row):
+                (cs, (cycle,)), (rs, (dual,)) = _integral(span), _integral((row,))
+                scale = sign * cs * rs
+                if any(x.numerator * scale != ci * rj * x.denominator
+                       for ci, m_row in zip(cycle, m) for rj, x in zip(dual, m_row)):
                     raise ModelError(f"{cut(comp.id)}: operator is not the Picard-Lefschetz"
                                      " map pl_sign(n) * cycle * intersection row")
                 continue
@@ -542,20 +561,33 @@ def model_to_json(model: VariationModel) -> dict:
     }
 
 
-def _names(value, what: str) -> list:
+def _names(value, what: str, *names) -> list:
+    """`value`, refused unless it is a list of strings; `what` formatted with
+    the cut `names` says where it is, once it is refused."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ModelError(f"malformed model document: {what} must be a list of"
-                         f" strings, got {echo(value)}")
+        raise ModelError(f"malformed model document: {what.format(*map(cut, names))} must"
+                         f" be a list of strings, got {echo(value)}")
     return value
 
 
 def model_from_json(data) -> VariationModel:
+    # each distinct entry text is read once; the memo lives for this document
+    texts = {}
+
+    def rat(x):
+        if type(x) is not str:
+            return _rat(x)
+        value = texts.get(x)
+        if value is None:
+            value = texts[x] = _rat(x)
+        return value
+
     try:
         comps = tuple(
             LandauComponent(
                 id=c["id"],
                 defining=parse(c["defining"]),
-                **{key: frozenset(_names(c[key], f"{cut(c['id'])} {key}"))
+                **{key: frozenset(_names(c[key], "{} {}", c["id"], key))
                    for key in ("type_J", "type_K", "simple_J", "simple_K")},
                 pinch=c["pinch"],
                 parity=c["parity"],
@@ -568,7 +600,7 @@ def model_from_json(data) -> VariationModel:
             raise ModelError("malformed model document: conventions must be an"
                              f" object, got {echo(conventions)}")
         ops = {
-            cid: tuple(tuple(_rat(x) for x in row) for row in m)
+            cid: tuple(tuple(map(rat, row)) for row in m)
             for cid, m in data["ops"].items()
         }
         return VariationModel(
@@ -578,14 +610,14 @@ def model_from_json(data) -> VariationModel:
             ops=ops,
             components=comps,
             vanishing={
-                cid: tuple(tuple(_rat(x) for x in v) for v in vs)
+                cid: tuple(tuple(map(rat, v)) for v in vs)
                 for cid, vs in data.get("vanishing", {}).items()
             },
             intersection_rows={
-                cid: tuple(_rat(x) for x in row)
+                cid: tuple(map(rat, row))
                 for cid, row in data.get("intersection_rows", {}).items()
             },
-            **{key: {b: frozenset(_names(s, f"{key} of {cut(b)}"))
+            **{key: {b: frozenset(_names(s, "{} of {}", key, b))
                      for b, s in data.get(key, {}).items()}
                for key in ("boundary_K", "coboundary_J")},
             conventions=conventions,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from landauvar import poly
 from landauvar.poly import (
     _TOKEN_RE,
     PARSE_DIGIT_LIMIT,
@@ -445,6 +446,9 @@ PINNED_TEXTS = [
     f"(1/{'9' * 4000}*p2sq+1/{'9' * 3999}8*p3sq)*p1sq",
     f"1/{'9' * 4000}*p2sq+1/{'9' * 3999}8*p2sq", "9" * 5001 + "*p2sq", "p2sq^" + "9" * 5001,
     "p2sq $", "p2sq +", "(p2sq p1sq", "p2sq^x", "p2sq p1sq",
+    # powers of one term and runs of one-term factors
+    "m1^2*m2^3", "-2/3*x^2*y", "(2*x)^3", "(3/4)^2", "4/2*x", "0^2", "(-x)^3", "x^0*y",
+    "x*y*x*z^2*y",
 ]
 
 
@@ -513,6 +517,51 @@ def test_parse_builds_a_sum_of_monomials_without_polynomial_arithmetic(monkeypat
     assert list(parse(text).terms.items()) == expect
     assert calls == {}
     assert len(expect) == n
+
+
+def test_parse_powers_one_term_and_multiplies_a_run_without_polynomial_arithmetic(
+        monkeypatch):
+    texts = ["m1^2*m2^3", "-2/3*x^2*y^4*x*(3*z)^2 + y^0*(1/2)^3*x", "(-x)^3*y*x^2*y"]
+    expect = [list(reference_parse(text).terms.items()) for text in texts]
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "__pow__"):
+        real = getattr(Polynomial, name)
+        monkeypatch.setattr(Polynomial, name,
+                            lambda *args, _name=name, _real=real: calls.append(_name) or _real(*args))
+    sorts = []
+    monkeypatch.setattr(poly, "sorted", lambda items: sorts.append(1) or sorted(items),
+                        raising=False)
+    # each run of one-term factors sorts its monomial once; `(3*z)` is a run too
+    for text, terms, runs in zip(texts, expect, (1, 3, 1)):
+        sorts.clear()
+        assert list(parse(text).terms.items()) == terms
+        assert len(sorts) == runs, text
+    assert calls == []
+
+
+def reference_pow(p: Polynomial, n: int) -> Polynomial:
+    """`Polynomial.__pow__` as it was, from `Polynomial.const(1)`."""
+    result = Polynomial.const(1)
+    base = p
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@given(polynomials(max_terms=5), st.integers(min_value=0, max_value=5))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_power_starts_from_the_base_with_the_same_terms_in_the_same_order(p, k):
+    power = p ** k
+    assert list(power.terms.items()) == list(reference_pow(p, k).terms.items())
+    product = Polynomial.const(1)
+    for _ in range(k):
+        product = product * p
+    assert power == product
+    assert all(type(c) is Fraction for c in power.terms.values())
 
 
 @given(polynomials(), polynomials())

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from landauvar import variation
 from landauvar.hierarchy import HierarchyRelation, hierarchy_graph, word_vanishes
 from landauvar.landau import LINEAR, LandauComponent
-from landauvar.poly import Polynomial
+from landauvar.poly import Polynomial, cut, echo, first_repeat, parse
 from landauvar.variation import (
     AuditReport,
     ModelError,
@@ -17,7 +18,9 @@ from landauvar.variation import (
     VariationModel,
     _certify_by_model,
     _echelon,
+    _exact,
     _integral,
+    _known_zero,
     _rat,
     _reduce,
     _span_certificate,
@@ -407,6 +410,11 @@ def transformed(model, rng):
     """The same model over the basis b'_i = d_i * b_p(i) for a random
     permutation p and random rational scales d: operators become T^-1 A T
     with T = P D, spans T^-1 v and intersection rows r T."""
+    return model_from_json(transformed_document(model, rng))
+
+
+def transformed_document(model, rng):
+    """The document of `transformed(model, rng)`."""
     size = len(model.basis)
     p = rng.sample(range(size), size)
     d = [Fraction(rng.choice([1, -1, 2, 3]), rng.choice([1, 2, 5])) for _ in range(size)]
@@ -425,7 +433,7 @@ def transformed(model, rng):
         cid: [str(row[p[j]] * d[j]) for j in range(size)]
         for cid, row in model.intersection_rows.items()
     }
-    return model_from_json(data)
+    return data
 
 
 def relations(model):
@@ -777,3 +785,255 @@ def test_nilpotency_refuses_unknown_entries():
     assert nilpotency_index(m, ["l1", "l2", "l3"]) == 3
     with pytest.raises(UnknownEntryError, match="ldelta"):
         nilpotency_index(m, ["l1", "ldelta"])
+
+
+# -- the model reader against the one it replaced -------------------------------------
+#
+# `reference_model_from_json` is the reader that put every entry through `_rat`
+# and compared each rank-one operator with the product `pl_operator` builds,
+# kept verbatim (its checks as `ReferenceModel`'s) as an oracle for the fields,
+# the entry types and every refusal.
+
+
+class ReferenceModel(VariationModel):
+    def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ModelError(f"model name must be a string, got {echo(self.name)}")
+        if type(self.n) is not int or self.n < 0:  # refuses bool too
+            raise ModelError(f"n must be a nonnegative integer, got {echo(self.n)}")
+        for what, names in (("basis label", self.basis),
+                            ("component id", [c.id for c in self.components])):
+            repeated = first_repeat(names)
+            if repeated is not None:
+                raise ModelError(f"{what} {cut(names[repeated])} is given twice")
+        size = len(self.basis)
+        self._by_id = {c.id: c for c in self.components}
+        for what, keys, known, noun in (
+                ("vanishing", self.vanishing, self._by_id, "component"),
+                ("intersection_rows", self.intersection_rows, self._by_id, "component"),
+                ("boundary_K", self.boundary_K, set(self.basis), "basis label"),
+                ("coboundary_J", self.coboundary_J, set(self.basis), "basis label")):
+            stray = sorted(set(keys).difference(known))
+            if stray:
+                raise ModelError(f"{what} names no {noun}: {cut(stray[0])}")
+        if self.ops.keys() != self._by_id.keys():
+            raise ModelError("ops must cover exactly the model components")
+        for cid, m in self.ops.items():
+            if len(m) != size or any(len(row) != size for row in m):
+                raise ModelError(f"operator for {cut(cid)} is not {size}x{size}")
+            inexact = [x for row in m for x in row if x is not None and not _exact(x)]
+            if inexact:
+                raise ModelError(f"operator for {cut(cid)} has an entry that is not an"
+                                 f" exact rational: {echo(inexact[0])}")
+        for comp in self.components:
+            if comp.variation_known_zero and not _known_zero(self.ops[comp.id]):
+                raise ModelError(f"{cut(comp.id)} is flagged zero but its matrix is not")
+        # every vector has one entry per basis element, and only the operators
+        # may leave entries unknown
+        vectors = [("vanishing vector", cid, v)
+                   for cid, vs in self.vanishing.items() for v in vs]
+        vectors += [("intersection row", cid, row)
+                    for cid, row in self.intersection_rows.items()]
+        for what, cid, v in vectors:
+            if len(v) != size:
+                raise ModelError(f"{what} of {cut(cid)} has {len(v)} entries for a basis"
+                                 f" of {size}")
+            if any(x is None for x in v):
+                raise ModelError(f"{what} of {cut(cid)} has an unknown (null) entry")
+            inexact = [x for x in v if not _exact(x)]
+            if inexact:
+                raise ModelError(f"{what} of {cut(cid)} has an entry that is not an exact"
+                                 f" rational: {echo(inexact[0])}")
+        self._check_images()
+        # derived once, as `_by_id` is above: the audits read it for every word
+        self._pinches = {c.id for c in self.components
+                         if c.is_simple_pinch and self.vanishing.get(c.id)}
+
+    def _check_images(self):
+        """A simple pinch with one vanishing cycle and a row has the rank-one
+        operator of the two; any other declared span holds its images."""
+        for comp in self.components:
+            span = self.vanishing.get(comp.id)
+            m = self.ops[comp.id]
+            if span is None or has_unknown(m):
+                continue
+            row = self.intersection_rows.get(comp.id)
+            if comp.is_simple_pinch and len(span) == 1 and row is not None:
+                if m != pl_operator(self.n, span[0], row):
+                    raise ModelError(f"{cut(comp.id)}: operator is not the Picard-Lefschetz"
+                                     " map pl_sign(n) * cycle * intersection row")
+                continue
+            pivots = _echelon(span)
+            for j in range(len(self.basis)):
+                col = tuple(m[i][j] for i in range(len(self.basis)))
+                if any(_reduce(col, pivots)):
+                    raise ModelError(
+                        f"{cut(comp.id)}: image of {cut(self.basis[j])} leaves the declared span"
+                    )
+
+
+def reference_names(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelError(f"malformed model document: {what} must be a list of"
+                         f" strings, got {echo(value)}")
+    return value
+
+
+def reference_model_from_json(data) -> VariationModel:
+    try:
+        comps = tuple(
+            LandauComponent(
+                id=c["id"],
+                defining=parse(c["defining"]),
+                **{key: frozenset(reference_names(c[key], f"{cut(c['id'])} {key}"))
+                   for key in ("type_J", "type_K", "simple_J", "simple_K")},
+                pinch=c["pinch"],
+                parity=c["parity"],
+                variation_known_zero=c["variation_known_zero"],
+            )
+            for c in data["components"]
+        )
+        conventions = data.get("conventions", {})
+        if not isinstance(conventions, dict):
+            raise ModelError("malformed model document: conventions must be an"
+                             f" object, got {echo(conventions)}")
+        ops = {
+            cid: tuple(tuple(_rat(x) for x in row) for row in m)
+            for cid, m in data["ops"].items()
+        }
+        return ReferenceModel(
+            name=data["name"],
+            n=data["n"],
+            basis=tuple(reference_names(data["basis"], "basis")),
+            ops=ops,
+            components=comps,
+            vanishing={
+                cid: tuple(tuple(_rat(x) for x in v) for v in vs)
+                for cid, vs in data.get("vanishing", {}).items()
+            },
+            intersection_rows={
+                cid: tuple(_rat(x) for x in row)
+                for cid, row in data.get("intersection_rows", {}).items()
+            },
+            **{key: {b: frozenset(reference_names(s, f"{key} of {cut(b)}"))
+                     for b, s in data.get(key, {}).items()}
+               for key in ("boundary_K", "coboundary_J")},
+            conventions=conventions,
+        )
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ModelError(f"malformed model document: {exc}") from exc
+
+
+def read_outcome(reader, data):
+    """The fields of reader(data), each entry with its type, or the type and
+    message of its error."""
+    try:
+        m = reader(copy.deepcopy(data))
+    except ModelError as exc:
+        return type(exc), str(exc)
+
+    def typed(rows):
+        return [[(x, type(x)) for x in row] for row in rows]
+
+    return (m.name, m.n, m.basis, m.components, m.boundary_K, m.coboundary_J,
+            m.conventions, list(m.ops), {cid: typed(op) for cid, op in m.ops.items()},
+            {cid: typed(vs) for cid, vs in m.vanishing.items()},
+            {cid: typed([row]) for cid, row in m.intersection_rows.items()})
+
+
+def reader_documents():
+    """The builtins' documents, 20 seeded transformed copies, and each of
+    these with its integral entries as JSON numbers instead of text."""
+    rng = random.Random(31)
+    docs = [model_to_json(builtin_model(name)) for name in BUILTIN]
+    docs += [transformed_document(builtin_model(BUILTIN[k % len(BUILTIN)]), rng)
+             for k in range(20)]
+
+    def numbers(rows):
+        return [[int(x) if isinstance(x, str) and Fraction(x).denominator == 1 else x
+                 for x in row] for row in rows]
+
+    return docs + [{**d, "ops": {cid: numbers(m) for cid, m in d["ops"].items()},
+                    "vanishing": {cid: numbers(vs) for cid, vs in d["vanishing"].items()},
+                    "intersection_rows": {cid: numbers([row])[0]
+                                          for cid, row in d["intersection_rows"].items()}}
+                   for d in docs]
+
+
+def entries(m):
+    """Every entry of m's operators, vanishing vectors and intersection rows."""
+    yield from (x for op in m.ops.values() for row in op for x in row)
+    yield from (x for vs in m.vanishing.values() for v in vs for x in v)
+    yield from (x for row in m.intersection_rows.values() for x in row)
+
+
+def test_reader_equals_the_reference_on_builtin_and_transformed_documents():
+    for data in reader_documents():
+        outcome = read_outcome(model_from_json, data)
+        assert outcome == read_outcome(reference_model_from_json, data), data["name"]
+        m = model_from_json(data)
+        assert all(x is None or type(x) is (int if x.denominator == 1 else Fraction)
+                   for x in entries(m)), data["name"]
+
+
+def mutated(data, places, value):
+    """A copy of `data` with the entries at `places` ((field, key, i, j)
+    with j None for an intersection row) set to `value`."""
+    data = copy.deepcopy(data)
+    for field, key, i, j in places:
+        if j is None:
+            data[field][key][i] = value
+        else:
+            data[field][key][i][j] = value
+    return data
+
+
+def test_reader_refuses_as_the_reference_does():
+    bubble = model_to_json(builtin_model("bubble"))
+    over = "1" + "0" * variation.PARSE_DIGIT_LIMIT
+    cases = [
+        # one rank-one entry nudged by 1/7
+        (mutated(bubble, [("ops", "lD+", 0, 1)], str(Fraction(bubble["ops"]["lD+"][0][1])
+                                                     + Fraction(1, 7))),
+         "lD+: operator is not the Picard-Lefschetz map pl_sign(n) * cycle * intersection row"),
+        # "1/0" in two operators: the first is reported
+        (mutated(bubble, [("ops", "l2", 1, 2), ("ops", "l1", 0, 0)], "1/0"),
+         "not an exact rational entry: '1/0'"),
+        # an over-budget entry text, repeated
+        (mutated(bubble, [("ops", "l1", 2, 1), ("ops", "lp", 0, 0),
+                          ("vanishing", "l2", 0, 1)], over),
+         f"entry {variation.echo(over)} is over the budget of 4214 digits"),
+        # a `true` entry
+        (mutated(bubble, [("intersection_rows", "l2", 1, None)], True),
+         "not an exact rational entry: True"),
+        # an unknown entry in an operator flagged zero
+        (mutated(bubble, [("ops", "lp", 1, 1)], None), "lp is flagged zero but its matrix is not"),
+    ]
+    for data, message in cases:
+        assert read_outcome(model_from_json, data) == (ModelError, message)
+        assert read_outcome(reference_model_from_json, data) == (ModelError, message)
+
+
+def test_reader_equals_the_reference_on_mutated_documents():
+    # seeded mutations of every entry field, refused or not, and of rows' shapes
+    rng = random.Random(7)
+    pool = ["1/0", True, False, None, 0.5, "x", [1], {"a": 1}, "0", "2", "-3/2", "1e3",
+            "1" + "0" * variation.PARSE_DIGIT_LIMIT, 10 ** 4300, 3, "1/7", "007", " 4 "]
+    docs = reader_documents()
+    for _ in range(300):
+        data = copy.deepcopy(rng.choice(docs))
+        for _ in range(rng.randint(1, 3)):
+            field = rng.choice(["ops", "vanishing", "intersection_rows"])
+            if not data[field]:
+                continue
+            key = rng.choice(sorted(data[field]))
+            rows = data[field][key] if field != "intersection_rows" else [data[field][key]]
+            row = rng.choice(rows)
+            if rng.random() < 0.1:
+                row.pop()
+            elif rng.random() < 0.3 and row[0] is not None and isinstance(row[0], str):
+                row[0] = str(Fraction(row[0]) + Fraction(rng.choice([-1, 1]), 7))
+            else:
+                row[rng.randrange(len(row))] = rng.choice(pool)
+        assert read_outcome(model_from_json, data) == \
+            read_outcome(reference_model_from_json, data)

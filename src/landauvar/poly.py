@@ -220,18 +220,15 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise PolynomialError("exponent must be a nonnegative integer")
-        if n == 0:
-            return Polynomial.const(1)
-        # const(1) * base lists base's terms in base's order, so the first
-        # factor is the base itself; n = 1 hands back self
-        result, base = None, self
-        while True:
+        result = Polynomial.const(1)
+        base = self
+        while n:
             if n & 1:
-                result = base if result is None else result * base
+                result = result * base
             n >>= 1
-            if not n:  # the square after the last bit would go unused
-                return result
-            base = base * base
+            if n:  # the square after the last bit would go unused
+                base = base * base
+        return result
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -414,18 +411,11 @@ PARSE_COEFFICIENT_BITS_LIMIT = 14000
 PARSE_DIGIT_LIMIT = int(PARSE_COEFFICIENT_BITS_LIMIT * math.log10(2))  # 4214
 
 
-def _coefficient_height(c: Rat) -> int:
-    """`_height` of one term with the coefficient c."""
-    return abs(c.numerator).bit_length() + (c.denominator - 1).bit_length()
-
-
 def _height(terms: dict) -> int:
     """Bits of the largest numerator among the terms' coefficients plus those
     of the product of their distinct denominators, a multiple of their lcm L:
     no numerator or denominator has more bits, nor any coefficient of L times
     the terms."""
-    if len(terms) == 1:
-        return _coefficient_height(*terms.values())
     coeffs = terms.values()
     return (max((abs(c.numerator).bit_length() for c in coeffs), default=0)
             + sum((d - 1).bit_length() for d in {c.denominator for c in coeffs}))
@@ -520,7 +510,8 @@ def parse(text: str) -> Polynomial:
             if powers is None:
                 ta, height = len(terms), _height(terms)
             else:
-                ta, height = 1, _coefficient_height(c)
+                # `_height` of the run's one term
+                ta, height = 1, abs(c.numerator).bit_length() + (c.denominator - 1).bit_length()
             tb = len(factor)
             # a coefficient of the product sums at most min(ta, tb) products
             _check_budget(f"product of {ta} and {tb} terms", ta * tb,
@@ -556,7 +547,6 @@ def parse(text: str) -> Polynomial:
             if t == 1:  # scale the exponents, power the coefficient
                 (mono, c), = base.items()
                 return {tuple((v, e * k) for v, e in mono): c ** k}
-            # `base` is this parse's own dict, so `** 1` handing it back is fine
             return (_raw(base) ** k).terms
         return base
 

@@ -251,10 +251,11 @@ class VariationModel:
         operator of the two; any other declared span holds its images.
         Operators in `unknown` have unknown entries and are not checked.
 
-        The rank-one test clears the cycle c and the row r to integers C = cs c
-        and R = rs r, and then compares each entry p/q of the operator with
-        s c_i r_j, s = pl_sign(n) = +-1, as p s cs rs == C_i R_j q, on
-        integers: no operator is cleared and no Fraction built."""
+        The rank-one test refuses an int entry of the cycle c or the row r over
+        the budget of `_rat`, clears c and r to integers C = cs c and R = rs r,
+        and then compares each entry p/q of the operator with s c_i r_j,
+        s = pl_sign(n) = +-1, as p s cs rs == C_i R_j q, on integers: no
+        operator is cleared and no Fraction built."""
         sign = pl_sign(self.n)
         for comp in self.components:
             span = self.vanishing.get(comp.id)
@@ -263,6 +264,9 @@ class VariationModel:
             m = self.ops[comp.id]
             row = self.intersection_rows.get(comp.id)
             if comp.is_simple_pinch and len(span) == 1 and row is not None:
+                if any(type(x) is int and abs(x) >= _ENTRY_BOUND for x in (*span[0], *row)):
+                    raise ModelError("integer entry is over the budget of"
+                                     f" {PARSE_DIGIT_LIMIT} digits")
                 (cs, (cycle,)), (rs, (dual,)) = _integral(span), _integral((row,))
                 scale = sign * cs * rs
                 if any(x.numerator * scale != ci * rj * x.denominator
@@ -561,12 +565,10 @@ def model_to_json(model: VariationModel) -> dict:
     }
 
 
-def _names(value, what: str, *names) -> list:
-    """`value`, refused unless it is a list of strings; `what` formatted with
-    the cut `names` says where it is, once it is refused."""
+def _names(value, what: str) -> list:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ModelError(f"malformed model document: {what.format(*map(cut, names))} must"
-                         f" be a list of strings, got {echo(value)}")
+        raise ModelError(f"malformed model document: {what} must be a list of"
+                         f" strings, got {echo(value)}")
     return value
 
 
@@ -587,7 +589,7 @@ def model_from_json(data) -> VariationModel:
             LandauComponent(
                 id=c["id"],
                 defining=parse(c["defining"]),
-                **{key: frozenset(_names(c[key], "{} {}", c["id"], key))
+                **{key: frozenset(_names(c[key], f"{cut(c['id'])} {key}"))
                    for key in ("type_J", "type_K", "simple_J", "simple_K")},
                 pinch=c["pinch"],
                 parity=c["parity"],
@@ -617,7 +619,7 @@ def model_from_json(data) -> VariationModel:
                 cid: tuple(map(rat, row))
                 for cid, row in data.get("intersection_rows", {}).items()
             },
-            **{key: {b: frozenset(_names(s, "{} of {}", key, b))
+            **{key: {b: frozenset(_names(s, f"{key} of {cut(b)}"))
                      for b, s in data.get(key, {}).items()}
                for key in ("boundary_K", "coboundary_J")},
             conventions=conventions,

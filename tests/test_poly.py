@@ -539,31 +539,6 @@ def test_parse_powers_one_term_and_multiplies_a_run_without_polynomial_arithmeti
     assert calls == []
 
 
-def reference_pow(p: Polynomial, n: int) -> Polynomial:
-    """`Polynomial.__pow__` as it was, from `Polynomial.const(1)`."""
-    result = Polynomial.const(1)
-    base = p
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
-
-@given(polynomials(max_terms=5), st.integers(min_value=0, max_value=5))
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
-def test_power_starts_from_the_base_with_the_same_terms_in_the_same_order(p, k):
-    power = p ** k
-    assert list(power.terms.items()) == list(reference_pow(p, k).terms.items())
-    product = Polynomial.const(1)
-    for _ in range(k):
-        product = product * p
-    assert power == product
-    assert all(type(c) is Fraction for c in power.terms.values())
-
-
 @given(polynomials(), polynomials())
 @settings(max_examples=40, deadline=None)
 def test_divides_recovers_exact_factor(a, b):

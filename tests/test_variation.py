@@ -1,6 +1,7 @@
 import copy
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -1037,3 +1038,22 @@ def test_reader_equals_the_reference_on_mutated_documents():
                 row[rng.randrange(len(row))] = rng.choice(pool)
         assert read_outcome(model_from_json, data) == \
             read_outcome(reference_model_from_json, data)
+
+
+def test_model_built_directly_refuses_an_over_budget_rank_one_vector_as_the_reference_does():
+    # no `_rat` reads the cycle or the row of a model built without JSON
+    m = builtin_model("bubble")
+    cycle, row = m.vanishing["lD+"][0], m.intersection_rows["lD+"]
+    over = "integer entry is over the budget of 4214 digits"
+    off = "lD+: operator is not the Picard-Lefschetz map pl_sign(n) * cycle * intersection row"
+    for vanishing, rows, message in [
+            (((10 ** 4214, *cycle[1:]),), row, over),
+            (((-10 ** 4214, *cycle[1:]),), row, over),
+            ((cycle,), (*row[:-1], -10 ** 4214), over),
+            ((cycle,), (*row[:-1], 10 ** 4214 - 1), off)]:
+        fields = dict(name="x", n=m.n, basis=m.basis, components=m.components, ops=m.ops,
+                      vanishing={**m.vanishing, "lD+": vanishing},
+                      intersection_rows={**m.intersection_rows, "lD+": rows})
+        for model in (VariationModel, ReferenceModel):
+            with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+                model(**fields)

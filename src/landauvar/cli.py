@@ -18,9 +18,10 @@ import math
 import sys
 from collections.abc import Iterator
 
+# the package's unloaded submodules: each runs its body at its first attribute
+# access, so reading none of their attributes here keeps start-up to this module
 from . import aomoto as aomoto_mod
-from . import graphs, hierarchy, landau, localhom, tracking, variation
-from .poly import Polynomial, echo
+from . import graphs, hierarchy, landau, localhom, poly, tracking, variation
 
 # every error class of the package, like json.JSONDecodeError, is a ValueError
 _DOMAIN_ERRORS = (ValueError, OSError)
@@ -212,7 +213,7 @@ def _number(kind, text: str, where: str):
                          f" {'an integer' if kind is int else 'a number'}") from None
 
 
-def _parse_bindings(text: str, f: Polynomial, flag: str, kind) -> dict:
+def _parse_bindings(text: str, f: poly.Polynomial, flag: str, kind) -> dict:
     """Bindings such as ``x1=1`` read as `kind`; each bound variable must
     occur in `f`."""
     out = {}
@@ -293,7 +294,7 @@ def _verdicts(rel, comps, texts) -> list:
     return out
 
 
-def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
+def _track(g: graphs.FeynmanGraph, f: poly.Polynomial, chart_text: str, var: str,
            loop_text: str, fix_text: str, marks: list, prefix: str,
            tol: float = 1e-10) -> dict:
     """Roots of F = `f` of `g` in `var` tracked around a loop under a chart and
@@ -303,7 +304,7 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
     edge_vars = [e.var for e in g.edges]
     if var not in edge_vars:
         raise ValueError(f"{prefix}var {var!r} is not one of the edge variables"
-                         f" {echo(edge_vars)}")
+                         f" {poly.echo(edge_vars)}")
     if var in chart:
         raise ValueError(f"{prefix}chart binds {var!r}, the variable that {prefix}var tracks")
     loop = _parse_loop(loop_text)
@@ -319,7 +320,7 @@ def _track(g: graphs.FeynmanGraph, f: Polynomial, chart_text: str, var: str,
         raise ValueError(f"{prefix}loop varies {var!r}, the variable that {prefix}var tracks")
     fixed_fiber = [v for v in edge_vars if v != var and v not in chart]
     if fixed_fiber:
-        raise ValueError(f"fiber variables {echo(fixed_fiber)} not bound by {prefix}chart")
+        raise ValueError(f"fiber variables {poly.echo(fixed_fiber)} not bound by {prefix}chart")
     family = f.substitute(chart)
     if loop.parameter not in family.variables:  # a constant family tracks silently
         raise ValueError(f"{prefix}loop varies {loop.parameter!r}, which does not occur"

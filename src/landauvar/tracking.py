@@ -418,6 +418,9 @@ def _track(sys, marked, tol) -> TrackResult:
         permutation.append(j)
     if len(set(permutation)) != degree:
         raise TrackingError("root collision: two tracked roots matched one start root")
+    for k, z in enumerate(marked):  # a phase is NaN once (x - z) / (r - z) overflows
+        if not all(math.isfinite(per_root[k]) for per_root in windings):
+            raise TrackingError(f"winding around marked point {z} is out of floating-point range")
 
     return TrackResult(
         permutation=tuple(permutation),

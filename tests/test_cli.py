@@ -857,6 +857,103 @@ def test_cli_import_leaves_numpy_unloaded_until_track():
     assert json.loads(done.stdout)["permutation"] == [1, 0]
 
 
+def fresh_process_json(script, *argv):
+    """The JSON that `script` prints, run in a fresh interpreter with `argv`."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import landauvar
+
+    env = dict(os.environ, PYTHONPATH=str(Path(landauvar.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+# the names of landauvar's own modules, and numpy, whose bodies have run: an
+# unloaded submodule is a LazyLoader module, whose type test loads nothing
+LOADED_MODULES = (
+    "import contextlib, io, json, sys, types\n"
+    "def loaded():\n"
+    "    return sorted(key for key, m in sys.modules.items() if type(m) is types.ModuleType\n"
+    "                  and (key == 'numpy' or key.split('.')[0] == 'landauvar'))\n"
+    "import landauvar.cli\n"
+    "landauvar.cli.build_parser()\n"
+    "start = loaded()\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = landauvar.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(json.dumps([code, start, sorted(set(loaded()) - set(start))]))\n"
+)
+
+
+@pytest.mark.parametrize("argv, added", [
+    ([], []),
+    (["homrank", "--n", "2", "--m", "1", "--I", "1", "--degree", "1"],
+     ["landauvar.localhom", "landauvar.poly"]),
+    (["symanzik", "bubble"], ["landauvar.graphs", "landauvar.poly"]),
+    (["track", "bubble", "--chart", "x1=1", "--var", "x2", "--loop", "psq:center=9,r=0.1",
+      "--fix", "m1sq=1,m2sq=4"],
+     ["landauvar.graphs", "landauvar.poly", "landauvar.tracking", "numpy"]),
+], ids=["start-up", "homrank", "symanzik", "track"])
+def test_start_up_runs_only_the_cli_and_a_command_only_the_modules_it_uses(argv, added):
+    code, start, loaded = fresh_process_json(LOADED_MODULES, *argv)
+    assert code == 0
+    assert start == ["landauvar", "landauvar.cli"]
+    assert loaded == added
+
+
+# the package's public names, each with the submodule that defines it, as
+# eager imports in landauvar/__init__.py once exported them
+PACKAGE_EXPORTS = {
+    "poly": ["Polynomial", "PolyMatrix", "determinant", "divides", "parse", "resultant"],
+    "graphs": ["BUILTIN_GRAPHS", "Edge", "FeynmanGraph", "contract", "load_graph",
+               "symanzik_F", "symanzik_U"],
+    "landau": ["LandauComponent", "OneLoopMatrices", "bubble_split",
+               "eliminate_critical_values", "fixture_landau", "gram_matrix",
+               "icecream_ellA12", "icecream_ellA12_printed", "oneloop_landau",
+               "split_component"],
+    "hierarchy": ["HierarchyRelation", "Verdict", "compatible", "hierarchy_graph", "to_dot",
+                  "word_vanishes"],
+    "localhom": ["PinchConfig", "local_rank", "normalize_word", "operator",
+                 "pairing_transfer_sign", "parse_word", "partialK_reduction_sign",
+                 "pinch_config", "pl_sign", "vanishing_cycle_sign"],
+    "variation": ["VariationModel", "builtin_model", "check_against_hierarchy", "compose",
+                  "model_from_json", "model_to_json", "nilpotency_index", "pl_operator",
+                  "word_zero_certificate"],
+    "aomoto": ["aomoto_components", "aomoto_edges", "aomoto_symbol", "maximal_chain_value"],
+    "tracking": ["Loop", "ParametricRootSystem", "TrackResult", "track"],
+}
+
+
+def test_package_exports_each_submodule_object_and_registers_every_submodule():
+    import importlib
+
+    import landauvar
+
+    names = [*PACKAGE_EXPORTS, *itertools.chain(*PACKAGE_EXPORTS.values())]
+    assert len(names) == len(set(names)) == 64
+    for module, exported in PACKAGE_EXPORTS.items():
+        home = importlib.import_module(f"landauvar.{module}")
+        assert getattr(landauvar, module) is home is sys.modules[f"landauvar.{module}"]
+        for name in exported:
+            assert getattr(landauvar, name) is getattr(home, name), name
+    namespace = {}
+    exec("from landauvar import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(names)
+    assert all(namespace[name] is getattr(landauvar, name) for name in names)
+    assert set(names) <= set(dir(landauvar))
+    with pytest.raises(AttributeError, match="has no attribute 'symanzik'"):
+        landauvar.symanzik
+    # perfbench/tracer.py finds each submodule in sys.modules when it installs
+    registered = fresh_process_json(
+        "import json, sys\nimport landauvar.cli\n"
+        "print(json.dumps(sorted(k for k in sys.modules if k.startswith('landauvar.'))))\n")
+    assert registered == sorted(["landauvar.cli", *(f"landauvar.{m}" for m in PACKAGE_EXPORTS)])
+
+
 def test_reused_parser_gives_fresh_process_output(capsys):
     # the parser is built once per process; an `append` option given in one
     # command must not leak into the next
@@ -1396,6 +1493,29 @@ def test_non_finite_tracking_input_is_a_clean_error(capsys):
         assert out == ""
         assert_clean_error(code, err)
         assert message in err, argv
+
+
+@pytest.mark.parametrize("options", [
+    ["track", "bubble", "--chart", "x1=1", "--var", "x2", "--loop", "psq:center=9,r=0.1",
+     "--fix", "m1sq=1,m2sq=4", "--format", "json", "--mark", "0", "--mark"],
+    ["analyze", "bubble", "--track-loop", "psq:center=9,r=0.1", "--track-chart", "x1=1",
+     "--track-var", "x2", "--track-fix", "m1sq=1,m2sq=4", "--track-mark", "0", "--track-mark"],
+], ids=["track", "analyze"])
+def test_marked_point_whose_winding_overflows_is_a_clean_error(capsys, options):
+    # the phase of (x - z) / (r - z) is NaN once the quotient overflows; a far
+    # mark whose quotient stays finite winds 0 times
+    *options, flag = options
+    for mark in ["1e300", "1e307+1e307j"]:
+        code, out, _ = run_cli(capsys, *options, f"{flag}={mark}")
+        assert code == 0
+        report = json.loads(out)
+        assert (report.get("track") or report)["windings"] == [[0, 0], [0, 0]]
+    for mark in ["1e308+1e308j", "-1e308-1e308j"]:
+        code, out, err = run_cli(capsys, *options, f"{flag}={mark}")
+        assert out == ""
+        assert_clean_error(code, err)
+        assert (f"error: winding around marked point {complex(mark)} is out of"
+                " floating-point range") in err
 
 
 def triangle_model_document():

@@ -86,48 +86,25 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON document is nested too deeply") from None
 
 
+# The 2-forest search of F visits about n^3/6 nodes on an n-edge cycle (43679 at
+# 64 edges, 0.07 s), more than the terms it yields: the 250-edge cycle is under
+# `graphs.SYMANZIK_TERM_BUDGET` (124750 terms) but takes about 3 s.  So a graph
+# with more vertices or more edges than this is refused when it is loaded,
+# before any forest is walked; the 6-loop ladder has 19 edges.
+GRAPH_SIZE_BUDGET = 64
+
+
 def _load_graph_arg(source: str) -> graphs.FeynmanGraph:
     if source in graphs.BUILTIN_GRAPHS:
         g = graphs.BUILTIN_GRAPHS[source]()
     else:
         g = graphs.load_graph(_read_json(source))
-    _check_symanzik_budget(g)
-    return g
-
-
-# U sums over the tau(G) spanning trees and F over at most tau(G) * (|V| - 1)
-# spanning 2-forests (a tree less one edge) plus tau(G) * |E| mass terms, so
-# tau(G) * (|V| - 1 + |E|) bounds the terms of both.  Every graph command
-# refuses a graph over this many terms before it enumerates a forest; tau(G)
-# itself takes a (|V| - 1)-square determinant.  `symanzik` takes about 0.75 s
-# on the 6-loop ladder (93152 terms) and 1.1 s on the theta graph of two
-# 30-edge paths and one edge (115200); the 7-loop ladder (401968) and K7
-# (453789, about 6 s) are refused.
-SYMANZIK_TERM_BUDGET = 150000
-
-
-# tau(G) eliminates a dense (|V| - 1)-square Laplacian of Fractions (8 ms at 64
-# vertices, 9.6 s at 2000), so a graph with more vertices or more edges than
-# this is refused before it or any forest enumeration runs.  `symanzik` takes
-# about 0.1 s on the 64-edge cycle (2016 2-forests) and 0.2 s on the 100-edge
-# one; the 6-loop ladder has 19 edges.
-GRAPH_SIZE_BUDGET = 64
-
-
-def _check_symanzik_budget(g: graphs.FeynmanGraph) -> None:
     if max(len(g.vertices), len(g.edges)) > GRAPH_SIZE_BUDGET:
         raise graphs.GraphError(
             f"graph with {len(g.vertices)} vertices and {len(g.edges)} edges is over the"
             f" size budget of {GRAPH_SIZE_BUDGET} vertices and {GRAPH_SIZE_BUDGET} edges"
         )
-    trees = g.spanning_tree_count()
-    terms = trees * (len(g.vertices) - 1 + len(g.edges))
-    if terms > SYMANZIK_TERM_BUDGET:
-        raise graphs.GraphError(
-            f"graph with {trees} spanning trees, {len(g.vertices)} vertices and"
-            f" {len(g.edges)} edges is over the budget of {SYMANZIK_TERM_BUDGET}"
-            f" Symanzik terms: tau(G) * (|V| - 1 + |E|) = {terms}"
-        )
+    return g
 
 
 def _graph_summary(g: graphs.FeynmanGraph) -> dict:
@@ -213,14 +190,28 @@ def _number(kind, text: str, where: str):
                          f" {'an integer' if kind is int else 'a number'}") from None
 
 
+# A chart integer scales the eliminant's coefficients: the sunrise's grow by
+# about 30 digits for each digit of x1 (600 digits at 20), and the ice cream
+# under x3 and x4 of 20 digits takes about 2.7x the time and memory of one digit
+# (16 s and 320 MB).  So `--chart` and `--track-chart` refuse a value written
+# with more digits than this, which hold every 64-bit integer, before F is
+# substituted.
+CHART_DIGIT_BUDGET = 20
+
+
 def _parse_bindings(text: str, f: poly.Polynomial, flag: str, kind) -> dict:
     """Bindings such as ``x1=1`` read as `kind`; each bound variable must
-    occur in `f`."""
+    occur in `f`, and an integer is written with at most CHART_DIGIT_BUDGET
+    digits."""
     out = {}
     variables = f.variables
     for name, value in _parse_assignments(text).items():
         if name not in variables:
             raise ValueError(f"{flag} binds {name!r}, which does not occur in F")
+        digits = value.lstrip("+-")
+        if kind is int and digits.isdecimal() and len(digits) > CHART_DIGIT_BUDGET:
+            raise ValueError(f"{flag} {name}: the value has {len(digits)} digits, over the"
+                             f" budget of {CHART_DIGIT_BUDGET} digits")
         out[name] = _number(kind, value, f"{flag} {name}={value}")
     return out
 
@@ -350,6 +341,12 @@ def _cmd_eliminate(args) -> dict:
     f = graphs.symanzik_F(g)
     chart = _parse_bindings(args.chart, f, "--chart", int)
     eliminant = landau.eliminate_critical_values(f, [e.var for e in g.edges], chart)
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    least = 10 ** limit  # the least integer of more than `limit` digits
+    if limit and any(max(abs(c.numerator), c.denominator) >= least
+                     for c in eliminant.terms.values()):
+        raise landau.LandauError(f"eliminant has a coefficient of more than {limit} digits,"
+                                 " the interpreter's limit for printing an integer")
     return {"eliminant": str(eliminant)}
 
 

@@ -1,4 +1,4 @@
-"""Write the heavy graph documents whose `landauvar symanzik` output CI pins.
+"""Write the heavy graph documents on which CI runs `landauvar symanzik`.
 
 Usage: python tests/heavy_graphs.py DIR
 
@@ -7,10 +7,16 @@ Writes into DIR, as graph documents:
 - cycle64-legs.json: the same cycle with 20000 legs at v32;
 - ladder6.json: the planar ladder of 6 boxes, legs at its two far corners;
 - theta.json: two 30-edge paths and one edge between the hubs a and b, legs
-  at a and b.
+  at a and b;
+- k7.json: the complete graph on 7 vertices, legs at v0 and v6;
+- ladder7.json: the planar ladder of 7 boxes, legs at its two far corners.
 
-Each is under both graph budgets of `landauvar.cli`.  The tier-1 tests do not
-run them: `symanzik` on all four takes several seconds.
+The first four are admitted, and CI pins their output bytes: they are within
+the size budget of `landauvar.cli` (64 vertices and 64 edges) and the
+Symanzik term budget of `landauvar.graphs` (150000).  The last two are within
+the size budget but over the term budget, and CI checks that they are refused
+with one error line.  The tier-1 tests do not run these documents: `symanzik`
+on the first four takes several seconds.
 """
 
 import json
@@ -49,16 +55,23 @@ def theta(length):
     return document(vertices, pairs, [("a", "p1"), ("b", "p2")], {"p1": "psq"})
 
 
+def complete(n):
+    vertices = [f"v{k}" for k in range(n)]
+    pairs = [(a, b) for k, a in enumerate(vertices) for b in vertices[k + 1:]]
+    return document(vertices, pairs, [("v0", "p1"), (vertices[-1], "p2")], {"p1": "psq"})
+
+
 HEAVY_GRAPHS = {
     "cycle64": cycle([("v0", "p1"), ("v32", "p2")], {"p1": "psq"}),
     "cycle64-legs": cycle([("v32", f"p{k}") for k in range(1, 20001)], {}),
     "ladder6": ladder(6),
     "theta": theta(30),
 }
+REFUSED_GRAPHS = {"k7": complete(7), "ladder7": ladder(7)}
 
 
 if __name__ == "__main__":
     out = Path(sys.argv[1])
     out.mkdir(parents=True, exist_ok=True)
-    for name, doc in HEAVY_GRAPHS.items():
+    for name, doc in (HEAVY_GRAPHS | REFUSED_GRAPHS).items():
         (out / f"{name}.json").write_text(json.dumps(doc))

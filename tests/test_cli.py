@@ -1152,22 +1152,36 @@ def ladder(loops):
     return top + bottom, pairs
 
 
+def complete(n):
+    """The complete graph on `n` vertices."""
+    vertices = [f"v{k}" for k in range(n)]
+    return vertices, list(itertools.combinations(vertices, 2))
+
+
 def test_symanzik_budget_refuses_before_any_forest(tmp_path, capsys, monkeypatch):
     from landauvar import graphs
 
-    def no_forests(self, k):
-        raise AssertionError("spanning_forests started")
+    walks = []
+    real = graphs.FeynmanGraph._forests
 
-    monkeypatch.setattr(graphs.FeynmanGraph, "spanning_forests", no_forests)
-    monkeypatch.setattr(graphs.FeynmanGraph, "_forests", no_forests)
-    vertices = [f"v{k}" for k in range(7)]
-    k7 = write_graph(tmp_path, "k7", vertices, list(itertools.combinations(vertices, 2)))
-    for argv in graph_commands(k7):
+    def trees_only(self, k):
+        walks.append(k)
+        assert k == 1, "a 2-forest walk started"
+        return real(self, k)
+
+    monkeypatch.setattr(graphs.FeynmanGraph, "_forests", trees_only)
+    for argv in graph_commands(write_graph(tmp_path, "k7", *complete(7))):
+        walks.clear()
         code, out, err = run_cli(capsys, *argv)
         assert out == "", argv
         assert_clean_error(code, err)
-        assert "16807 spanning trees" in err and "budget of 150000" in err, argv
-        assert "(|V| - 1 + |E|) = 453789" in err
+        if "symanzik" in argv or "eliminate" in argv or "track" in argv:
+            assert "at least 5556 spanning trees" in err and "budget of 150000" in err, argv
+            assert "(|V| - 1 + |E|) >= 150012" in err
+            assert walks == [1], argv
+        else:  # the one-loop commands enumerate no forest
+            assert err == "error: graph is not one-loop\n", argv
+            assert walks == [], argv
 
 
 def chain(n, closed):
@@ -1189,11 +1203,10 @@ def test_graph_size_budget_refuses_before_any_tree_count(tmp_path, capsys, monke
     from landauvar import graphs
 
     def no_count(*args):
-        raise AssertionError("spanning tree count or forest started")
+        raise AssertionError("forest enumeration started")
 
     monkeypatch.setattr(graphs.FeynmanGraph, "spanning_forests", no_count)
     monkeypatch.setattr(graphs.FeynmanGraph, "_forests", no_count)
-    monkeypatch.setattr(graphs.FeynmanGraph, "spanning_tree_count", no_count)
     path = write_graph(tmp_path, f"chain{n}", *chain(n, closed))
     for argv in graph_commands(path):
         code, out, err = run_cli(capsys, *argv)
@@ -1212,19 +1225,65 @@ def test_graph_size_budget_admits_the_64_edge_cycle(tmp_path, capsys):
 def test_symanzik_budget_admits_the_six_loop_ladder(tmp_path, capsys, monkeypatch):
     from pathlib import Path
 
+    from test_graphs import spanning_trees_oracle
+
     from landauvar import graphs
 
     reached = []
-    monkeypatch.setattr(graphs, "symanzik_U", lambda g: reached.append(g) or parse("1"))
-    monkeypatch.setattr(graphs, "symanzik_F", lambda g, u=None: parse("1"))
+    monkeypatch.setattr(graphs, "symanzik_F", lambda g, u=None: reached.append(g) or parse("1"))
     for loops, trees in ((6, 2911), (7, 10864)):
         path = write_graph(tmp_path, f"ladder{loops}", *ladder(loops))
         code, _, err = run_cli(capsys, "symanzik", path)
         assert (code == 0) == (loops == 6)
-        assert graphs.load_graph(json.loads(Path(path).read_text())
-                                 ).spanning_tree_count() == trees
-    assert "10864 spanning trees" in err
+        g = graphs.load_graph(json.loads(Path(path).read_text()))
+        assert len(spanning_trees_oracle(g)) == trees
+    assert "at least 4055 spanning trees" in err
     assert len(reached) == 1
+
+
+@pytest.mark.parametrize("name, graph, trees", [("k7", complete(7), 5556),
+                                                 ("ladder7", ladder(7), 4055)])
+def test_tree_walk_stops_at_the_first_tree_over_the_term_budget(tmp_path, capsys, monkeypatch,
+                                                                name, graph, trees):
+    # the first t with t * (|V| - 1 + |E|) over 150000: K7 has w = 27, the
+    # 7-loop ladder w = 37
+    from pathlib import Path
+
+    from landauvar import graphs
+
+    walks = []  # [k, forests yielded] for each walk
+    real = graphs.FeynmanGraph._forests
+
+    def counted(self, k):
+        walk = [k, 0]
+        walks.append(walk)
+        for forest in real(self, k):
+            walk[1] += 1
+            yield forest
+
+    monkeypatch.setattr(graphs.FeynmanGraph, "_forests", counted)
+    path = write_graph(tmp_path, name, *graph)
+    for argv in graph_commands(path):
+        if "symanzik" in argv or "eliminate" in argv or "track" in argv:
+            walks.clear()
+            code, out, err = run_cli(capsys, *argv)
+            assert out == "", argv
+            assert_clean_error(code, err)
+            assert f"at least {trees} spanning trees" in err and "budget of 150000" in err
+            assert walks == [[1, trees]], argv
+    walks.clear()
+    with pytest.raises(graphs.GraphError, match="budget of 150000 Symanzik terms"):
+        graphs.symanzik_F(graphs.load_graph(json.loads(Path(path).read_text())))
+    assert walks == [[1, trees]]
+
+
+def test_graph_with_no_edge_passes_a_zero_term_budget(tmp_path, capsys, monkeypatch):
+    from landauvar import graphs
+
+    monkeypatch.setattr(graphs, "SYMANZIK_TERM_BUDGET", 0)
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"vertices": ["v"], "edges": []}))
+    assert run_cli(capsys, "symanzik", str(path)) == (0, "U: 1\nF: 0\n", "")
 
 
 @pytest.mark.parametrize("argv", [["symanzik", "bubble"], ["analyze", "bubble"]])
@@ -1308,6 +1367,47 @@ def test_chart_errors_name_the_option_variable_and_value(capsys):
         assert out == ""
         assert_clean_error(code, err)
         assert message in err
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (["landau", "eliminate", "bubble", "--chart", "x1=" + "7" * 4200], 4200),
+    (["landau", "eliminate", "sunrise", "--chart", "x1=" + "7" * 4200], 4200),
+    (["landau", "eliminate", "sunrise", "--chart", "x1=-" + "7" * 21], 21),
+    # past the interpreter's own limit for reading an integer
+    (["landau", "eliminate", "bubble", "--chart", "x1=" + "7" * 5000], 5000),
+    (["track", "bubble", "--chart", "x1=" + "7" * 21, "--var", "x2",
+      "--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=4"], 21),
+], ids=["bubble4200", "sunrise4200", "sunrise21", "bubble5000", "track21"])
+def test_chart_integer_over_the_digit_budget_is_refused(capsys, argv, digits):
+    code, out, err = run_cli(capsys, *argv)
+    assert out == ""
+    assert_clean_error(code, err)
+    assert err == (f"error: --chart x1: the value has {digits} digits, over the budget of"
+                   " 20 digits\n")
+
+
+def test_chart_integers_at_the_digit_budget_pass(capsys):
+    big = "9" * 20
+    code, out, err = run_cli(capsys, "landau", "eliminate", "sunrise", "--chart",
+                             f"x1={big},m1sq={big},m2sq={big},m3sq={big}")
+    assert code == 0 and err == "" and out.startswith("eliminant: ")
+
+
+def test_eliminant_past_the_interpreters_print_limit_is_a_clean_error(capsys):
+    # with the masses bound to 20 digits too, the sunrise's eliminant has a
+    # coefficient of about 1160 digits, past the least limit an interpreter takes
+    limit = sys.get_int_max_str_digits()
+    big = "9" * 20
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "landau", "eliminate", "sunrise", "--chart",
+                                 f"x1={big},m1sq={big},m2sq={big},m3sq={big}")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == ""
+    assert_clean_error(code, err)
+    assert err == ("error: eliminant has a coefficient of more than 640 digits, the"
+                   " interpreter's limit for printing an integer\n")
 
 
 def bubble_document():

@@ -1,5 +1,6 @@
 import itertools
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -217,7 +218,6 @@ def test_spanning_forests_agree_with_the_oracles(g, data):
     assert g.spanning_forests(1) == forests_oracle(g, 1)
     assert g.spanning_forests(2) == forests_oracle(g, 2)
     assert g.spanning_forests(3) == forests_oracle(g, 3)
-    assert len(trees(g)) == g.spanning_tree_count()
     first = g.vertices[0]
     for forest, side in g.spanning_forests(1):
         assert side == frozenset(g.vertices) and len(forest) == len(g.vertices) - 1
@@ -231,6 +231,29 @@ def test_spanning_forests_agree_with_the_oracles(g, data):
             ids.discard(min(ids))  # contracting every edge is refused
         q = contract(g, ids)
         assert (q.vertices, q.edges, q.legs) == contract_oracle(g, ids)
+
+
+@given(connected_multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_tree_walk_refuses_exactly_the_graphs_over_the_term_bound(g, data):
+    """`symanzik_U` refuses a graph iff tau(G) * (|V| - 1 + |E|) is over the
+    term budget, and U has at most tau(G) terms and F at most that bound."""
+    import landauvar.graphs
+
+    momenta = [p for _, p in g.legs]  # every channel named, so that F is defined
+    g = FeynmanGraph(g.vertices, g.edges, g.legs, {
+        c: "s" + "".join(c)
+        for r in range(1, len(momenta)) for c in itertools.combinations(momenta, r)})
+    tau = len(spanning_trees_oracle(g))
+    bound = tau * (len(g.vertices) - 1 + len(g.edges))
+    budget = data.draw(st.integers(max(bound - 1, 0), bound + 1) | st.integers(0, 2 * bound))
+    with mock.patch.object(landauvar.graphs, "SYMANZIK_TERM_BUDGET", budget):
+        if bound > budget:
+            with pytest.raises(GraphError, match=f"over the budget of {budget} Symanzik terms"):
+                symanzik_U(g)
+        else:
+            u = symanzik_U(g)
+            assert len(u.terms) <= tau and len(symanzik_F(g, u).terms) <= bound
 
 
 @st.composite

@@ -125,7 +125,7 @@ def _split_word(text: str, flag: str) -> tuple:
     letters = text.removeprefix("word=").removeprefix("w=")
     word = tuple(letters.split(",")) if letters else ()
     if "" in word:
-        raise ValueError(f"{flag} {text}: a word is letters joined by commas, and no"
+        raise ValueError(f"{flag} {poly.cut(text)}: a word is letters joined by commas, and no"
                          " letter may be empty")
     return word
 
@@ -172,17 +172,17 @@ def _parse_assignments(text: str) -> dict:
     for item in text.split(","):
         name, _, value = item.partition("=")
         if not name or not value:
-            raise ValueError(f"bad assignment {item!r}")
+            raise ValueError(f"bad assignment {poly.echo(item)}")
         name = name.strip()
         if name in out:
-            raise ValueError(f"{name} is assigned twice in {text!r}")
+            raise ValueError(f"{poly.cut(name)} is assigned twice in {poly.echo(text)}")
         out[name] = value.strip()
     return out
 
 
 def _number(kind, text: str, where: str):
     """`text` read as an int, float or complex `kind`; a malformed value is
-    refused with `where` (the option and value) named."""
+    refused with `where` (the option and the value, cut by `poly.cut`) named."""
     try:
         return kind(text)
     except ValueError:
@@ -207,12 +207,12 @@ def _parse_bindings(text: str, f: poly.Polynomial, flag: str, kind) -> dict:
     variables = f.variables
     for name, value in _parse_assignments(text).items():
         if name not in variables:
-            raise ValueError(f"{flag} binds {name!r}, which does not occur in F")
+            raise ValueError(f"{flag} binds {poly.echo(name)}, which does not occur in F")
         digits = value.lstrip("+-")
         if kind is int and digits.isdecimal() and len(digits) > CHART_DIGIT_BUDGET:
             raise ValueError(f"{flag} {name}: the value has {len(digits)} digits, over the"
                              f" budget of {CHART_DIGIT_BUDGET} digits")
-        out[name] = _number(kind, value, f"{flag} {name}={value}")
+        out[name] = _number(kind, value, f"{flag} {name}={poly.cut(value)}")
     return out
 
 
@@ -222,10 +222,10 @@ def _parse_index_set(text: str, flag: str) -> frozenset:
     try:
         indices = [int(part) for part in (text.split(",") if "," in text else text)]
     except ValueError:
-        raise ValueError(f"{flag} {text}: the value must be digits, such as 12, or a"
+        raise ValueError(f"{flag} {poly.cut(text)}: the value must be digits, such as 12, or a"
                          " comma list of integers, such as 1,12") from None
     if len(set(indices)) < len(indices):
-        raise ValueError(f"{flag} {text}: an index is repeated; give each index once")
+        raise ValueError(f"{flag} {poly.cut(text)}: an index is repeated; give each index once")
     return frozenset(indices)
 
 
@@ -243,11 +243,11 @@ def _parse_loop(text: str) -> tracking.Loop:
     opts = _parse_assignments(rest)
     unknown = [key for key in opts if key not in LOOP_KEYS]
     if unknown:
-        raise ValueError(f"unknown loop key {unknown[0]!r} (the keys are"
+        raise ValueError(f"unknown loop key {poly.echo(unknown[0])} (the keys are"
                          f" {', '.join(LOOP_KEYS)})")
     if "r" in opts and "radius" in opts:
         raise ValueError("loop gives both r and radius: give the radius once")
-    fields = {field: _number(kind, opts[key], f"loop {key}={opts[key]}")
+    fields = {field: _number(kind, opts[key], f"loop {key}={poly.cut(opts[key])}")
               for key, (field, kind) in LOOP_KEYS.items() if key in opts}
     return tracking.Loop(parameter=name, **fields)
 
@@ -294,7 +294,7 @@ def _track(g: graphs.FeynmanGraph, f: poly.Polynomial, chart_text: str, var: str
     chart = _parse_bindings(chart_text, f, f"{prefix}chart", int)
     edge_vars = [e.var for e in g.edges]
     if var not in edge_vars:
-        raise ValueError(f"{prefix}var {var!r} is not one of the edge variables"
+        raise ValueError(f"{prefix}var {poly.echo(var)} is not one of the edge variables"
                          f" {poly.echo(edge_vars)}")
     if var in chart:
         raise ValueError(f"{prefix}chart binds {var!r}, the variable that {prefix}var tracks")
@@ -306,7 +306,7 @@ def _track(g: graphs.FeynmanGraph, f: poly.Polynomial, chart_text: str, var: str
         if name == var:
             raise ValueError(f"{prefix}fix binds {name!r}, the variable that {prefix}var tracks")
         if not cmath.isfinite(basepoint[name]):
-            raise tracking.TrackingError(f"frozen value {name}={value} must be finite")
+            raise tracking.TrackingError(f"frozen value {name}={poly.cut(value)} must be finite")
     if loop.parameter == var:
         raise ValueError(f"{prefix}loop varies {var!r}, the variable that {prefix}var tracks")
     fixed_fiber = [v for v in edge_vars if v != var and v not in chart]
@@ -314,10 +314,10 @@ def _track(g: graphs.FeynmanGraph, f: poly.Polynomial, chart_text: str, var: str
         raise ValueError(f"fiber variables {poly.echo(fixed_fiber)} not bound by {prefix}chart")
     family = f.substitute(chart)
     if loop.parameter not in family.variables:  # a constant family tracks silently
-        raise ValueError(f"{prefix}loop varies {loop.parameter!r}, which does not occur"
+        raise ValueError(f"{prefix}loop varies {poly.echo(loop.parameter)}, which does not occur"
                          f" in F under {prefix}chart")
     system = tracking.ParametricRootSystem(family, var, basepoint, loop)
-    marked = [_number(complex, z, f"{prefix}mark {z}") for z in marks]
+    marked = [_number(complex, z, f"{prefix}mark {poly.cut(z)}") for z in marks]
     return tracking.track(system, marked, tol=tol).describe()
 
 
@@ -342,12 +342,20 @@ def _cmd_eliminate(args) -> dict:
     chart = _parse_bindings(args.chart, f, "--chart", int)
     eliminant = landau.eliminate_critical_values(f, [e.var for e in g.edges], chart)
     limit = sys.get_int_max_str_digits()  # 0: no limit
-    least = 10 ** limit  # the least integer of more than `limit` digits
-    if limit and any(max(abs(c.numerator), c.denominator) >= least
-                     for c in eliminant.terms.values()):
-        raise landau.LandauError(f"eliminant has a coefficient of more than {limit} digits,"
-                                 " the interpreter's limit for printing an integer")
+    if limit:
+        least = _least_of_more_digits(limit)
+        if any(max(abs(c.numerator), c.denominator) >= least
+               for c in eliminant.terms.values()):
+            raise landau.LandauError(f"eliminant has a coefficient of more than {limit}"
+                                     " digits, the interpreter's limit for printing an integer")
     return {"eliminant": str(eliminant)}
+
+
+@functools.lru_cache(maxsize=4)
+def _least_of_more_digits(digits: int) -> int:
+    """10 ** digits, the least integer of more than `digits` digits: built once
+    per limit, as the default limit's takes about 30 us."""
+    return 10 ** digits
 
 
 def _cmd_hierarchy(args) -> str | list | dict:

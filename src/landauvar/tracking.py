@@ -11,11 +11,14 @@ term layout of the coefficients in t and number of marked points, whose
 values equal the plain loop's bit for bit.  It leaves out only operations
 whose result it already holds: the 0j seed of Horner's rule (no coefficient
 has a -0.0 component), the terms without t, their abs and derivative
-coefficients at every step (they are computed once, before the loop) and the
-calls of min and max (comparisons in the same order).  At the end the roots are
-matched back to the start, giving the permutation of the roots and the
-winding number of each tracked root around marked points.  The discrete
-outputs are the contract; residuals are diagnostics.
+coefficients, 10 * tol and each root's difference from a marked point at every
+step (they are computed once, before the loop, or kept from the last accepted
+step), the calls of min and max (comparisons in the same order), the range
+object of the Newton loop in its first two corrections and the test of f'
+against 0 (the division by f' raises instead).  At the end the roots are
+matched back to the start, giving the permutation of the roots and the winding
+number of each tracked root around marked points.  The discrete outputs are
+the contract; residuals are diagnostics.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ class TrackingError(ValueError):
     pass
 
 
-# `track` takes at least `steps` corrector steps (steps=100000 takes about 0.4 s
-# on a 2-vCPU x86-64 VM, and past about 1e16 steps theta stops advancing), so
-# more steps are refused; so are more step halvings, which also bounds the
-# accepted steps by steps + halvings, as each doubling undoes one halving
+# `track` takes at least `steps` corrector steps (steps=100000 takes about 0.3 s
+# on a 2-vCPU x86-64 VM, up to 0.5 s when it is loaded, and past about 1e16
+# steps theta stops advancing), so more steps are refused; so are more step
+# halvings, which also bounds the accepted steps by steps + halvings, as each
+# doubling undoes one halving
 LOOP_STEP_BUDGET = 100_000
 
 # the basepoint must sit off the Landau variety: its discriminant, divided by
@@ -196,6 +200,19 @@ def _residual_ok(desc, x, bound) -> bool:
 # - min and max are comparisons in the builtins' order: max takes a later value
 #   only when it is greater, min only when it is less, so nan and ties go the
 #   same way; the moves are still left unevaluated once `sep` is too small.
+# - The Newton corrections are not a `for` loop over range(20) each: f is
+#   evaluated once at the predicted root, the first two corrections are
+#   straight-line code and only corrections 3-20 run in a bounded loop, so the
+#   same 20 corrections and 21 evaluations come in the same order.
+# - f'(x) is not compared with 0: fx / f'(x) raises ZeroDivisionError instead.
+#   Complex division raises exactly when both parts of the divisor are +-0,
+#   which is when f'(x) == 0 holds, and it raises before x and e change, so
+#   e > bound rejects the step as the break did; a nan divisor passes both
+#   forms alike.  The try costs nothing until it fires.
+# - The denominator r{i} - z{k} of a winding is not recomputed: it is the
+#   numerator x{i} - z{k} of the last accepted step (r{i} took the value of
+#   x{i}), kept in y{i}_{k}, which starts from the start root before the loop.
+# - 10 * tol, the separation floor, is computed once, before the loop.
 # Only integers derived from the kernel's key are in the text.
 _LOOP_TEMPLATE = """\
 def run({heads}{tails}{exponents}{marks}{roots}center, radius, w, tol, steps, budget):
@@ -232,18 +249,30 @@ _REJECT = """\
             continue
 """
 
-# at most 20 Newton corrections; a vanishing derivative leaves e > bound
+# at most 20 Newton corrections and 21 evaluations of f; a step is rejected when
+# e > bound after the last one or when a derivative vanishes
 _CORRECTION_TEMPLATE = """\
         x = r{i}
-        for _ in range(20):
-            fx = {f}
-            e = abs(fx)
-            if e <= bound or (dfx := {df}) == 0:
-                break
-            x = x - fx / dfx
-        else:
-            e = abs({f})
-        if not e <= bound:
+        fx = {f}
+        e = abs(fx)
+        try:
+            if not e <= bound:
+                x = x - fx / {df}
+                fx = {f}
+                e = abs(fx)
+                if not e <= bound:
+                    x = x - fx / {df}
+                    fx = {f}
+                    e = abs(fx)
+                    if not e <= bound:
+                        for _ in range(18):
+                            x = x - fx / {df}
+                            fx = {f}
+                            e = abs(fx)
+                            if e <= bound:
+                                break
+                        else:
+{deep_reject}        except ZeroDivisionError:
 {reject}        x{i} = x
         err{i} = e
 """
@@ -251,7 +280,7 @@ _CORRECTION_TEMPLATE = """\
 # a step is accepted when every root converges, the new roots stay apart and
 # none moves more than 0.4 of their separation
 _TESTS_TEMPLATE = """\
-{sep}        if sep < 10 * tol:
+{sep}        if sep < sep_floor:
 {reject}{move}        if move > 0.4 * sep:
 {reject}"""
 
@@ -316,14 +345,17 @@ def _loop_kernel(degree: int, layout: tuple, n_marks: int):
     invariants += [f"abs{k} = abs(c{k})" for k in ranks if k in const]
     invariants += [f"lead = abs(c{degree})"] if degree in const else []
     invariants += [f"d{k} = {k} * c{k}" for k in powers[2:] if k in const]
+    invariants += ["sep_floor = 10 * tol"] if degree > 1 else []
     f = _horner(f"c{k}" for k in reversed(powers))
     df = _horner(f"d{k}" if k > 1 else "c1" for k in reversed(powers[1:]))
     seps = [("v", f"abs(x{i} - x{j})") for i in ranks for j in range(i + 1, degree)]
     roots, zs = _listed("r", degree), _listed("z", n_marks)
+    deep_reject = "".join(" " * 16 + line for line in _REJECT.splitlines(True))
     source = _LOOP_TEMPLATE.format(
         heads=_listed("h", next(heads)), tails=_listed("f", next(tails)),
         exponents=_listed("e", n_slots), marks=zs, roots=roots,
-        windings_init="".join(f"    a{i}_{k} = 0.0\n" for i in ranks for k in marks),
+        windings_init="".join(f"    a{i}_{k} = 0.0\n    y{i}_{k} = r{i} - z{k}\n"
+                              for i in ranks for k in marks),
         invariants="".join(f"    {line}\n" for line in invariants),
         coefficients="".join(f"        p{k} = t ** e{k}\n" for k in range(n_slots))
         + "".join(coefficients),
@@ -331,15 +363,16 @@ def _loop_kernel(degree: int, layout: tuple, n_marks: int):
                                   for k in ranks]
                     + [("lead", None if degree in const else f"abs(c{degree})")]),
         dcs="".join(f"        d{k} = {k} * c{k}\n" for k in powers[2:] if k not in const),
-        corrections="".join(_CORRECTION_TEMPLATE.format(i=i, f=f, df=df, reject=_REJECT)
-                            for i in ranks),
+        corrections="".join(_CORRECTION_TEMPLATE.format(
+            i=i, f=f, df=df, reject=_REJECT, deep_reject=deep_reject) for i in ranks),
         tests=_TESTS_TEMPLATE.format(
             sep=_fold("sep", "<", seps), reject=_REJECT,
             move=_fold("move", ">", [("v", f"abs(x{i} - r{i})") for i in ranks]))
         if seps else "",
         windings=_WINDINGS_TEMPLATE.format(
-            phases="".join(f"            a{i}_{k} += phase((x{i} - z{k}) / (r{i} - z{k}))\n"
-                           for i in ranks for k in marks), roots=roots, marks=zs)
+            phases="".join(f"            a{i}_{k} += phase((v := x{i} - z{k}) / y{i}_{k})\n"
+                           f"            y{i}_{k} = v\n" for i in ranks for k in marks),
+            roots=roots, marks=zs)
         if n_marks else "",
         accept="".join(f"        if err{i} > max_residual:\n            max_residual = err{i}\n"
                        f"        r{i} = x{i}\n" for i in ranks),

@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from landauvar.cli import main
-from landauvar.poly import ECHO_LIMIT, parse
+from landauvar.poly import ECHO_LIMIT, cut, parse
 
 
 # a list nested 500 deep, a repr of 1000 characters (from the command line
@@ -123,14 +123,16 @@ def test_homrank(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--I", "x"), ("--J", "1,x"), ("--K", "1 2"),
-                                         ("--I", "1,,2"), ("--J", "2,")])
+                                         ("--I", "1,,2"), ("--J", "2,"),
+                                         pytest.param("--I", "x" * 300, id="--I-long")])
 def test_homrank_index_set_errors_name_the_option_and_value(capsys, flag, value):
     argv = ["homrank", "--n", "2", "--m", "3", flag, value, "--degree", "1"]
     code, out, err = run_cli(capsys, *argv)
     assert out == ""
     assert_clean_error(code, err)
-    assert (f"error: {flag} {value}: the value must be digits, such as 12, or a comma"
+    assert (f"error: {flag} {cut(value)}: the value must be digits, such as 12, or a comma"
             " list of integers, such as 1,12") in err
+    assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("flag, value", [("--I", "1,1"), ("--J", "11"), ("--K", "2,12,2")])
@@ -148,13 +150,15 @@ def test_homrank_refuses_a_repeated_index(capsys, flag, value):
     (["analyze", "bubble", "--check"], "--check", "lF/1,"),
     (["variation", "compose", "bubble"], "word", "w=l1,"),
     (["variation", "compose", "bubble"], "word", "w=,"),
+    pytest.param(["variation", "compose", "bubble"], "word", "w=" + "l1," * 100, id="long"),
 ])
 def test_words_with_an_empty_letter_are_refused(capsys, argv, flag, value):
     code, out, err = run_cli(capsys, *argv, value)
     assert out == ""
     assert_clean_error(code, err)
-    assert (f"error: {flag} {value}: a word is letters joined by commas, and no letter"
+    assert (f"error: {flag} {cut(value)}: a word is letters joined by commas, and no letter"
             " may be empty") in err
+    assert len(err.encode()) < 300
 
 
 def test_the_empty_word_is_still_a_word(capsys):
@@ -1361,12 +1365,35 @@ def test_chart_errors_name_the_option_variable_and_value(capsys):
         (["analyze", "bubble", "--track-chart", "x2=1", "--track-var", "x2", "--track-loop",
           "psq:center=9,r=1", "--track-fix", "m1sq=1,m2sq=4"],
          "--track-chart binds 'x2', the variable that --track-var tracks"),
+        # a long value is echoed cut after ECHO_LIMIT characters
+        (["landau", "eliminate", "bubble", "--chart", "x1=" + "a" * 300],
+         f"--chart x1={'a' * ECHO_LIMIT}...: the value must be an integer"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--fix", "m1sq=" + "b" * 300],
+         f"--fix m1sq={'b' * ECHO_LIMIT}...: the value must be a number"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--mark", "c" * 300],
+         f"--mark {'c' * ECHO_LIMIT}...: the value must be a number"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--fix", "m1sq=1," + "q" * 300],
+         f"bad assignment {cut(repr('q' * 300))}"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--fix", "n" * 300 + "=1"],
+         f"--fix binds {cut(repr('n' * 300))}, which does not occur in F"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--var", "v" * 300],
+         f"--var {cut(repr('v' * 300))} is not one of the edge variables"),
+        (["track", "bubble", "--chart", "x1=1"] + track + ["--loop", "p" * 300 + ":center=9,r=1"],
+         f"--loop varies {cut(repr('p' * 300))}, which does not occur in F"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
         assert out == ""
         assert_clean_error(code, err)
         assert message in err
+        assert len(err.encode()) < 300, argv
+    # a name assigned twice is echoed with the whole assignment text, each cut
+    code, out, err = run_cli(capsys, "track", "bubble", "--chart", "x1=1", *track, "--fix",
+                             "n" * 300 + "=1," + "n" * 300 + "=2")
+    assert out == ""
+    assert_clean_error(code, err)
+    assert err == (f"error: {'n' * ECHO_LIMIT}... is assigned twice in"
+                   f" '{'n' * (ECHO_LIMIT - 1)}...\n")
 
 
 @pytest.mark.parametrize("argv, digits", [
@@ -1408,6 +1435,17 @@ def test_eliminant_past_the_interpreters_print_limit_is_a_clean_error(capsys):
     assert_clean_error(code, err)
     assert err == ("error: eliminant has a coefficient of more than 640 digits, the"
                    " interpreter's limit for printing an integer\n")
+    # the bound follows the limit in force at each run: none at 0 (no limit),
+    # and 640 again after it
+    for digits, refused in [(0, False), (640, True)]:
+        sys.set_int_max_str_digits(digits)
+        try:
+            code, out, err = run_cli(capsys, "landau", "eliminate", "sunrise", "--chart",
+                                     f"x1={big},m1sq={big},m2sq={big},m3sq={big}")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (code, out == "", "640 digits" in err) == ((1, True, True) if refused
+                                                         else (0, False, False)), digits
 
 
 def bubble_document():
@@ -1587,12 +1625,16 @@ def test_non_finite_tracking_input_is_a_clean_error(capsys):
         (analyze + ["--track-loop", "psq:center=9,r=0.1", "--track-fix", "m1sq=1,m2sq=4",
                     "--track-mark", "nan"],
          "marked point (nan+0j) must be finite"),
+        # 5000 digits read as inf, and are echoed cut after ECHO_LIMIT characters
+        (track + ["--loop", "psq:center=9,r=0.1", "--fix", "m1sq=1,m2sq=" + "9" * 5000],
+         f"frozen value m2sq={'9' * ECHO_LIMIT}... must be finite"),
     ]
     for argv, message in cases:
         code, out, err = run_cli(capsys, *argv)
         assert out == ""
         assert_clean_error(code, err)
         assert message in err, argv
+        assert len(err.encode()) < 300, argv
 
 
 @pytest.mark.parametrize("options", [
@@ -1884,6 +1926,9 @@ def test_bad_loop_orientation_steps_and_tolerance_are_clean_errors(capsys):
         (["--loop", "psq:center=9,r=1,turns=1000,steps=1001"],
          "got steps=1001, turns=1000"),
         (["--loop", "psq:center=x,r=0.1"], "loop center=x: the value must be a number"),
+        (["--loop", "psq:center=9,r=" + "x" * 300],
+         f"loop r={'x' * ECHO_LIMIT}...: the value must be a number"),
+        (["--loop", "psq:" + "k" * 300 + "=1"], f"unknown loop key {cut(repr('k' * 300))}"),
         (["--loop", "psq"], "loop spec must look like psq:center=9,r=0.1"),
         (["--loop", "psq:center=9,r=0.1", "--tol", "nan"],
          "tolerance tol=nan must be finite and positive"),
@@ -1897,6 +1942,7 @@ def test_bad_loop_orientation_steps_and_tolerance_are_clean_errors(capsys):
         assert out == ""
         assert_clean_error(code, err)
         assert message in err, extra
+        assert len(err.encode()) < 300, extra
 
 
 def test_loop_turns_are_read(capsys):

@@ -475,6 +475,21 @@ ORACLE_CASES = [(name, sys, [0]) for name, sys in LOOP_KINDS.items()] + [
     ("prefix-with-tail", ParametricRootSystem(
         parse("(t + 3)*x^3 + (a + t*z + t^2)*x^2 - 2*x + 1"), "x", {"a": 2, "z": -1},
         Loop("t", -3, 0.5)), [0]),
+    # the edges of the kernel's corrector: steps whose roots need 5 to 10
+    # corrections (the bounded loop after the first two); half-turn steps whose
+    # roots converge only at the 21st evaluation of f, or not after 20
+    # corrections; a predicted root 0 at which f' = 2x - 7/10485760*t^21
+    # vanishes, as t^21 underflows to 0 at the first step, t = 1 + exp(i pi)
+    # (about 1.2e-16j); and two marked points, one wound round twice and one
+    # outside the roots' path
+    ("bounded-loop", ParametricRootSystem(parse("x^3 - t"), "x", {}, Loop("t", 0.5j, 1, 1, 4)),
+     [0]),
+    ("correction-limit", ParametricRootSystem(parse("x^2 - t"), "x", {},
+                                              Loop("t", 4e-5j, 1, 1, 2)), [0.5]),
+    ("zero-derivative", ParametricRootSystem(parse("x^2 - 7/10485760*t^21*x + t - 2"), "x", {},
+                                             Loop("t", 1, 1, 1, 2)), [3]),
+    ("two-marks", ParametricRootSystem(parse("x^2 - t"), "x", {}, Loop("t", 0, 1, 1, 64, 2)),
+     [0, 2]),
 ]
 
 

@@ -10,6 +10,7 @@ signed sum over all such chains.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -46,19 +47,29 @@ def _index_pairs(n: int) -> list:
             for J in combinations(universe, n + 1 - size_i)]
 
 
+# each weight's components, relation and symbol tables are built once per
+# process: a few weights are in use at a time, and `cli` admits weights up to 7
+@functools.lru_cache(maxsize=8, typed=True)
+def _components(n: int) -> tuple:
+    return tuple(LandauComponent.of(component_id(I, J), Polynomial.var(letter_id(I, J)),
+                                    LINEAR, [f"Q{i}" for i in I], [f"R{j}" for j in J],
+                                    known_zero=not I or not J)
+                 for I, J in _index_pairs(n))
+
+
 def aomoto_components(n: int) -> list:
     """All C(2n+2, n+1) codimension-one components for weight n; the pure
-    cases I empty or J empty have identically zero variation."""
-    return [LandauComponent.of(component_id(I, J), Polynomial.var(letter_id(I, J)), LINEAR,
-                               [f"Q{i}" for i in I], [f"R{j}" for j in J],
-                               known_zero=not I or not J)
-            for I, J in _index_pairs(n)]
+    cases I empty or J empty have identically zero variation.  Each call
+    returns a new list of the components built once per process."""
+    return list(_components(n))
 
 
+@functools.lru_cache(maxsize=8, typed=True)
 def aomoto_edges(n: int) -> HierarchyRelation:
     """Arrows l_{IJ} -> l_{I'J'} exactly for strict inclusions I' > I and
     J' < J; no self-edges.  (Coincides with the generic relation on these
-    components, since every pinch is linear.)"""
+    components, since every pinch is linear.)  Built once per process: the
+    relation is frozen."""
     data = [(component_id(I, J), frozenset(I), frozenset(J)) for I, J in _index_pairs(n)]
     edges = frozenset((cid, cid2) for cid, I, J in data for cid2, I2, J2 in data
                       if I < I2 and J2 < J)
@@ -107,10 +118,19 @@ def symbol_walk(n: int, render=lambda letter: letter) -> Iterator:
     (sigma, tau): word (sigma, tau) is the chain `chain_sets(n, sigma, tau)`
     read from k = n down to k = 1, signed by `maximal_chain_value`, and each
     letter (I, J) is given as `render((I, J))`.  The tables are built before
-    this returns: each permutation's parity and index sets, and each letter's
-    rendering, once, shared by all the words that use them."""
+    this returns, once per process for each (n, render): each permutation's
+    parity and index sets, and each letter's rendering, shared by all the
+    words that use them."""
     if n < 1:
         raise AomotoError("weight must be at least 1")
+    rows, shrinks = _symbol_tables(n, render)
+    return ((ps * pt, map(getitem, row, Js)) for ps, row in rows for pt, Js in shrinks)
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _symbol_tables(n: int, render) -> tuple:
+    """Each sigma's parity with its row of rendered letters, k = n down to 1,
+    and each tau's parity with its index sets, in the same order."""
     perms = list(permutations(range(n + 1)))
     ks = range(n, 0, -1)  # leftmost letter is k = n
     sets = {}  # one frozenset per index set
@@ -120,10 +140,9 @@ def symbol_walk(n: int, render=lambda letter: letter) -> Iterator:
         return sets.setdefault(s, s)
 
     grows = [(permutation_sign(p), [index_set(p[:k]) for k in ks]) for p in perms]
-    shrinks = [(permutation_sign(p), tuple(index_set(p[k:]) for k in ks)) for p in perms]
+    shrinks = tuple((permutation_sign(p), tuple(index_set(p[k:]) for k in ks)) for p in perms)
     letter = {I: {J: render((I, J)) for J in sets if len(I) + len(J) == n + 1} for I in sets}
-    rows = [(ps, [letter[I] for I in Is]) for ps, Is in grows]
-    return ((ps * pt, map(getitem, row, Js)) for ps, row in rows for pt, Js in shrinks)
+    return tuple((ps, tuple(letter[I] for I in Is)) for ps, Is in grows), shrinks
 
 
 def aomoto_symbol(n: int) -> list:

@@ -443,11 +443,13 @@ def check_against_hierarchy(model: VariationModel, rel: HierarchyRelation | None
     and a subtree without forced words is not entered.  `words_checked` still
     counts every forced word.  A ModelError refuses a walk over the budgets.
     """
+    if type(max_len) is not int or max_len < 0:  # refuses bool too
+        raise ModelError(f"max_len must be a nonnegative integer, got {echo(max_len)}")
     if rel is None:
         rel = model.relation()
     rule = ForcedZeroRule.of(rel, model.components)
     # a count of s letters takes at most s * ceil(log2 |C|) bits plus a 64-bit word
-    letters, rows = len(rule.letters), max(max_len, 0)
+    letters, rows = len(rule.letters), max_len
     bits = (letters + 1) * ((letters - 1).bit_length() * rows * (rows + 1) // 2
                             + 64 * rows)
     if bits > AUDIT_COUNT_BITS_BUDGET:
@@ -644,7 +646,7 @@ def _sets(**labels) -> dict:
     return {label: frozenset(ids.split()) for label, ids in labels.items()}
 
 
-def _logarithm_model() -> VariationModel:
+def _logarithm_model() -> dict:
     t = Polynomial.var("t")
     comps = (
         LandauComponent.of("l0", t, LINEAR, "A1 A2", known_zero=True),
@@ -653,7 +655,7 @@ def _logarithm_model() -> VariationModel:
     )
     vanishing = {"l1": ((0, 1),), "linf": ((0, 1),)}
     rows = {"l0": (0, 0), "l1": (-1, 0), "linf": (-1, 0)}
-    return VariationModel(
+    return dict(
         name="logarithm", n=1, basis=("sigma", "nu"), components=comps,
         ops=_rank_one_ops(1, comps, vanishing, rows), vanishing=vanishing,
         intersection_rows=rows,
@@ -662,7 +664,7 @@ def _logarithm_model() -> VariationModel:
     )
 
 
-def _bubble_model() -> VariationModel:
+def _bubble_model() -> dict:
     m1, m2 = Polynomial.var("m1"), Polynomial.var("m2")
     psq = Polynomial.var("psq")
     comps = (
@@ -677,7 +679,7 @@ def _bubble_model() -> VariationModel:
                  "lD-": (nu_delta,)}
     rows = {"l1": (1, 0, 0), "l2": (-1, 0, 0), "lD+": (-1, -1, 1), "lD-": (0, -1, 1),
             "lp": (0, 0, 0)}
-    return VariationModel(
+    return dict(
         name="bubble", n=1, basis=("sigma", "nu1", "nu2"), components=comps,
         ops=_rank_one_ops(1, comps, vanishing, rows), vanishing=vanishing,
         intersection_rows=rows,
@@ -686,7 +688,7 @@ def _bubble_model() -> VariationModel:
     )
 
 
-def _dilog_model() -> VariationModel:
+def _dilog_model() -> dict:
     t = Polynomial.var("t")
     comps = (
         LandauComponent.of("l0", t, GENERAL, "A1 A2 A3 A4 A5", "B3 B4", "A3"),
@@ -701,7 +703,7 @@ def _dilog_model() -> VariationModel:
         # compose to the identity
         "linf": matrix_from_images([(0, 1, 0), (0, 0, -1), (0, 0, 0)]),
     }
-    return VariationModel(
+    return dict(
         name="dilog", n=2, basis=("sigma", "nu_p1", "nu_p0"), ops=ops,
         components=comps,
         vanishing={"l1": ((0, 1, 0),), "l0": ((0, 0, 1),)},
@@ -716,7 +718,7 @@ def _dilog_model() -> VariationModel:
 _EPS_CYCLIC = {(1, 2): 1, (2, 3): 1, (3, 1): 1, (2, 1): -1, (3, 2): -1, (1, 3): -1}
 
 
-def _triangle_model() -> VariationModel:
+def _triangle_model() -> dict:
     from .landau import fixture_landau
 
     comps = tuple(fixture_landau("massless-triangle"))
@@ -737,7 +739,7 @@ def _triangle_model() -> VariationModel:
         images.append((0,) * size)  # mu -> 0
         ops[f"l{i}"] = matrix_from_images(images)
     ops["ldelta"] = ((None,) * size,) * size  # every entry unknown
-    return VariationModel(
+    return dict(
         name="massless-triangle", n=2, basis=basis, ops=ops, components=comps,
         vanishing={
             "ldelta": ((0, 0, 0, 0, 2),),  # nu_delta = 2*mu
@@ -752,7 +754,7 @@ def _triangle_model() -> VariationModel:
     )
 
 
-_BUILTIN = {
+BUILTIN_MODELS = {
     "logarithm": _logarithm_model,
     "bubble": _bubble_model,
     "dilog": _dilog_model,
@@ -760,11 +762,18 @@ _BUILTIN = {
 }
 
 
+@functools.lru_cache(maxsize=len(BUILTIN_MODELS))
+def _builtin_fields(name: str) -> dict:
+    """The `VariationModel` fields of builtin model `name`, built once per
+    process; only `builtin_model` reads them, and it copies each dict."""
+    return BUILTIN_MODELS[name]()
+
+
 def builtin_model(name: str) -> VariationModel:
-    try:
-        builder = _BUILTIN[name]
-    except KeyError:
-        raise ModelError(
-            f"unknown model {name!r}; choose from {sorted(_BUILTIN)}"
-        ) from None
-    return builder()
+    """A new model `name`, each of its dicts a shallow copy of the fields
+    built once per process (their values are tuples, frozensets and strings),
+    so a caller's edits and the model's cleared operators stay its own."""
+    if name not in BUILTIN_MODELS:
+        raise ModelError(f"unknown model {name!r}; choose from {sorted(BUILTIN_MODELS)}")
+    return VariationModel(**{key: dict(value) if isinstance(value, dict) else value
+                             for key, value in _builtin_fields(name).items()})

@@ -17,6 +17,31 @@ from landauvar.aomoto import (
 from landauvar.hierarchy import hierarchy_graph, word_vanishes
 
 
+def test_weight_tables_are_built_once_and_each_call_has_its_own_list(capsys):
+    import hashlib
+
+    from landauvar import aomoto
+    from landauvar.cli import main
+    from test_cli import SYMBOL_DIGESTS
+
+    def printed(*argv):
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    expected = printed("aomoto", "components", "--n", "2", "--format", "json")
+    aomoto_components(2).clear()
+    assert printed("aomoto", "components", "--n", "2", "--format", "json") == expected
+    assert aomoto_components(2) is not aomoto_components(2)
+    assert aomoto_edges(2) is aomoto_edges(2)
+    aomoto._symbol_tables.cache_clear()
+    for fmt in ("text", "json"):
+        for _ in range(2):
+            out = printed("aomoto", "symbol", "--n", "3", "--format", fmt)
+            assert hashlib.sha256(out.encode()).hexdigest() == SYMBOL_DIGESTS["3", fmt]
+    info = aomoto._symbol_tables.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
 def test_component_counts():
     for n in (1, 2, 3, 4):
         comps = aomoto_components(n)

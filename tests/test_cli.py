@@ -1592,7 +1592,11 @@ def test_hierarchy_dot_escapes_backslashes(tmp_path, capsys):
 @pytest.mark.parametrize("argv, message", [
     (["aomoto", "symbol", "--n", "0"], "weight must be at least 1"),
     (["variation", "compose", "bubble", "w=zz"], "unknown component id 'zz'"),
-], ids=["zero-weight", "unknown-letter"])
+    (["variation", "audit", "bubble", "--max-len", "-1"],
+     "max_len must be a nonnegative integer, got -1"),
+    (["variation", "table", "bubbel"], "unknown model 'bubbel'; choose from ['bubble',"
+     " 'dilog', 'logarithm', 'massless-triangle'] or a model document that can be read"),
+], ids=["zero-weight", "unknown-letter", "negative-max-len", "unknown-model"])
 def test_zero_weight_and_unknown_letter_are_clean_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert out == ""

@@ -45,6 +45,33 @@ from landauvar.variation import (
 BUILTIN = ("logarithm", "bubble", "dilog", "massless-triangle")
 
 
+def test_builtin_model_is_built_once_and_each_call_has_its_own_dicts(capsys, monkeypatch):
+    from landauvar.cli import main
+    from landauvar.landau import fixture_landau
+
+    def table(name):
+        assert main(["variation", "table", name, "--format", "json"]) == 0
+        return capsys.readouterr().out
+
+    variation._builtin_fields.cache_clear()
+    built = []
+    real = variation.BUILTIN_MODELS["bubble"]
+    monkeypatch.setitem(variation.BUILTIN_MODELS, "bubble", lambda: built.append(1) or real())
+    first, second = builtin_model("bubble"), builtin_model("bubble")
+    assert built == [1]
+    assert first is not second and first == second
+    expected = table("bubble")
+    first.ops.clear()
+    first.vanishing["l1"] = ((1, 1, 1),)
+    assert table("bubble") == expected and second == builtin_model("bubble")
+    assert built == [1]
+    # the massless triangle's components are the fixture's
+    expected = table("massless-triangle")
+    fixture_landau("massless-triangle").clear()
+    variation._builtin_fields.cache_clear()
+    assert table("massless-triangle") == expected
+
+
 def vec(model, label):
     return model.basis_vector(label)
 
@@ -488,10 +515,11 @@ def test_audit_violations_and_unverified_under_empty_relation():
 
 def test_audit_of_no_length_checks_nothing():
     for name in BUILTIN:
-        for max_len in (0, -1):
-            report = check_against_hierarchy(builtin_model(name), max_len=max_len)
-            assert report.words_checked == 0, (name, max_len)
-            assert report.ok and not report.unverified
+        report = check_against_hierarchy(builtin_model(name), max_len=0)
+        assert report.words_checked == 0, name
+        assert report.ok and not report.unverified
+        with pytest.raises(ModelError, match="max_len must be a nonnegative integer, got -1"):
+            check_against_hierarchy(builtin_model(name), max_len=-1)
 
 
 def test_audit_enters_no_subtree_without_forced_words(monkeypatch):

@@ -47,29 +47,38 @@ def _index_pairs(n: int) -> list:
             for J in combinations(universe, n + 1 - size_i)]
 
 
-# each weight's components, relation and symbol tables are built once per
-# process: a few weights are in use at a time, and `cli` admits weights up to 7
-@functools.lru_cache(maxsize=8, typed=True)
-def _components(n: int) -> tuple:
-    return tuple(LandauComponent.of(component_id(I, J), Polynomial.var(letter_id(I, J)),
-                                    LINEAR, [f"Q{i}" for i in I], [f"R{j}" for j in J],
-                                    known_zero=not I or not J)
-                 for I, J in _index_pairs(n))
+# weights 1-4 (348 components, about 0.45 MB together) are built once per process;
+# a larger weight is built on each call, so that no process keeps weight 7's
+# 12870 components (about 25 MB) after its caller is done with them
+_CACHED_WEIGHT = 4
 
 
 def aomoto_components(n: int) -> list:
     """All C(2n+2, n+1) codimension-one components for weight n; the pure
     cases I empty or J empty have identically zero variation.  Each call
-    returns a new list of the components built once per process."""
-    return list(_components(n))
+    returns a new list; the components of weights 1-4 are built once per
+    process."""
+    if 1 <= n <= _CACHED_WEIGHT:
+        return list(_cached_components(n))
+    return _build_components(n)
 
 
-@functools.lru_cache(maxsize=8, typed=True)
+@functools.lru_cache(maxsize=_CACHED_WEIGHT, typed=True)
+def _cached_components(n: int) -> tuple:
+    return tuple(_build_components(n))
+
+
+def _build_components(n: int) -> list:
+    return [LandauComponent.of(component_id(I, J), Polynomial.var(letter_id(I, J)), LINEAR,
+                               [f"Q{i}" for i in I], [f"R{j}" for j in J],
+                               known_zero=not I or not J)
+            for I, J in _index_pairs(n)]
+
+
 def aomoto_edges(n: int) -> HierarchyRelation:
     """Arrows l_{IJ} -> l_{I'J'} exactly for strict inclusions I' > I and
     J' < J; no self-edges.  (Coincides with the generic relation on these
-    components, since every pinch is linear.)  Built once per process: the
-    relation is frozen."""
+    components, since every pinch is linear.)"""
     data = [(component_id(I, J), frozenset(I), frozenset(J)) for I, J in _index_pairs(n)]
     edges = frozenset((cid, cid2) for cid, I, J in data for cid2, I2, J2 in data
                       if I < I2 and J2 < J)
@@ -118,19 +127,10 @@ def symbol_walk(n: int, render=lambda letter: letter) -> Iterator:
     (sigma, tau): word (sigma, tau) is the chain `chain_sets(n, sigma, tau)`
     read from k = n down to k = 1, signed by `maximal_chain_value`, and each
     letter (I, J) is given as `render((I, J))`.  The tables are built before
-    this returns, once per process for each (n, render): each permutation's
-    parity and index sets, and each letter's rendering, shared by all the
-    words that use them."""
+    this returns: each permutation's parity and index sets, and each letter's
+    rendering, once, shared by all the words that use them."""
     if n < 1:
         raise AomotoError("weight must be at least 1")
-    rows, shrinks = _symbol_tables(n, render)
-    return ((ps * pt, map(getitem, row, Js)) for ps, row in rows for pt, Js in shrinks)
-
-
-@functools.lru_cache(maxsize=8, typed=True)
-def _symbol_tables(n: int, render) -> tuple:
-    """Each sigma's parity with its row of rendered letters, k = n down to 1,
-    and each tau's parity with its index sets, in the same order."""
     perms = list(permutations(range(n + 1)))
     ks = range(n, 0, -1)  # leftmost letter is k = n
     sets = {}  # one frozenset per index set
@@ -140,9 +140,10 @@ def _symbol_tables(n: int, render) -> tuple:
         return sets.setdefault(s, s)
 
     grows = [(permutation_sign(p), [index_set(p[:k]) for k in ks]) for p in perms]
-    shrinks = tuple((permutation_sign(p), tuple(index_set(p[k:]) for k in ks)) for p in perms)
+    shrinks = [(permutation_sign(p), tuple(index_set(p[k:]) for k in ks)) for p in perms]
     letter = {I: {J: render((I, J)) for J in sets if len(I) + len(J) == n + 1} for I in sets}
-    return tuple((ps, tuple(letter[I] for I in Is)) for ps, Is in grows), shrinks
+    rows = [(ps, [letter[I] for I in Is]) for ps, Is in grows]
+    return ((ps * pt, map(getitem, row, Js)) for ps, row in rows for pt, Js in shrinks)
 
 
 def aomoto_symbol(n: int) -> list:

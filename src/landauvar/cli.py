@@ -257,10 +257,10 @@ def _load_model_arg(source: str) -> variation.VariationModel:
         return variation.builtin_model(source)
     try:
         data = _read_json(source)
-    except OSError as exc:
+    except FileNotFoundError as exc:
         raise variation.ModelError(
             f"unknown model {poly.echo(source)}; choose from {sorted(variation.BUILTIN_MODELS)}"
-            f" or a model document that can be read ({exc.strerror or exc})") from None
+            f" or the path of a model document ({exc.strerror})") from None
     return variation.model_from_json(data)
 
 
@@ -441,27 +441,16 @@ def _check_aomoto_budget(n: int, action: str) -> None:
         )
 
 
-# a letter record of `aomoto symbol --format json` is indented to its depth in
-# the document, 3 levels
-_LETTER_PAD = "\n" + "  " * 3
-
-
-def _letter_json(letter) -> str:
-    """The JSON text of one symbol letter as `_cmd_symbol` prints it: a
-    module-level function, so that `aomoto.symbol_walk` renders each letter
-    once per process."""
-    return _ENCODER.encode({"I": sorted(letter[0]), "J": sorted(letter[1])}).replace(
-        "\n", _LETTER_PAD)
-
-
 def _cmd_symbol(args) -> Iterator:
     _check_aomoto_budget(args.n, "symbol")
     if args.format == "text":
         return aomoto_mod.symbol_text(args.n)
     # the encoder's text of [{"letters": [{"I": ..., "J": ...}, ...], "sign":
-    # ...}, ...], one chunk per word
-    pad = _LETTER_PAD
-    words = aomoto_mod.symbol_walk(args.n, _letter_json)
+    # ...}, ...], one chunk per word; each letter record is encoded once and
+    # indented to its depth in the document, 3 levels
+    pad = "\n" + "  " * 3
+    words = aomoto_mod.symbol_walk(args.n, lambda letter: _ENCODER.encode(
+        {"I": sorted(letter[0]), "J": sorted(letter[1])}).replace("\n", pad))
     word_texts = (f'{"," if i else "["}\n  {{\n    "letters": [{pad}' + f",{pad}".join(records)
                   + f'\n    ],\n    "sign": {sign}\n  }}' for i, (sign, records) in enumerate(words))
     return itertools.chain(word_texts, ("\n]\n",))

@@ -11,7 +11,6 @@ lists that encode the blowup geometry as data.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -394,15 +393,12 @@ _FIXTURES = {
 }
 
 
-@functools.lru_cache(maxsize=len(_FIXTURES))
-def _fixture(name: str) -> tuple:
-    """The components of fixture `name`, built once per process."""
-    return tuple(_FIXTURES[name]())
-
-
 def fixture_landau(name: str) -> list:
-    """Hard-coded Landau component lists for the blown-up fixture geometries:
-    each call returns a new list of the components built once per process."""
-    if name not in _FIXTURES:
-        raise LandauError(f"unknown fixture {name!r}; choose from {sorted(_FIXTURES)}")
-    return list(_fixture(name))
+    """Hard-coded Landau component lists for the blown-up fixture geometries."""
+    try:
+        builder = _FIXTURES[name]
+    except KeyError:
+        raise LandauError(
+            f"unknown fixture {name!r}; choose from {sorted(_FIXTURES)}"
+        ) from None
+    return builder()

@@ -17,7 +17,7 @@ from landauvar.aomoto import (
 from landauvar.hierarchy import hierarchy_graph, word_vanishes
 
 
-def test_weight_tables_are_built_once_and_each_call_has_its_own_list(capsys):
+def test_small_weights_are_built_once_and_each_call_has_its_own_list(capsys):
     import hashlib
 
     from landauvar import aomoto
@@ -28,18 +28,20 @@ def test_weight_tables_are_built_once_and_each_call_has_its_own_list(capsys):
         assert main(list(argv)) == 0
         return capsys.readouterr().out
 
-    expected = printed("aomoto", "components", "--n", "2", "--format", "json")
-    aomoto_components(2).clear()
-    assert printed("aomoto", "components", "--n", "2", "--format", "json") == expected
-    assert aomoto_components(2) is not aomoto_components(2)
-    assert aomoto_edges(2) is aomoto_edges(2)
-    aomoto._symbol_tables.cache_clear()
+    aomoto._cached_components.cache_clear()
+    for n in (2, 5):
+        expected = printed("aomoto", "components", "--n", str(n), "--format", "json")
+        aomoto_components(n).clear()
+        assert printed("aomoto", "components", "--n", str(n), "--format", "json") == expected
+        assert aomoto_components(n) is not aomoto_components(n)
+    # weight 2 was built once for its five calls, and weight 5, over the cached
+    # weights, on each call
+    info = aomoto._cached_components.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
     for fmt in ("text", "json"):
         for _ in range(2):
             out = printed("aomoto", "symbol", "--n", "3", "--format", fmt)
             assert hashlib.sha256(out.encode()).hexdigest() == SYMBOL_DIGESTS["3", fmt]
-    info = aomoto._symbol_tables.cache_info()
-    assert (info.misses, info.hits) == (2, 2)
 
 
 def test_component_counts():

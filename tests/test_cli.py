@@ -1595,8 +1595,10 @@ def test_hierarchy_dot_escapes_backslashes(tmp_path, capsys):
     (["variation", "audit", "bubble", "--max-len", "-1"],
      "max_len must be a nonnegative integer, got -1"),
     (["variation", "table", "bubbel"], "unknown model 'bubbel'; choose from ['bubble',"
-     " 'dilog', 'logarithm', 'massless-triangle'] or a model document that can be read"),
-], ids=["zero-weight", "unknown-letter", "negative-max-len", "unknown-model"])
+     " 'dilog', 'logarithm', 'massless-triangle'] or the path of a model document"
+     " (No such file or directory)"),
+    (["variation", "table", "."], "[Errno 21] Is a directory: '.'"),
+], ids=["zero-weight", "unknown-letter", "negative-max-len", "unknown-model", "unreadable-model"])
 def test_zero_weight_and_unknown_letter_are_clean_errors(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert out == ""

@@ -1010,18 +1010,27 @@ def test_audit_over_count_table_budget_is_refused_before_walking(capsys, monkeyp
     assert "40026000000 bits of exact word counts" in err
 
 
-def test_audit_counts_the_products_it_builds(capsys, monkeypatch):
-    # the bubble's walk builds 2033 products at --max-len 8 and 4081 at 9
+def test_audit_counts_the_products_it_builds(tmp_path, capsys, monkeypatch):
+    # with l1's one nonzero entry unknown the bubble is walked: 2033 products
+    # at --max-len 8 and 4081 at 9, while the plain bubble builds one product
+    # per forbidden pair at any length
     from landauvar import variation
 
+    doc = variation.model_to_json(variation.builtin_model("bubble"))
+    doc["ops"]["l1"][1][0] = None
+    path = tmp_path / "bubble-l1-entry-unknown.json"
+    path.write_text(json.dumps(doc))
     monkeypatch.setattr(variation, "AUDIT_PRODUCT_BUDGET", 2033)
-    code, out, _ = run_cli(capsys, "variation", "audit", "bubble", "--max-len", "8",
+    code, out, _ = run_cli(capsys, "variation", "audit", str(path), "--max-len", "8",
                            "--format", "json")
     assert code == 0 and json.loads(out)["words_checked"] == 487260
-    code, out, err = run_cli(capsys, "variation", "audit", "bubble", "--max-len", "9")
+    code, out, err = run_cli(capsys, "variation", "audit", str(path), "--max-len", "9")
     assert out == ""
     assert_clean_error(code, err)
     assert "more than the budget of 2033 matrix products" in err
+    code, out, _ = run_cli(capsys, "variation", "audit", "bubble", "--max-len", "17",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["words_checked"] == 953673792121
 
 
 def test_audit_budget_counts_unknown_entry_words(tmp_path, capsys, monkeypatch):
@@ -1226,6 +1235,37 @@ def test_graph_size_budget_admits_the_64_edge_cycle(tmp_path, capsys):
     assert code == 0 and len(json.loads(out)["U"].split(" + ")) == 64
 
 
+def kirchhoff_trees(g):
+    """The number of spanning trees of `g` by Kirchhoff's theorem: the
+    determinant of its Laplacian without the first vertex's row and column,
+    by Gaussian elimination over Fractions."""
+    index = {v: k for k, v in enumerate(g.vertices[1:])}
+    size = len(index)
+    lap = [[Fraction(0)] * size for _ in range(size)]
+    for e in g.edges:
+        if e.ends[0] == e.ends[1]:  # a self-loop is in no tree
+            continue
+        a, b = (index.get(v) for v in e.ends)
+        for i, j in ((a, b), (b, a)):
+            if i is not None:
+                lap[i][i] += 1
+                if j is not None:
+                    lap[i][j] -= 1
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if lap[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            lap[col], lap[pivot] = lap[pivot], lap[col]
+            det = -det
+        det *= lap[col][col]
+        for r in range(col + 1, size):
+            f = lap[r][col] / lap[col][col]
+            lap[r] = [x - f * y for x, y in zip(lap[r], lap[col])]
+    return det
+
+
 def test_symanzik_budget_admits_the_six_loop_ladder(tmp_path, capsys, monkeypatch):
     from pathlib import Path
 
@@ -1233,6 +1273,10 @@ def test_symanzik_budget_admits_the_six_loop_ladder(tmp_path, capsys, monkeypatc
 
     from landauvar import graphs
 
+    for loops in (1, 2, 3):
+        g = graphs.load_graph(json.loads(Path(write_graph(
+            tmp_path, f"small{loops}", *ladder(loops))).read_text()))
+        assert kirchhoff_trees(g) == len(spanning_trees_oracle(g))
     reached = []
     monkeypatch.setattr(graphs, "symanzik_F", lambda g, u=None: reached.append(g) or parse("1"))
     for loops, trees in ((6, 2911), (7, 10864)):
@@ -1240,7 +1284,7 @@ def test_symanzik_budget_admits_the_six_loop_ladder(tmp_path, capsys, monkeypatc
         code, _, err = run_cli(capsys, "symanzik", path)
         assert (code == 0) == (loops == 6)
         g = graphs.load_graph(json.loads(Path(path).read_text()))
-        assert len(spanning_trees_oracle(g)) == trees
+        assert kirchhoff_trees(g) == trees
     assert "at least 4055 spanning trees" in err
     assert len(reached) == 1
 

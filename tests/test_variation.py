@@ -595,6 +595,90 @@ def test_audit_counts_every_forced_word_of_length_eight():
     assert report.ok and not report.unverified
 
 
+def forbidden_pairs(components, rel):
+    """The ordered pairs of live letters with no arrow between them."""
+    live = sorted(c.id for c in components if not c.variation_known_zero)
+    return [(a, b) for a in live for b in live if (a, b) not in rel.edges]
+
+
+@st.composite
+def audited_models(draw):
+    """A small model and relation.  The live operators map into the first
+    `split` basis vectors and vanish on them, so every product of two is zero;
+    one forbidden pair may then get a nonzero product (its first letter made
+    the identity), and one entry may be made unknown."""
+    size = draw(st.integers(2, 3))
+    split = draw(st.integers(1, size - 1))
+    ids = [f"a{k}" for k in range(draw(st.integers(1, 4)))]
+    zero = set(draw(st.lists(st.sampled_from(ids), max_size=2)))
+    entry = st.integers(-2, 2)
+    ops = {cid: tuple(tuple(draw(entry) if i < split <= j and cid not in zero else 0
+                            for j in range(size)) for i in range(size))
+           for cid in ids}
+    edges = frozenset(draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)))))
+    rel = HierarchyRelation(tuple(ids), edges)
+    components = tuple(letter(c, c in zero) for c in ids)
+    pairs = forbidden_pairs(components, rel)
+    if pairs and draw(st.booleans()):
+        a, b = draw(st.sampled_from(pairs))
+        ops[a] = identity_matrix(size)
+        ops[b] = tuple(tuple(1 if (i, j) == (0, size - 1) else x for j, x in enumerate(row))
+                       for i, row in enumerate(ops[b]))
+    live = sorted(set(ids) - zero)
+    if live and draw(st.booleans()):
+        cid = draw(st.sampled_from(live))
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        ops[cid] = tuple(tuple(None if (r, c) == (i, j) else x for c, x in enumerate(row))
+                         for r, row in enumerate(ops[cid]))
+    model = VariationModel(name="random", n=1, basis=tuple(f"b{i}" for i in range(size)),
+                           ops=ops, components=components)
+    return model, rel
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=audited_models())
+def test_audit_short_cut_and_walk_match_enumeration(case):
+    # both routes: all forbidden products zero and every entry known (one
+    # product per forbidden pair), or a nonzero forbidden product or an
+    # unknown entry (the walk)
+    model, rel = case
+    for max_len in range(5):
+        assert check_against_hierarchy(model, rel, max_len).describe() == \
+            enumerated_audit(model, rel, max_len), max_len
+
+
+@pytest.mark.parametrize("name", ["logarithm", "bubble", "dilog"])
+def test_audit_builds_one_product_per_forbidden_pair(name, monkeypatch):
+    m = builtin_model(name)
+    pairs = len(forbidden_pairs(m.components, m.relation()))
+    real = variation.mat_mul
+    built = {}
+    for max_len in (8, 16):
+        products = []
+        monkeypatch.setattr(variation, "mat_mul",
+                            lambda a, b: products.append(1) or real(a, b))
+        assert check_against_hierarchy(m, max_len=max_len).ok
+        built[max_len] = len(products)
+    assert built[16] <= built[8] <= pairs, (built, pairs)
+
+
+def test_audit_counts_the_bubble_words_of_length_seventeen():
+    # 5^s words of s letters, less the s-letter walks along arrows between
+    # live letters, summed over s = 1..17
+    m = builtin_model("bubble")
+    rel = m.relation()
+    live = sorted(c.id for c in m.components if not c.variation_known_zero)
+    walks = dict.fromkeys(live, 1)  # walks of s letters ending in each letter
+    forced = 0
+    for s in range(1, 18):
+        forced += 5 ** s - sum(walks.values())
+        walks = {b: sum(walks[a] for a in live if (a, b) in rel.edges) for b in live}
+    assert forced == 953673792121
+    report = check_against_hierarchy(m, max_len=17)
+    assert report.words_checked == forced
+    assert report.ok and not report.unverified
+
+
 # -- compose against the rational product ------------------------------------------
 
 
@@ -658,9 +742,9 @@ def enumerated_nilpotency(ops, cutoff):
     return None
 
 
-def letter(cid):
+def letter(cid, known_zero=False):
     return LandauComponent(cid, Polynomial.var("t"), frozenset(), frozenset(),
-                           frozenset(), frozenset(), LINEAR, -1)
+                           frozenset(), frozenset(), LINEAR, -1, known_zero)
 
 
 @st.composite
